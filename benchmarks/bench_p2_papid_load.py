@@ -15,23 +15,35 @@ Not a paper experiment: this guards the fleet-scale monitoring daemon
   must shed/degrade (shed + stale counts > 0) instead of stalling.
 
 Absolute rates are machine-dependent, so the committed baseline in
-``BENCH_p2_papid_load.json`` stores *normalized* metrics: daemon
-reads/sec divided by the host's single-session substrate read rate
-(``read_efficiency`` -- how much of the raw substrate rate survives
-batching, IPC and supervision), and p99 expressed in units of one
-reference read (``p99_ref_units``).  Both ratios are host-speed
-invariant to first order.  ``--check`` fails on a >20% regression
-(efficiency down or p99 up) at the matching scale; ``--smoke`` is the
-reduced-scale variant CI runs.
+``BENCH_p2_papid_load.json`` stores metrics in *host-reference units*:
+the unit of ``benchmarks/p3/hostref.py``, a fixed pure-Python integer
+loop that imports nothing from ``repro``, so no change to the program
+can move it.  The loop is sampled two processes wide before every read
+batch, and each batch is converted at the rate sampled around it, so a
+host that switches speed mid-run does not read as a regression.  The
+gated metrics are ``reads_per_ref`` (batched reads per reference unit)
+and ``read_p99_ref`` (p99 per-read latency in reference units);
+``--check`` fails on a >20% regression of either at the matching scale.
+``read_efficiency`` -- daemon reads/sec over the single-session
+substrate step + read + reload rate, how much of the raw substrate rate
+survives batching, IPC and supervision -- is printed but not gated: the
+engine speeds that raw loop up as much as the daemon, so the fraction
+cannot tell a daemon regression from an engine gain.  ``--smoke`` is
+the reduced-scale variant CI runs.
 """
 
 from __future__ import annotations
 
+import datetime
 import json
+import os
+import platform
+import statistics
 import time
 from pathlib import Path
 
 from _shared import emit, run_once
+from p3.hostref import HostClock, op_refs
 from repro.analysis import Table
 from repro.daemon import (
     DaemonConfig,
@@ -45,6 +57,9 @@ BASELINE_PATH = Path(__file__).parent / "BENCH_p2_papid_load.json"
 
 #: a normalized regression worse than this factor vs baseline fails --check.
 REGRESSION_TOLERANCE = 0.20
+
+#: the gated metrics (host-reference units) and which direction is better.
+GATED = {"reads_per_ref": "higher", "read_p99_ref": "lower"}
 
 SCALES = {
     # sessions, read sweeps, read sub-batch, chaos sessions, chaos sweeps
@@ -69,9 +84,7 @@ def _specs(n, prefix="p2", seed=SEED):
 def reference_read_rate(duration=0.25) -> float:
     """Raw single-session substrate rate: step+read ops/sec, no daemon.
 
-    This is the normalizer: it scales with host speed exactly like the
-    daemon's own per-read work does, so daemon/reference ratios are
-    comparable across machines.
+    The denominator of the ungated ``read_efficiency`` fraction.
     """
     spec = SessionSpec(sid="ref", platform="simX86", seed=SEED)
     sub = create_substrate(spec.platform, seed=spec.seed)
@@ -106,10 +119,44 @@ def _percentile(samples, q) -> float:
     return ordered[idx]
 
 
-def run_load_phase(scale: dict) -> dict:
+def _read_sweeps(client, clock, sids, sweeps, batch, check):
+    """Batched read sweeps with a host-reference sample before each batch.
+
+    Returns ``(reads, seconds, refs)`` per batch: the batch's session
+    count, its wall seconds and the same time in reference units.
+    """
+    sizes, spans = [], []
+    for _sweep in range(sweeps):
+        for lo in range(0, len(sids), batch):
+            chunk = sids[lo:lo + batch]
+            clock.take()
+            t0 = time.perf_counter_ns()
+            results = client.read_many(chunk)
+            spans.append((t0, time.perf_counter_ns()))
+            sizes.append(len(chunk))
+            check(results)
+    clock.take()
+    timed = op_refs(clock.samples, clock.intervals, spans)
+    return [(n, sec, ref) for n, (sec, ref) in zip(sizes, timed)]
+
+
+def _rates(batches) -> dict:
+    n_reads = sum(n for n, _, _ in batches)
+    return {
+        "reads": n_reads,
+        "reads_per_sec": n_reads / sum(sec for _, sec, _ in batches),
+        "reads_per_ref": n_reads / sum(ref for _, _, ref in batches),
+    }
+
+
+def run_load_phase(scale: dict, clock: HostClock) -> dict:
     """Create + steady-state read phases on a clean daemon."""
     specs = _specs(scale["sessions"])
     sids = [s.sid for s in specs]
+
+    def check(results):
+        assert all(r.ok for r in results)
+
     with PapidServer(DaemonConfig(nshards=NSHARDS)) as server:
         with PapidClient(server, seed=SEED) as client:
             t0 = time.perf_counter()
@@ -117,34 +164,24 @@ def run_load_phase(scale: dict) -> dict:
             create_seconds = time.perf_counter() - t0
             assert all(r.ok for r in created), "fleet create failed"
             client.start_many(sids)
-            batch = scale["batch"]
-            latencies = []
-            n_reads = 0
-            t0 = time.perf_counter()
-            for _sweep in range(scale["sweeps"]):
-                for lo in range(0, len(sids), batch):
-                    chunk = sids[lo:lo + batch]
-                    b0 = time.perf_counter()
-                    results = client.read_many(chunk)
-                    dt = time.perf_counter() - b0
-                    assert all(r.ok for r in results)
-                    latencies.append(dt / len(chunk))
-                    n_reads += len(chunk)
-            read_seconds = time.perf_counter() - t0
+            batches = _read_sweeps(client, clock, sids, scale["sweeps"],
+                                   scale["batch"], check)
             health = server.health()
+    per_read_s = [sec / n for n, sec, _ in batches]
+    per_read_ref = [ref / n for n, _, ref in batches]
     return {
         "sessions": scale["sessions"],
         "sessions_per_sec": scale["sessions"] / create_seconds,
-        "reads": n_reads,
-        "reads_per_sec": n_reads / read_seconds,
-        "p50_read_ms": _percentile(latencies, 0.50) * 1e3,
-        "p99_read_ms": _percentile(latencies, 0.99) * 1e3,
+        **_rates(batches),
+        "p50_read_ms": _percentile(per_read_s, 0.50) * 1e3,
+        "p99_read_ms": _percentile(per_read_s, 0.99) * 1e3,
+        "read_p99_ref": _percentile(per_read_ref, 0.99),
         "shed_reads": health.shed_reads,
         "stale_reads": health.stale_reads,
     }
 
 
-def run_chaos_phase(scale: dict, seed=42) -> dict:
+def run_chaos_phase(scale: dict, clock: HostClock, seed=42) -> dict:
     """The same fleet with the saboteur killing/wedging workers."""
     specs = _specs(scale["chaos_sessions"], prefix="p2c")
     sids = [s.sid for s in specs]
@@ -154,6 +191,16 @@ def run_chaos_phase(scale: dict, seed=42) -> dict:
     )
     prev: dict = {}
     monotone = True
+
+    def check(results):
+        nonlocal monotone
+        for res in results:
+            assert res.ok, res.err
+            old = prev.get(res.sid, {})
+            if any(res.values[k] < old.get(k, 0) for k in res.values):
+                monotone = False
+            prev[res.sid] = res.values
+
     with PapidServer(config) as server:
         with PapidClient(server, seed=seed) as client:
             # Bring the fleet up in small chunks so creates are acked
@@ -164,27 +211,16 @@ def run_chaos_phase(scale: dict, seed=42) -> dict:
                 created = client.create_fleet(specs[lo:lo + 10])
                 assert all(r.ok for r in created), "chaos create failed"
             client.start_many(sids)
-            n_reads = 0
-            t0 = time.perf_counter()
-            for _sweep in range(scale["chaos_sweeps"]):
-                for lo in range(0, len(sids), scale["batch"]):
-                    chunk = sids[lo:lo + scale["batch"]]
-                    for res in client.read_many(chunk):
-                        assert res.ok, res.err
-                        old = prev.get(res.sid, {})
-                        if any(res.values[k] < old.get(k, 0)
-                               for k in res.values):
-                            monotone = False
-                        prev[res.sid] = res.values
-                        n_reads += 1
-            read_seconds = time.perf_counter() - t0
+            batches = _read_sweeps(client, clock, sids,
+                                   scale["chaos_sweeps"], scale["batch"],
+                                   check)
             health = server.health()
             problems = server.check_consistency()
             digest = server.fleet_digest()
     crashes = health.crashes_detected + health.wedges_detected
     return {
         "sessions": scale["chaos_sessions"],
-        "reads_per_sec": n_reads / read_seconds,
+        **_rates(batches),
         "workers_killed": crashes,
         "sessions_recovered": health.sessions_recovered,
         "sessions_unrecovered": health.sessions_unrecovered,
@@ -231,22 +267,27 @@ def _read_op(client, sid):
 
 def run_experiment(scale_name: str) -> dict:
     scale = SCALES[scale_name]
-    ref = reference_read_rate()
-    load = run_load_phase(scale)
-    chaos = run_chaos_phase(scale)
+    ref_rate = reference_read_rate()
+    # two processes wide: a batch waits for the slower of the vCPUs the
+    # shard workers run on (see hostref.HostClock).
+    with HostClock(width=2) as clock:
+        load = run_load_phase(scale, clock)
+        chaos = run_chaos_phase(scale, clock)
     overload = run_overload_phase()
     norm = {
-        "read_efficiency": load["reads_per_sec"] / ref,
-        "p99_ref_units": load["p99_read_ms"] * 1e-3 * ref,
-        "chaos_read_efficiency": chaos["reads_per_sec"] / ref,
+        "reads_per_ref": load["reads_per_ref"],
+        "read_p99_ref": load["read_p99_ref"],
+        "chaos_reads_per_ref": chaos["reads_per_ref"],
     }
     return {
         "scale": scale_name,
-        "reference_reads_per_sec": ref,
+        "host_ref_s": round(statistics.median(clock.samples), 5),
+        "reference_reads_per_sec": ref_rate,
+        "read_efficiency": round(load["reads_per_sec"] / ref_rate, 4),
         "load": load,
         "chaos": chaos,
         "overload": overload,
-        "normalized": {k: round(v, 4) for k, v in norm.items()},
+        "normalized": {k: float(f"{v:.5g}") for k, v in norm.items()},
     }
 
 
@@ -258,16 +299,24 @@ def render(result: dict) -> str:
         title=f"P2: papid fleet load ({result['scale']} scale, "
               f"{NSHARDS} shards)",
     )
-    table.add_row("reference reads/s (no daemon)",
-                  f"{result['reference_reads_per_sec']:,.0f}")
+    norm = result["normalized"]
+    table.add_row("host reference unit",
+                  f"{result['host_ref_s'] * 1e3:.1f} ms")
     table.add_row("fleet create sessions/s",
                   f"{load['sessions_per_sec']:,.0f}")
     table.add_row("batched reads/s", f"{load['reads_per_sec']:,.0f}")
+    table.add_row("batched reads per ref [gated]",
+                  f"{norm['reads_per_ref']:.4g}")
     table.add_row("p50 read latency", f"{load['p50_read_ms']:.3f} ms")
     table.add_row("p99 read latency", f"{load['p99_read_ms']:.3f} ms")
-    table.add_row("read efficiency (vs reference)",
-                  f"{result['normalized']['read_efficiency']:.2f}")
+    table.add_row("p99 read latency in ref [gated]",
+                  f"{norm['read_p99_ref']:.4g}")
+    table.add_row("substrate step+read rate (no daemon)",
+                  f"{result['reference_reads_per_sec']:,.0f}/s")
+    table.add_row("read efficiency (vs substrate rate)",
+                  f"{result['read_efficiency']:.2f}")
     table.add_row("chaos reads/s", f"{chaos['reads_per_sec']:,.0f}")
+    table.add_row("chaos reads per ref", f"{norm['chaos_reads_per_ref']:.4g}")
     table.add_row("chaos workers killed", chaos["workers_killed"])
     table.add_row("chaos sessions recovered",
                   chaos["sessions_recovered"])
@@ -310,32 +359,37 @@ def check_against_baseline(result: dict, baseline: dict) -> list:
     expected = (baseline or {}).get(result["scale"])
     if not expected:
         return [f"no committed baseline for scale {result['scale']!r}"]
+    if any(k not in expected for k in GATED):
+        return [f"the {result['scale']!r} baseline predates the "
+                f"host-reference metrics {', '.join(GATED)}"]
     problems = []
     norm = result["normalized"]
-    eff_floor = expected["read_efficiency"] * (1 - REGRESSION_TOLERANCE)
-    if norm["read_efficiency"] < eff_floor:
-        problems.append(
-            f"read_efficiency {norm['read_efficiency']:.3f} below "
-            f"{eff_floor:.3f} (baseline "
-            f"{expected['read_efficiency']:.3f} - 20%)"
-        )
-    p99_ceil = expected["p99_ref_units"] * (1 + REGRESSION_TOLERANCE)
-    if norm["p99_ref_units"] > p99_ceil:
-        problems.append(
-            f"p99_ref_units {norm['p99_ref_units']:.3f} above "
-            f"{p99_ceil:.3f} (baseline "
-            f"{expected['p99_ref_units']:.3f} + 20%)"
-        )
+    for key, better in GATED.items():
+        base, got = expected[key], norm[key]
+        if better == "higher" and got < base * (1 - REGRESSION_TOLERANCE):
+            problems.append(f"{key} {got:.4g} below {base:.4g} - 20%")
+        elif better == "lower" and got > base * (1 + REGRESSION_TOLERANCE):
+            problems.append(f"{key} {got:.4g} above {base:.4g} + 20%")
     return problems
 
 
-def update_baseline(result: dict) -> None:
-    """Rewrite this scale's normalized baseline; history accumulates."""
+def update_baseline(result: dict, commit: str, reason: str) -> None:
+    """Re-pin this scale's baseline; the trajectory is append-only."""
     baseline = load_baseline() or {}
-    baseline[result["scale"]] = dict(result["normalized"])
+    provenance = {
+        "commit": commit,
+        "reason": reason,
+        "date": datetime.date.today().isoformat(),
+        "host_ref_s": result["host_ref_s"],
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+    baseline[result["scale"]] = {**result["normalized"], **provenance}
     baseline.setdefault("trajectory", []).append({
         "scale": result["scale"],
         **result["normalized"],
+        **provenance,
+        "read_efficiency": result["read_efficiency"],
         "chaos_workers_killed": result["chaos"]["workers_killed"],
         "shed_reads": result["overload"]["shed_reads"],
         "stale_reads": result["overload"]["stale_reads"],
@@ -359,11 +413,16 @@ def main(argv=None) -> int:
                         help="fail on >20%% normalized regression vs "
                              "the committed baseline")
     parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite this scale's committed baseline")
+                        help="re-pin this scale's committed baseline "
+                             "(needs --commit and --reason)")
+    parser.add_argument("--commit", help="commit whose src/ was measured")
+    parser.add_argument("--reason", help="why the baseline is re-pinned")
     parser.add_argument("--json-out", metavar="PATH",
                         help="dump this run's measurements (+ baseline) "
                              "as JSON, e.g. for a CI artifact")
     args = parser.parse_args(argv)
+    if args.update_baseline and not (args.commit and args.reason):
+        parser.error("--update-baseline needs --commit and --reason")
 
     result = run_experiment("smoke" if args.smoke else "full")
     print(render(result))
@@ -374,7 +433,7 @@ def main(argv=None) -> int:
             "baseline": load_baseline(),
         }, indent=2) + "\n")
     if args.update_baseline:
-        update_baseline(result)
+        update_baseline(result, args.commit, args.reason)
         print(f"baseline updated: {BASELINE_PATH}")
         return 0
     if args.check:
@@ -383,7 +442,7 @@ def main(argv=None) -> int:
             print("FAIL:", p)
         if problems:
             return 1
-        print("ok: normalized load metrics within 20% of baseline")
+        print("ok: host-normalized load metrics within 20% of baseline")
     return 0
 
 
