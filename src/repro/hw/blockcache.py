@@ -55,17 +55,33 @@ is completely quiet, so deadline/flush crossings always take the
 precise path.
 
 Invalidation rules (see DESIGN.md): block tables are keyed by the
-identity of the resolved code list, so ``migrate`` (dynaprof probe
-insertion/removal) retires the old program's table -- regions and
-traces die with it; context restores rebind the active table;
-:meth:`Machine.charge` cache pollution bumps the engine epoch, which
-re-arms replay trials for blocks and traces previously blacklisted as
-unsteady.
+identity of the resolved code list.  ``CPU.load`` of the Program already
+loaded keeps that list, so its table -- blocks, regions, traces, heat --
+survives the reload and the engine is only unbound; loading a different
+Program or ``migrate`` (dynaprof probe insertion/removal) retires the
+old program's table, and regions and traces die with it.  Context
+restores rebind the active table; ``Machine.reset`` and probe-registry
+changes drop every table; :meth:`Machine.charge` cache pollution bumps
+the engine epoch, which re-arms replay trials for blocks and traces
+previously blacklisted as unsteady.
+
+Compiling is the other half of the cost of a table.  Generated source
+embeds constants only (pcs, latencies, signal indices, literals); live
+objects -- the L1I ways, the predictor table, ``_code``, ``_eng``, probe
+handlers -- are bound as globals.  Machines of one configuration running
+the same code therefore generate the same text, and the process keeps
+one LRU cache of compiled code objects (:func:`compile_cached`, at most
+:data:`MAX_CODE_OBJECTS`) keyed by the exact source text plus filename:
+a new machine, or a table rebuilt after a retire, reuses the code object
+instead of recompiling it.  Each use still ``exec``s it into fresh
+globals, so those bindings are never shared between machines.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hw.events import Signal
@@ -83,6 +99,9 @@ MAX_BLOCK_LEN = 64
 
 #: most code tables kept alive at once (one per resolved program).
 MAX_TABLES = 16
+
+#: most compiled code objects kept in the process-wide code cache.
+MAX_CODE_OBJECTS = 256
 
 #: upper bound on iterations applied by a single bulk replay step.
 REPLAY_CHUNK = 1 << 20
@@ -256,6 +275,21 @@ class _CodeTable:
     #: pcs that cannot block-compile but must stay engine-dispatchable
     #: because a region or trace is keyed there (probe heads).
     nocompile: Set[int] = field(default_factory=set)
+
+
+@functools.lru_cache(maxsize=MAX_CODE_OBJECTS)
+def compile_cached(src: str, filename: str) -> CodeType:
+    """Compile generated source once per process.
+
+    A process-wide LRU (see ``compile_cached.cache_info()``) keyed by the
+    exact source text plus its filename, so two units that differ in any
+    literal (``0.0`` vs ``-0.0``, ``1`` vs ``1.0``) never share code.
+    Only the immutable code object is shared: every caller still
+    ``exec``s it into fresh globals bound to its own machine.
+    ``lru_cache`` keeps its map coherent under concurrent calls; two
+    threads that miss on one source may both compile it, harmlessly.
+    """
+    return compile(src, filename, "exec")
 
 
 def _compute_leaders(code: List[tuple]) -> Set[int]:
@@ -919,7 +953,7 @@ class BlockCompiler:
             + "\n"
         )
         ns: Dict[str, object] = {}
-        exec(compile(src, f"<block@{start}>", "exec"), dict(self._globals), ns)
+        exec(compile_cached(src, f"<block@{start}>"), dict(self._globals), ns)
         fn = ns["_block"]
 
         block = BasicBlock(
@@ -1056,7 +1090,7 @@ class BlockCompiler:
         ns: Dict[str, object] = {}
         g = dict(self._globals)
         g.update(e.fetch_globals)
-        exec(compile(src, f"<trace@{head}>", "exec"), g, ns)
+        exec(compile_cached(src, f"<trace@{head}>"), g, ns)
         block = BasicBlock(
             start=head,
             n_ins=len(path),
@@ -1635,7 +1669,7 @@ class BlockCompiler:
         if spec is not None and spec[1] is not None:
             g["_bt"] = spec[1]
         ns: Dict[str, object] = {}
-        exec(compile(src, f"<region@{head}>", "exec"), g, ns)
+        exec(compile_cached(src, f"<region@{head}>"), g, ns)
         return Region(
             head=head,
             fn=ns["_region"],
@@ -1925,7 +1959,12 @@ class BlockEngine:
         self._ctx = None
 
     def retire(self, code: List[tuple]) -> None:
-        """Drop the table of one program (dynaprof migrate/reload)."""
+        """Drop the table of one program's code.
+
+        Called when the CPU leaves that code for another Program (a
+        load of a different Program, or a dynaprof migrate); reloading
+        the same Program keeps its table and only unbinds.
+        """
         self._tables.pop(id(code), None)
         if self._table is not None and self._table.code is code:
             self.unbind()

@@ -184,12 +184,21 @@ class CPU:
     # ------------------------------------------------------------------
 
     def load(self, program: Program, heap_words: Optional[int] = None) -> None:
-        """Load *program*, allocate its memory and reset architectural state."""
+        """Load *program*, allocate its memory and reset architectural state.
+
+        Reloading the Program already loaded keeps its resolved code, and
+        with it the engine's code table; any other Program retires it.
+        """
         heap = self.config.heap_words if heap_words is None else heap_words
-        if self.engine is not None and self.code:
-            self.engine.retire(self.code)
-        self.program = program
-        self.code = program.resolve()
+        if program is not self.program or not self.code:
+            if self.engine is not None and self.code:
+                self.engine.retire(self.code)
+            self.program = program
+            self.code = program.resolve()
+        elif self.engine is not None:
+            # same code, but the registers and memory bound to the
+            # engine are replaced below.
+            self.engine.unbind()
         self.memory = [0] * (program.data_size + heap)
         for addr, value in program.data_init:
             self.memory[addr] = value
@@ -380,11 +389,12 @@ class CPU:
                         # a probe handler perturbed the machine inside a
                         # compiled region; the probe retired in-region
                         # without its post-retire hooks.  Resync if the
-                        # handler rewrote the program, then run the PMU
-                        # hooks the interpreter would have run for it.
+                        # handler rewrote or reloaded the program, then
+                        # run the PMU hooks the interpreter would have
+                        # run for it.
                         exec_pc = engine.probe_exit_pc
                         engine.probe_exit_pc = -1
-                        if self.code is not code:
+                        if self.code is not code or self.memory is not memory:
                             code = self.code
                             memory = self.memory
                             mem_len = len(memory)
@@ -636,9 +646,10 @@ class CPU:
                     self.pc = pc
                     self.cur_iline = cur_iline
                     probe_dispatch(a, self)
-                    if self.code is not code:
+                    if self.code is not code or self.memory is not memory:
                         # the handler rewrote the program (dynaprof
-                        # instrument/remove_probes, or a full reload):
+                        # instrument/remove_probes) or reloaded one (a
+                        # reload of the same Program keeps ``code``):
                         # rebind every cached alias and resume under the
                         # new indexing -- past the migrated probe when
                         # it still exists there, at the new pc otherwise.

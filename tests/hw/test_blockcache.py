@@ -8,18 +8,26 @@ pure interpreter (``block_engine=False``).  The contract under test is
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.hw import Assembler, Machine, MachineConfig, Signal
 from repro.hw.blockcache import (
     MAX_BLOCK_LEN,
+    MAX_CODE_OBJECTS,
     _compute_leaders,
     _count_consecutive_takens,
+    compile_cached,
 )
 from repro.hw.branch import GsharePredictor, StaticTakenPredictor, TwoBitPredictor
 from repro.hw.cpu import MachineFault
-from repro.hw.isa import Op
+from repro.hw.isa import Instruction, Op
+
+
+TIERS = ("off", "block", "trace")
 
 
 def machine_pair(**cfg):
@@ -317,6 +325,162 @@ def test_reload_retires_old_table():
     assert full_state(off) == full_state(on)
 
 
+def branchy_loop(n=60):
+    """A diamond loop with a call: compiles blocks and, at the trace
+    tier, a region."""
+    asm = Assembler(name="branchy")
+    asm.func("main")
+    asm.li("r1", 0)
+    asm.li("r2", n)
+    asm.li("r5", 2)
+    asm.label("loop")
+    asm.div("r3", "r1", "r5")
+    asm.muli("r3", "r3", 2)
+    asm.sub("r3", "r1", "r3")
+    asm.beq("r3", "r0", "even")
+    asm.addi("r4", "r4", 3)
+    asm.call("leaf")
+    asm.jmp("join")
+    asm.label("even")
+    asm.addi("r6", "r6", 1)
+    asm.label("join")
+    asm.addi("r1", "r1", 1)
+    asm.blt("r1", "r2", "loop")
+    asm.halt()
+    asm.endfunc()
+    asm.func("leaf")
+    asm.fma("f5", "f1", "f2", "f2")
+    asm.ret()
+    asm.endfunc()
+    return asm.build()
+
+
+def compiled_units(m):
+    st = m.engine_stats()
+    return st.blocks_compiled, st.regions_compiled, st.traces_compiled
+
+
+@pytest.mark.parametrize("tier", ["block", "trace"])
+def test_reload_of_same_program_keeps_table(tier):
+    off = Machine(MachineConfig(engine="off"))
+    on = Machine(MachineConfig(engine=tier))
+    prog = branchy_loop()
+    for m in (off, on):
+        m.load(prog)
+        m.run_to_completion()
+    first = compiled_units(on)
+    assert first[0] > 0
+    if tier == "trace":
+        assert first[1] + first[2] > 0
+    for m in (off, on):
+        m.load(prog)
+        m.run_to_completion()
+    assert compiled_units(on) == first
+    assert full_state(off) == full_state(on)
+
+
+def _load_other(m, prog):
+    m.load(counting_loop(50))
+    m.run_to_completion()
+
+
+def _reset(m, prog):
+    m.reset()
+
+
+def _register_probe(m, prog):
+    m.register_probe(99, lambda pid, cpu: None)
+
+
+def _unregister_probe(m, prog):
+    m.register_probe(99, lambda pid, cpu: None)
+    m.load(prog)
+    m.run_to_completion()
+    m.unregister_probe(99)
+
+
+def holds_table_for(m, code):
+    return any(t.code is code for t in m.cpu.engine._tables.values())
+
+
+@pytest.mark.parametrize("drop", [
+    _load_other, _reset, _register_probe, _unregister_probe,
+])
+def test_table_dropped_on_program_change_reset_and_probe_registry(drop):
+    off, on = machine_pair()
+    prog = branchy_loop()
+    for m in (off, on):
+        m.load(prog)
+        m.run_to_completion()
+    old_code = on.cpu.code
+    assert holds_table_for(on, old_code)
+    for m in (off, on):
+        drop(m, prog)
+    assert not holds_table_for(on, old_code)
+    before = on.engine_stats().blocks_compiled
+    for m in (off, on):
+        m.load(prog)
+        m.run_to_completion()
+    # the next pass over the same Program compiles its blocks afresh
+    assert on.engine_stats().blocks_compiled > before
+    assert full_state(off) == full_state(on)
+
+
+def test_migrate_retires_old_table():
+    off, on = machine_pair()
+    prog = branchy_loop()
+    new_prog, remap = prog.insert({0: [Instruction(Op.NOP)]})
+    for m in (off, on):
+        m.load(prog)
+        m.run(max_instructions=200)
+    old_code = on.cpu.code
+    assert holds_table_for(on, old_code)
+    for m in (off, on):
+        m.cpu.migrate(new_prog, remap)
+        m.run_to_completion()
+    assert not holds_table_for(on, old_code)
+    assert full_state(off) == full_state(on)
+
+
+def test_probe_handler_reload_of_same_program_restarts_it():
+    asm = Assembler(name="reloader")
+    base = asm.reserve_data(4)
+    asm.label("main")
+    asm.li("r1", 0)
+    asm.li("r2", 30)
+    asm.li("r5", base)
+    asm.label("loop")
+    asm.probe(7)
+    asm.addi("r1", "r1", 1)
+    asm.store("r1", "r5", 0)
+    asm.blt("r1", "r2", "loop")
+    asm.halt()
+    prog = asm.build()
+
+    def run(m):
+        fired = []
+
+        def handler(pid, cpu):
+            fired.append(cpu.pc)
+            # late enough that the trace tier runs the loop as a region
+            if len(fired) == 25:
+                cpu.load(prog)  # restart from the entry with fresh state
+
+        m.register_probe(7, handler)
+        m.load(prog)
+        m.run_to_completion()
+        return fired
+
+    machines = {t: Machine(MachineConfig(engine=t)) for t in TIERS}
+    logs = {t: (run(m), full_state(m)) for t, m in machines.items()}
+    fired, state = logs["off"]
+    assert len(fired) == 25 + 30
+    assert state["iregs"][1] == 30
+    assert logs["block"] == logs["off"]
+    assert logs["trace"] == logs["off"]
+    assert machines["trace"].engine_stats().regions_compiled > 0
+
+
 def test_pmu_read_mid_run_flushes_engine():
     off, on = machine_pair()
     prog = counting_loop(100)
@@ -358,6 +522,144 @@ def test_scheduler_slices_equivalent_and_counted():
         else:
             assert stats.engine_instructions == 0
     assert results["on"] == results["off"]
+
+
+# ----------------------------------------------------------------------
+# the process-wide compiled-code cache
+# ----------------------------------------------------------------------
+
+
+def const_program(op, value):
+    """One block whose only difference between programs is a literal."""
+    asm = Assembler(name="const")
+    asm.label("main")
+    asm.raw(Instruction(op, 1, d=value))
+    asm.fli("f2", 3.0)
+    asm.fmul("f3", "f1", "f2")
+    asm.fmov("f4", "f1")
+    asm.addi("r2", "r1", 1)
+    asm.halt()
+    return asm.build()
+
+
+def typed_state(m):
+    """Register files with each value's type and sign kept visible
+    (``0.0 == -0.0`` and ``1 == 1.0 == True`` compare equal)."""
+    return (
+        [repr(x) for x in m.cpu.iregs],
+        [repr(x) for x in m.cpu.fregs],
+        list(m.counts),
+    )
+
+
+def run_typed(prog, engine):
+    m = Machine(MachineConfig(engine=engine))
+    m.load(prog)
+    m.run_to_completion()
+    return m
+
+
+@pytest.mark.parametrize("op,values", [
+    (Op.FLI, (0.0, -0.0, 0.0)),
+    (Op.FLI, (1, 1.0, 1)),
+    (Op.LI, (1, True, 1.0, 1)),
+])
+def test_code_cache_keeps_literals_that_compare_equal_apart(op, values):
+    for tier in ("block", "trace"):
+        for value in values:
+            prog = const_program(op, value)
+            ref = run_typed(prog, "off")
+            got = run_typed(prog, tier)
+            assert got.engine_stats().blocks_compiled >= 1
+            assert typed_state(got) == typed_state(ref), (tier, value)
+
+
+def test_code_cache_is_bounded_lru():
+    sources = [f"_v = ('bounded', {i})\n" for i in range(MAX_CODE_OBJECTS + 10)]
+    for src in sources:
+        compile_cached(src, "<test>")
+    info = compile_cached.cache_info()
+    assert info.currsize == info.maxsize == MAX_CODE_OBJECTS
+    compile_cached(sources[-1], "<test>")  # newest: still cached
+    assert compile_cached.cache_info()[:2] == (info.hits + 1, info.misses)
+    compile_cached(sources[0], "<test>")  # oldest: evicted
+    assert compile_cached.cache_info().misses == info.misses + 1
+    # the filename is part of the key
+    compile_cached(sources[-1], "<other>")
+    assert compile_cached.cache_info().misses == info.misses + 2
+    assert compile_cached.cache_info().currsize == MAX_CODE_OBJECTS
+
+
+def run_threads(worker, args, timeout=60):
+    """Run ``worker(arg)`` on one thread per arg, switching often;
+    returns the errors the workers recorded."""
+    errors = []
+
+    def guarded(arg):
+        try:
+            worker(arg, errors)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=guarded, args=(a,)) for a in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+def test_code_cache_concurrent_compiles_and_evictions():
+    # two threads keep hitting the same 8 sources while two others
+    # compile fresh ones, each miss evicting the least recently used
+    # entry; with more threads than cores and frequent switches, every
+    # get must return the code for its own source and raise nothing.
+    info0 = compile_cached.cache_info()
+    gets = [0] * 4
+    deadline = time.monotonic() + 1.0
+
+    def worker(tid, errors):
+        n = 0
+        while time.monotonic() < deadline:
+            n += 1
+            key = ("hit", n % 8) if tid < 2 else (tid, n)
+            ns = {}
+            exec(compile_cached(f"_v = {key!r}\n", "<thr>"), ns)
+            if ns["_v"] != key:
+                errors.append((key, ns["_v"]))
+        gets[tid] = n
+
+    assert run_threads(worker, range(4)) == []
+    info = compile_cached.cache_info()
+    assert info.currsize == MAX_CODE_OBJECTS
+    # no lost update of the counters
+    assert info.hits + info.misses - info0.hits - info0.misses == sum(gets)
+    assert info.hits > info0.hits and info.misses > info0.misses + MAX_CODE_OBJECTS
+
+
+def test_machines_on_threads_each_run_their_own_code():
+    # one machine per thread, as papid's inline transport dispatches
+    # each shard on its own thread; programs differ in one literal.
+    # (a list, not a dict: 0.0/-0.0 and 1/1.0 are equal keys)
+    values = [0.0, -0.0, 1, 1.0, 2.5, -2.5]
+    expected = [
+        typed_state(run_typed(const_program(Op.FLI, v), "off"))
+        for v in values
+    ]
+
+    def worker(i, errors):
+        for _ in range(20):
+            got = run_typed(const_program(Op.FLI, values[i]), "trace")
+            if typed_state(got) != expected[i]:
+                errors.append(values[i])
+
+    assert run_threads(worker, range(len(values))) == []
 
 
 # ----------------------------------------------------------------------

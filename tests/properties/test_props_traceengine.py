@@ -8,8 +8,10 @@ duplication compiles into regions), optional calls to a shared leaf and
 optional probes.  Every program must produce identical counts,
 architectural state and cache statistics at all three engine tiers
 ("off" / "block" / "trace"), single-CPU and through the SMP scheduler
-at ncpus=4, and with a seeded fault injector perturbing the counter
-substrate.
+at ncpus=4, with a seeded fault injector perturbing the counter
+substrate, and run in fixed-size steps that reload the program whenever
+it halts (the papid session pattern, which keeps the code table across
+reloads).
 """
 
 from __future__ import annotations
@@ -178,6 +180,43 @@ def run_faulted(prog, engine, seed):
     return outcome
 
 
+def run_stepped(prog, engine, step, nsteps, inject=None):
+    """The papid session pattern: fixed-size steps, reload on halt.
+
+    Each step runs *step* instructions, reloading the program whenever
+    it halts (the reload keeps the program's code table), then reads
+    the EventSet, as ``WorkerSession.read`` does.
+    """
+    sub = create("simPOWER", engine=engine, inject=inject)
+    machine = sub.machine
+    probes = []
+    for pid in range(1, 6):
+        machine.register_probe(pid, lambda p, cpu, log=probes: log.append(p))
+    papi = Papi(sub)
+    es = papi.create_eventset()
+    for name in ("PAPI_TOT_INS", "PAPI_TOT_CYC"):
+        es.add_event(papi.event_name_to_code(name))
+    machine.load(prog)
+    outcome = {"steps": [], "errors": []}
+    try:
+        es.start()
+        for _ in range(nsteps):
+            budget, reloads = step, 0
+            while budget > 0:
+                result = machine.run(max_instructions=budget)
+                budget -= result.instructions
+                if result.halted:
+                    machine.load(prog)
+                    reloads += 1
+            outcome["steps"].append((reloads, machine.cpu.pc, es.read()))
+    except PapiError as exc:
+        outcome["errors"].append(type(exc).__name__)
+    outcome["counts"] = list(machine.counts)
+    outcome["cache_stats"] = machine.hierarchy.stats_snapshot()
+    outcome["probes"] = probes
+    return outcome
+
+
 class TestTraceTierEquivalence:
     @given(segments)
     @settings(max_examples=40, deadline=None)
@@ -208,6 +247,22 @@ class TestTraceTierEquivalence:
         for tier in TIERS[1:]:
             got = run_faulted(prog, tier, seed)
             assert got == ref, tier
+
+    @given(
+        segments,
+        st.integers(min_value=7, max_value=400),
+        st.integers(min_value=1, max_value=2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_all_tiers_identical_stepped_with_reload(self, segs, step, seed):
+        prog = build_program(segs)
+        for inject in (None, f"{seed}:transient"):
+            ref = run_stepped(prog, "off", step, 12, inject)
+            if inject is None:
+                assert ref["errors"] == [] and len(ref["steps"]) == 12
+            for tier in TIERS[1:]:
+                got = run_stepped(prog, tier, step, 12, inject)
+                assert got == ref, (tier, inject)
 
 
 class TestTraceTierCoverage:
