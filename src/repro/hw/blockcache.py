@@ -11,7 +11,11 @@ adds a *block cache* in front of it:
   interpreter's exact effect sequence -- signal counts, cache/TLB
   accesses, EAR callbacks, fault messages, register/memory writes -- with
   all per-instruction constants (latencies, signal indices, byte
-  addresses, line boundaries) baked in as literals;
+  addresses, line boundaries) baked in as literals.  Blocks, traces and
+  regions share one per-instruction generator (:class:`_Emitter`), and
+  every compiled fetch first checks whether its line is already the MRU
+  way of its (statically known) L1I set, calling ``inst_fetch`` only
+  when it is not;
 - self-loop blocks whose body is *steady* (invariant memory addresses,
   affine loop counter, all-hit cache behaviour, saturated predictor) are
   **replayed in O(1)**: one trial iteration through the compiled body
@@ -158,12 +162,10 @@ _SIMPLE_EFFECTS: Dict[int, Tuple[Tuple[int, ...], str]] = {
 
 @dataclass
 class LoopInfo:
-    """Static shape of a replay-eligible self-loop block."""
+    """Static shape of a replay-eligible self-loop block or trace."""
 
     #: pc of the closing conditional branch.
     branch_pc: int
-    #: branch opcode (one of BRANCH_OPS).
-    branch_op: int
     #: normalized predicate kind on the counter value: lt/le/gt/ge/eq/ne.
     kind: str
     #: the affine counter register, or -1 when both operands are invariant.
@@ -187,8 +189,6 @@ class BasicBlock:
     n_ins: int
     #: compiled executor; returns ``(next_pc, cur_iline)``.
     fn: object
-    #: literal instruction-cache line of the last instruction.
-    il_last: int
     #: worst-case cycles one execution can add (every access missing).
     max_cyc: int
     #: worst-case per-signal deltas of one execution (deadline headroom).
@@ -214,7 +214,6 @@ class Region:
     head: int
     fn: object
     members: Tuple[int, ...]
-    n_blocks: int
     #: worst-case instructions one block step retires.
     max_nb: int
     #: worst-case cycles one block step can add.
@@ -359,12 +358,16 @@ class _EmitUnsupported(Exception):
 
 
 class _Emitter:
-    """Shared straight-line emitter for trace/region code generation.
+    """The engine's one per-instruction code generator.
 
-    Replicates the effect ordering of :meth:`BlockCompiler.compile_block`
-    -- fetch, retirement counts, then the op effect, with pending count
-    merging flushed before every observable point -- so traces and
-    regions stay bit-exact with blocks and the interpreter.
+    Blocks, superblock traces and region members all emit through it.
+    Per instruction it replicates the interpreter's effect ordering --
+    fetch, retirement counts, then the op effect.  Static counts of
+    consecutive instructions merge into a pending batch that is written
+    out (or, in a region's defer mode, folded into per-pass vectors)
+    before every point where ``counts[]`` can be observed -- memory
+    access and EAR callback, fault raise, branch resolution, probe,
+    exit -- so every unit stays bit-exact with the interpreter.
     """
 
     def __init__(
@@ -380,7 +383,7 @@ class _Emitter:
         #: name of the current-iline variable in the generated scope.
         self.il_var = il_var
         #: regions keep ``il`` as a live local across blocks, so fetches
-        #: must assign it; traces return literal ilines like blocks do.
+        #: must assign it; blocks and traces return literal ilines.
         self.track_il = track_il
         #: deferred-count mode: static retirement counts are not written
         #: per pass but accumulated into per-member vectors the region's
@@ -438,13 +441,15 @@ class _Emitter:
         self.emit("    " + raise_stmt)
 
     def emit_memory(self, pc: int, op: int, a: int, b: int, d: int) -> None:
-        """Memory access mirroring ``BlockCompiler._emit_memory``.
+        """One data access, as the interpreter's LOAD/STORE path does it.
 
-        The dynamic parts (miss paths, penalties) are always written
-        directly -- they commute with deferred static adds because
-        nothing inside a region reads counts (EAR-armed runs decline
-        region entry; see ``_run_region``).  Only the bounds fault
-        needs the defer-aware cold flush.
+        The caller flushes pending counts first, so an EAR callback reads
+        an exact ``TOT_CYC``.  The dynamic parts (miss paths, penalties)
+        are always written directly -- in defer mode they commute with
+        the deferred static adds because nothing inside a region reads
+        counts (EAR-armed runs decline region entry; see
+        ``_run_region``).  Only the bounds fault needs the defer-aware
+        cold flush.
         """
         c = self.c
         emit = self.emit
@@ -542,9 +547,9 @@ class _Emitter:
         """Emit one instruction's effects (control transfer excluded).
 
         For BRANCH/JMP/CALL/RET/PROBE this applies the fetch and the
-        retirement/class counts; the caller emits the transfer (and, for
-        branches, calls :meth:`emit_branch_calls` /
-        :meth:`emit_branch_inline` for the resolution).
+        retirement/class counts; the caller emits the transfer and, for
+        branches, the resolution (:meth:`emit_branch_calls` in blocks and
+        traces, predictor-inlined arms in regions).
         """
         c = self.c
         op, a, b, cc, d = ins
@@ -667,58 +672,15 @@ class _Emitter:
         self.emit(f"    counts[{_S.TOT_CYC}] += {bp}")
         self.emit(f"    counts[{_S.STL_CYC}] += {bp}")
 
-    def emit_branch_inline(
-        self, pc: int, op: int, a: int, b: int, spec: tuple
-    ) -> None:
-        """Resolve a branch with the predictor open-coded (regions).
-
-        *spec* comes from ``BranchPredictor.inline_spec``; the emitted
-        code reproduces predict()+update() exactly, including table
-        aliasing through ``pc & mask``.
-        """
-        kind, _state, mask = spec
-        bp = self.c._branch_penalty
-        self.flush_pending()
-        self.emit(f"_t = iregs[{a}] {self._CMP[op]} iregs[{b}]")
-        if kind == "static":
-            # always predicts taken: mispredict exactly when not taken.
-            self.emit("if _t:")
-            self.emit(f"    counts[{_S.BR_TKN}] += 1")
-            self.emit("else:")
-            self.emit(f"    counts[{_S.BR_NTK}] += 1")
-            self.emit(f"    counts[{_S.BR_MSP}] += 1")
-            self.emit(f"    counts[{_S.TOT_CYC}] += {bp}")
-            self.emit(f"    counts[{_S.STL_CYC}] += {bp}")
-        else:  # twobit
-            idx = pc & mask
-            self.emit(f"_s = _bt[{idx}]")
-            self.emit("if _t:")
-            self.emit(f"    counts[{_S.BR_TKN}] += 1")
-            self.emit("    if _s < 3:")
-            self.emit(f"        _bt[{idx}] = _s + 1")
-            self.emit("    if _s < 2:")
-            self.emit(f"        counts[{_S.BR_MSP}] += 1")
-            self.emit(f"        counts[{_S.TOT_CYC}] += {bp}")
-            self.emit(f"        counts[{_S.STL_CYC}] += {bp}")
-            self.emit("else:")
-            self.emit(f"    counts[{_S.BR_NTK}] += 1")
-            self.emit("    if _s > 0:")
-            self.emit(f"        _bt[{idx}] = _s - 1")
-            self.emit("    if _s >= 2:")
-            self.emit(f"        counts[{_S.BR_MSP}] += 1")
-            self.emit(f"        counts[{_S.TOT_CYC}] += {bp}")
-            self.emit(f"        counts[{_S.STL_CYC}] += {bp}")
-
 
 class BlockCompiler:
-    """Generates the per-block executor functions.
+    """Generates the executor functions for blocks, traces and regions.
 
-    The generated source replicates the interpreter's effect ordering
-    instruction for instruction.  Count updates of consecutive simple ALU
-    instructions are merged into a single segment; every observable point
-    (memory access, fault check, EAR callback, branch resolution) flushes
-    the pending segment first, so ``counts[]`` is exact whenever foreign
-    code can run or an exception can propagate.
+    All three emit their instructions through one :class:`_Emitter`, so
+    the generated source replicates the interpreter's effect ordering
+    instruction for instruction in every unit.  Blocks and traces share
+    one straight-line path compiler (:meth:`_compile_path`); regions add
+    a dispatch loop around per-member emitters.
     """
 
     def __init__(self, cpu) -> None:
@@ -729,8 +691,8 @@ class BlockCompiler:
         self._iline_shift = hcfg.l1i.line_bits
         self._page_shift = hcfg.tlb.page_bits
         #: the L1I cache object, for the open-coded warm-fetch fast path
-        #: (trace/region codegen peeks the MRU way of the statically
-        #: known set before paying for a full ``inst_fetch`` call).
+        #: (generated code peeks the MRU way of the statically known set
+        #: before paying for a full ``inst_fetch`` call).
         self._l1i = cpu.hierarchy.l1i
         #: worst-case extra cycles for one data access / one fetch.
         self._mem_worst = hcfg.tlb_walk_latency + hcfg.l2_latency + hcfg.mem_latency
@@ -758,255 +720,17 @@ class BlockCompiler:
             pc += 1
         return instrs
 
-    # -- code generation ------------------------------------------------
+    # -- blocks and superblock traces -----------------------------------
 
     def compile_block(self, code: List[tuple], start: int) -> Optional[BasicBlock]:
+        """Compile the basic block headed at *start*, or None if empty."""
         instrs = self.scan_block(code, start)
         if not instrs:
             return None
-        last_op = instrs[-1][0]
-        if last_op not in BRANCH_OPS and last_op not in (Op.JMP, Op.CALL, Op.RET):
-            # fall-through block (next pc may be past the end; the slow
-            # path then raises the same "pc out of range" fault).
-            pass
-
-        lines: List[str] = []
-        pending: Dict[int, int] = {}
-        md = [0] * Signal.N_SIGNALS
-        max_cyc = 0
-        n_fetches = 0
-
-        def emit(text: str) -> None:
-            lines.append("    " + text)
-
-        def add_pending(sig: int, n: int = 1) -> None:
-            pending[sig] = pending.get(sig, 0) + n
-
-        def flush_pending() -> None:
-            for sig, n in pending.items():
-                emit(f"counts[{sig}] += {n}")
-            pending.clear()
-
-        def emit_fetch(pc: int, conditional: bool) -> None:
-            nonlocal max_cyc, n_fetches
-            il = (pc * INS_BYTES) >> self._iline_shift
-            pad = ""
-            if conditional:
-                emit(f"if cur_iline != {il}:")
-                pad = "    "
-            emit(f"{pad}_fl, _i1m, _il2m = inst_fetch({pc * INS_BYTES})")
-            emit(f"{pad}counts[{_S.L1I_ACC}] += 1")
-            emit(f"{pad}if _i1m:")
-            emit(f"{pad}    counts[{_S.L1I_MISS}] += 1")
-            emit(f"{pad}    counts[{_S.L2_ACC}] += 1")
-            emit(f"{pad}    if _il2m:")
-            emit(f"{pad}        counts[{_S.L2_MISS}] += 1")
-            emit(f"{pad}if _fl:")
-            emit(f"{pad}    counts[{_S.TOT_CYC}] += _fl")
-            emit(f"{pad}    counts[{_S.STL_CYC}] += _fl")
-            n_fetches += 1
-            md[_S.L1I_ACC] += 1
-            md[_S.L1I_MISS] += 1
-            md[_S.L2_ACC] += 1
-            md[_S.L2_MISS] += 1
-            md[_S.TOT_CYC] += self._fetch_worst
-            md[_S.STL_CYC] += self._fetch_worst
-            max_cyc += self._fetch_worst
-
-        lat = self._lat
-        il_prev = None
-        il_start = (start * INS_BYTES) >> self._iline_shift
-        for i, ins in enumerate(instrs):
-            pc = start + i
-            op, a, b, c, d = ins
-            il = (pc * INS_BYTES) >> self._iline_shift
-            if i == 0:
-                emit_fetch(pc, conditional=True)
-            elif il != il_prev:
-                flush_pending()
-                emit_fetch(pc, conditional=False)
-            il_prev = il
-
-            md[_S.TOT_INS] += 1
-            md[_S.TOT_CYC] += lat[op]
-            max_cyc += lat[op]
-
-            simple = _SIMPLE_EFFECTS.get(op)
-            if simple is not None:
-                sigs, template = simple
-                add_pending(_S.TOT_INS)
-                add_pending(_S.TOT_CYC, lat[op])
-                for sig in sigs:
-                    add_pending(sig)
-                    md[sig] += 1
-                if template:
-                    emit(template.format(a=a, b=b, c=c, d=repr(d)))
-                continue
-
-            # every remaining opcode is an observable point: apply its
-            # retirement counts in interpreter order, before any fault
-            # check or hierarchy access.
-            add_pending(_S.TOT_INS)
-            add_pending(_S.TOT_CYC, lat[op])
-            if op in (Op.LOAD, Op.FLOAD, Op.STORE, Op.FSTORE):
-                flush_pending()
-                self._emit_memory(emit, pc, op, a, b, d)
-                md[_S.LD_INS if op in (Op.LOAD, Op.FLOAD) else _S.SR_INS] += 1
-                md[_S.L1D_ACC] += 1
-                md[_S.L1D_MISS] += 1
-                md[_S.L2_ACC] += 1
-                md[_S.L2_MISS] += 1
-                md[_S.TLB_DM] += 1
-                md[_S.TOT_CYC] += self._mem_worst
-                md[_S.STL_CYC] += self._mem_worst
-                md[_S.MEM_RCY] += self._mem_worst
-                max_cyc += self._mem_worst
-            elif op == Op.DIV:
-                add_pending(_S.INT_INS)
-                md[_S.INT_INS] += 1
-                flush_pending()
-                emit(f"if iregs[{c}] == 0:")
-                emit(f'    raise MachineFault("pc {pc}: integer divide by zero")')
-                emit(f"_q = abs(iregs[{b}]) // abs(iregs[{c}])")
-                emit(
-                    f"iregs[{a}] = _q if (iregs[{b}] < 0) == (iregs[{c}] < 0) else -_q"
-                )
-            elif op == Op.FDIV:
-                add_pending(_S.FP_DIV)
-                md[_S.FP_DIV] += 1
-                flush_pending()
-                emit(f"if fregs[{c}] == 0.0:")
-                emit(f'    raise MachineFault("pc {pc}: float divide by zero")')
-                emit(f"fregs[{a}] = fregs[{b}] / fregs[{c}]")
-            elif op == Op.FSQRT:
-                add_pending(_S.FP_SQRT)
-                md[_S.FP_SQRT] += 1
-                flush_pending()
-                emit(f"if fregs[{b}] < 0.0:")
-                emit(f'    raise MachineFault("pc {pc}: sqrt of negative value")')
-                emit(f"fregs[{a}] = fregs[{b}] ** 0.5")
-            elif op in BRANCH_OPS:
-                add_pending(_S.BR_INS)
-                add_pending(_S.BR_CN)
-                md[_S.BR_INS] += 1
-                md[_S.BR_CN] += 1
-                md[_S.BR_TKN] += 1
-                md[_S.BR_NTK] += 1
-                md[_S.BR_MSP] += 1
-                md[_S.TOT_CYC] += self._branch_penalty
-                md[_S.STL_CYC] += self._branch_penalty
-                max_cyc += self._branch_penalty
-                flush_pending()
-                cmp_op = {Op.BLT: "<", Op.BGE: ">=", Op.BEQ: "==", Op.BNE: "!="}[op]
-                emit(f"_t = iregs[{a}] {cmp_op} iregs[{b}]")
-                emit(f"_p = predict({pc})")
-                emit(f"pred_update({pc}, _t)")
-                emit("if _t:")
-                emit(f"    counts[{_S.BR_TKN}] += 1")
-                emit("else:")
-                emit(f"    counts[{_S.BR_NTK}] += 1")
-                emit("if _p != _t:")
-                emit(f"    counts[{_S.BR_MSP}] += 1")
-                emit(f"    counts[{_S.TOT_CYC}] += {self._branch_penalty}")
-                emit(f"    counts[{_S.STL_CYC}] += {self._branch_penalty}")
-                emit(f"return ({c} if _t else {pc + 1}), {il}")
-            elif op == Op.JMP:
-                add_pending(_S.BR_INS)
-                md[_S.BR_INS] += 1
-                flush_pending()
-                emit(f"return {a}, {il}")
-            elif op == Op.CALL:
-                add_pending(_S.BR_INS)
-                add_pending(_S.CALL_INS)
-                md[_S.BR_INS] += 1
-                md[_S.CALL_INS] += 1
-                flush_pending()
-                emit(f"call_stack.append({pc + 1})")
-                emit(f"return {a}, {il}")
-            elif op == Op.RET:
-                add_pending(_S.BR_INS)
-                add_pending(_S.RET_INS)
-                md[_S.BR_INS] += 1
-                md[_S.RET_INS] += 1
-                flush_pending()
-                emit("if not call_stack:")
-                emit(f'    raise MachineFault("pc {pc}: RET with empty call stack")')
-                emit(f"return call_stack.pop(), {il}")
-            else:  # pragma: no cover - BLOCK_BREAK_OPS never reach here
-                return None
-
-        last_pc = start + len(instrs) - 1
-        il_last = (last_pc * INS_BYTES) >> self._iline_shift
-        last_op = instrs[-1][0]
-        falls_through = last_op not in BRANCH_OPS and last_op not in (
-            Op.JMP, Op.CALL, Op.RET
+        return self._compile_path(
+            "block", [(start + i, ins) for i, ins in enumerate(instrs)]
         )
-        if falls_through:
-            flush_pending()
-            emit(f"return {last_pc + 1}, {il_last}")
 
-        src = (
-            "def _block(counts, iregs, fregs, memory, mem_len, call_stack,\n"
-            "           data_access, inst_fetch, predict, pred_update, pmu,\n"
-            "           touched, data_base, cur_iline):\n"
-            + "\n".join(lines)
-            + "\n"
-        )
-        ns: Dict[str, object] = {}
-        exec(compile_cached(src, f"<block@{start}>"), dict(self._globals), ns)
-        fn = ns["_block"]
-
-        block = BasicBlock(
-            start=start,
-            n_ins=len(instrs),
-            fn=fn,
-            il_last=il_last,
-            max_cyc=max_cyc,
-            max_deltas=md,
-            falls_through=falls_through,
-        )
-        block.loop = self._analyze_loop(instrs, start, n_fetches, il_start, il_last)
-        return block
-
-    def _emit_memory(self, emit, pc: int, op: int, a: int, b: int, d: int) -> None:
-        is_load = op in (Op.LOAD, Op.FLOAD)
-        word = "load" if is_load else "store"
-        emit(f"_ad = iregs[{b}] + {d}")
-        emit("if not 0 <= _ad < mem_len:")
-        emit(
-            "    raise MachineFault("
-            f"f\"pc {pc}: {word} address {{_ad}} out of range\")"
-        )
-        emit(f"_ba = _ad * {WORD_BYTES} + data_base")
-        emit("_pen, _l1m, _l2m, _tlbm = data_access(_ba)")
-        emit(f"counts[{_S.LD_INS if is_load else _S.SR_INS}] += 1")
-        emit(f"counts[{_S.L1D_ACC}] += 1")
-        emit("if _l1m:")
-        emit(f"    counts[{_S.L1D_MISS}] += 1")
-        emit(f"    counts[{_S.L2_ACC}] += 1")
-        emit("    if _l2m:")
-        emit(f"        counts[{_S.L2_MISS}] += 1")
-        emit("    if pmu is not None and pmu.ear_active:")
-        emit(f"        pmu.ear_miss({pc}, _ba, counts[{_S.TOT_CYC}], \"l1d_miss\")")
-        emit("if _tlbm:")
-        emit(f"    counts[{_S.TLB_DM}] += 1")
-        emit(f"    touched.add(_ba >> {self._page_shift})")
-        emit("    if pmu is not None and pmu.ear_active:")
-        emit(f"        pmu.ear_miss({pc}, _ba, counts[{_S.TOT_CYC}], \"tlb_miss\")")
-        emit("if _pen:")
-        emit(f"    counts[{_S.TOT_CYC}] += _pen")
-        emit(f"    counts[{_S.STL_CYC}] += _pen")
-        emit(f"    counts[{_S.MEM_RCY}] += _pen")
-        if op == Op.LOAD:
-            emit(f"iregs[{a}] = int(memory[_ad])")
-        elif op == Op.FLOAD:
-            emit(f"fregs[{a}] = float(memory[_ad])")
-        elif op == Op.STORE:
-            emit(f"memory[_ad] = iregs[{a}]")
-        else:
-            emit(f"memory[_ad] = fregs[{a}]")
-
-    # -- superblock traces ----------------------------------------------
 
     def trace_path(
         self, code: List[tuple], head: int
@@ -1062,26 +786,58 @@ class BlockCompiler:
         path = self.trace_path(code, head)
         if path is None or len(path) < 2:
             return None
+        return self._compile_path("trace", path)
+
+    def _compile_path(
+        self, kind: str, path: List[Tuple[int, tuple]]
+    ) -> BasicBlock:
+        """Compile a straight-line path into a ``(next_pc, cur_iline)``
+        executor: a block's run of pcs, or a trace through CALL/RET.
+
+        Transfers inside the path only maintain the call stack (a trace's
+        RETs are statically matched to its CALLs); the last instruction's
+        transfer becomes the return value.  A path closed by a branch
+        back to its first pc is classified for O(1) replay.
+        """
         e = _Emitter(self)
+        start = path[0][0]
         last = len(path) - 1
         for i, (pc, ins) in enumerate(path):
             e.emit_ins(pc, ins, first=(i == 0))
             if i == last:
                 break
-            op = ins[0]
-            if op == Op.CALL:
+            if ins[0] == Op.CALL:
                 e.emit(f"call_stack.append({pc + 1})")
-            elif op == Op.RET:
+            elif ins[0] == Op.RET:
                 # statically matched to a CALL earlier on this path, so
                 # the stack top is that call's continuation: pop only.
                 e.emit("call_stack.pop()")
-        tpc, tins = path[last]
-        e.emit_branch_calls(tpc, tins[0], tins[1], tins[2])
+        tpc, term = path[last]
+        op, a, b, c, _d = term
+        falls_through = op not in BRANCH_OPS and op not in (
+            Op.JMP, Op.CALL, Op.RET
+        )
+        if op in BRANCH_OPS:
+            e.emit_branch_calls(tpc, op, a, b)
+            nxt = f"({c} if _t else {tpc + 1})"
+        elif op == Op.RET:
+            e.emit_fault_guard(
+                "if not call_stack:",
+                f'raise MachineFault("pc {tpc}: RET with empty call stack")',
+            )
+            nxt = "call_stack.pop()"
+        else:
+            e.flush_pending()
+            if op == Op.CALL:
+                e.emit(f"call_stack.append({tpc + 1})")
+            # a MAX_BLOCK_LEN split falls through (past the end of the
+            # code, the slow path then raises the "pc out of range" fault).
+            nxt = tpc + 1 if falls_through else a
         il_last = (tpc * INS_BYTES) >> self._iline_shift
-        e.emit(f"return ({head} if _t else {tpc + 1}), {il_last}")
+        e.emit(f"return {nxt}, {il_last}")
 
         src = (
-            "def _trace(counts, iregs, fregs, memory, mem_len, call_stack,\n"
+            f"def _{kind}(counts, iregs, fregs, memory, mem_len, call_stack,\n"
             "           data_access, inst_fetch, predict, pred_update, pmu,\n"
             "           touched, data_base, cur_iline):\n"
             + "\n".join(e.lines)
@@ -1090,19 +846,20 @@ class BlockCompiler:
         ns: Dict[str, object] = {}
         g = dict(self._globals)
         g.update(e.fetch_globals)
-        exec(compile_cached(src, f"<trace@{head}>"), g, ns)
+        exec(compile_cached(src, f"<{kind}@{start}>"), g, ns)
         block = BasicBlock(
-            start=head,
+            start=start,
             n_ins=len(path),
-            fn=ns["_trace"],
-            il_last=il_last,
+            fn=ns[f"_{kind}"],
             max_cyc=e.max_cyc,
             max_deltas=e.md,
+            falls_through=falls_through,
         )
-        steady = (e.n_fetches - 1) + (1 if e.il_first != il_last else 0)
-        block.loop = self._analyze_cycle(
-            [ins for _pc, ins in path[:last]], tins, tpc, steady
-        )
+        if op in BRANCH_OPS and c == start:
+            steady = (e.n_fetches - 1) + (1 if e.il_first != il_last else 0)
+            block.loop = self._analyze_cycle(
+                [ins for _pc, ins in path[:last]], term, tpc, steady
+            )
         return block
 
     # -- compiled regions -----------------------------------------------
@@ -1674,7 +1431,6 @@ class BlockCompiler:
             head=head,
             fn=ns["_region"],
             members=tuple(member_set),
-            n_blocks=len(members),
             max_nb=max_nb,
             max_cyc=max_cyc,
             max_deltas=max_deltas,
@@ -1684,23 +1440,6 @@ class BlockCompiler:
         )
 
     # -- static loop analysis -------------------------------------------
-
-    def _analyze_loop(
-        self,
-        instrs: List[tuple],
-        start: int,
-        n_fetches: int,
-        il_start: int,
-        il_last: int,
-    ) -> Optional[LoopInfo]:
-        """Classify a self-loop block for O(1) replay, or return None."""
-        term = instrs[-1]
-        if term[0] not in BRANCH_OPS or term[3] != start:
-            return None
-        steady = (n_fetches - 1) + (1 if il_start != il_last else 0)
-        return self._analyze_cycle(
-            instrs[:-1], term, start + len(instrs) - 1, steady
-        )
 
     def _analyze_cycle(
         self,
@@ -1863,7 +1602,6 @@ class BlockCompiler:
 
         return LoopInfo(
             branch_pc=branch_pc,
-            branch_op=op,
             kind=kind,
             counter=counter,
             bound=bound,
@@ -1906,18 +1644,16 @@ class BlockEngine:
     management, deadline math, replay -- lives here.
     """
 
-    def __init__(self, cpu, tier: str = "trace") -> None:
-        if tier not in ("block", "trace"):
-            raise ValueError(f"unknown engine tier {tier!r}")
+    def __init__(self, cpu, tier: str) -> None:
         self.cpu = cpu
-        self.tier = tier
         self.compiler = BlockCompiler(cpu)
         self.stats = EngineStats()
         self._tables: Dict[int, _CodeTable] = {}
         self._table: Optional[_CodeTable] = None
         self._epoch = 0
         self._ctx: Optional[tuple] = None
-        #: trace tier: region/trace promotion enabled.
+        #: trace tier: region/trace promotion enabled.  *tier* is "block"
+        #: or "trace": ``CPU`` validates it and builds no engine at "off".
         self._trace_tier = tier == "trace"
         #: pc of a probe that side-exited a region because its handler
         #: perturbed the machine; CPU.run runs the probe's post-retire
@@ -2024,8 +1760,10 @@ class BlockEngine:
             else:
                 trace = table.traces.get(pc)
                 if trace is not None:
-                    res = self._run_trace(trace, cur_iline, rem_ins, cyc_budget)
+                    res = self._run_block(trace, cur_iline, rem_ins, cyc_budget)
                     if res is not None:
+                        if res[2] > trace.n_ins:
+                            self.stats.trace_replays += 1
                         return res
         block = table.blocks.get(pc)
         if block is None:
@@ -2047,6 +1785,19 @@ class BlockEngine:
                 table.leaders.add(nxt)
                 table.denied.discard(nxt)
 
+        res = self._run_block(block, cur_iline, rem_ins, cyc_budget)
+        if res is not None and self._trace_tier and res[0] < pc:
+            # back edge: count arrivals at the loop head and promote hot
+            # heads to a superblock trace or compiled region.
+            self._heat(table, res[0])
+        return res
+
+    def _run_block(
+        self, block: BasicBlock, cur_iline: int, rem_ins: int, cyc_budget: int
+    ) -> Optional[Tuple[int, int, int]]:
+        """Run a block or superblock trace once, then bulk-replay it if
+        it looped back steadily; None declines (a deadline is in reach).
+        """
         n_ins = block.n_ins
         if 0 <= rem_ins < n_ins:
             return None
@@ -2100,10 +1851,6 @@ class BlockEngine:
             pmu.sample_countdown -= total
         self.stats.blocks_executed += 1
         self.stats.fast_instructions += total
-        if self._trace_tier and next_pc < pc:
-            # back edge: count arrivals at the loop head and promote hot
-            # heads to a superblock trace or compiled region.
-            self._heat(table, next_pc)
         return next_pc, cur_iline, total
 
     # -- trace-tier execution -------------------------------------------
@@ -2221,68 +1968,6 @@ class BlockEngine:
         st.region_instructions += n
         st.fast_instructions += n
         return next_pc, cur_iline, n
-
-    def _run_trace(
-        self, block: BasicBlock, cur_iline: int, rem_ins: int, cyc_budget: int
-    ) -> Optional[Tuple[int, int, int]]:
-        """Run a superblock trace like a self-loop block (trial + replay)."""
-        n_ins = block.n_ins
-        if 0 <= rem_ins < n_ins:
-            return None
-        cpu = self.cpu
-        counts = cpu.counts
-        if cyc_budget >= 0 and counts[_S.TOT_CYC] + block.max_cyc >= cyc_budget:
-            return None
-        pmu = cpu.pmu
-        sampler_on = False
-        if pmu is not None:
-            if pmu.sampler is not None:
-                if pmu.sample_countdown <= n_ins:
-                    return None
-                sampler_on = True
-            if pmu.watch_active:
-                if pmu.has_pending():
-                    return None
-                md = block.max_deltas
-                for headroom, signals in pmu.watch_constraints():
-                    worst = 0
-                    for s in signals:
-                        worst += md[s]
-                    if headroom <= worst:
-                        return None
-            if pmu.timer_active and pmu.cycles_to_timer(
-                counts[_S.TOT_CYC]
-            ) <= block.max_cyc:
-                return None
-
-        loop = block.loop
-        if (
-            loop is not None
-            and block.fail_epoch == self._epoch
-            and block.fails >= REPLAY_FAIL_LIMIT
-        ):
-            loop = None
-
-        total = n_ins
-        st = self.stats
-        if loop is None:
-            next_pc, cur_iline = block.fn(*self._ctx, cur_iline)
-        else:
-            snap = counts.copy()
-            hsnap = cpu.hierarchy.hit_snapshot()
-            next_pc, cur_iline = block.fn(*self._ctx, cur_iline)
-            if next_pc == block.start:
-                k = self._try_replay(
-                    block, loop, snap, hsnap, rem_ins, cyc_budget, sampler_on
-                )
-                if k:
-                    st.trace_replays += 1
-                total += k * n_ins
-        if sampler_on:
-            pmu.sample_countdown -= total
-        st.blocks_executed += 1
-        st.fast_instructions += total
-        return next_pc, cur_iline, total
 
     def _try_replay(
         self,

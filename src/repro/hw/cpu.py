@@ -36,6 +36,21 @@ class MachineFault(Exception):
     """Raised for runtime faults: bad memory access, divide by zero, ..."""
 
 
+#: execution-engine tiers: the pure interpreter, per-block compilation
+#: with steady-loop replay, and the block tier plus superblock traces and
+#: compiled regions (see :mod:`repro.hw.blockcache`).  Every tier is
+#: bit-exact with every other; they differ only in simulation speed.
+ENGINE_TIERS = ("off", "block", "trace")
+
+
+def check_tier(tier: object) -> None:
+    """Reject anything but one of :data:`ENGINE_TIERS`."""
+    if tier not in ENGINE_TIERS:
+        raise ValueError(
+            f"unknown engine tier {tier!r}; expected one of {ENGINE_TIERS}"
+        )
+
+
 _F32 = struct.Struct("<f")
 
 
@@ -122,8 +137,7 @@ class CPU:
         hierarchy: Optional[MemoryHierarchy] = None,
         pmu: Optional[PMU] = None,
         counts: Optional[List[int]] = None,
-        block_engine: bool = True,
-        engine_tier: Optional[str] = None,
+        engine: str = "trace",
     ) -> None:
         self.config = config or CPUConfig()
         self.counts: List[int] = counts if counts is not None else fresh_counts()
@@ -160,21 +174,15 @@ class CPU:
         # derived constants
         self._page_shift = self.hierarchy.config.tlb.page_bits
         self._iline_shift = self.hierarchy.config.l1i.line_bits
-        #: basic-block execution engine (None = pure interpreter).  The
-        #: engine is bit-exact with the interpreter at every tier; see
-        #: :mod:`repro.hw.blockcache` for the correctness contract.
-        #: ``engine_tier`` ("off" / "block" / "trace") wins over the
-        #: legacy ``block_engine`` flag when given.
-        tier = engine_tier if engine_tier is not None else (
-            "trace" if block_engine else "off"
-        )
-        if tier not in ("off", "block", "trace"):
-            raise ValueError(f"unknown engine tier {tier!r}")
+        #: execution engine at the *engine* tier (None at "off": pure
+        #: interpreter).  The engine is bit-exact with the interpreter at
+        #: every tier; see :mod:`repro.hw.blockcache` for the contract.
+        check_tier(engine)
         self.engine = None
-        if tier != "off":
+        if engine != "off":
             from repro.hw.blockcache import BlockEngine
 
-            self.engine = BlockEngine(self, tier)
+            self.engine = BlockEngine(self, engine)
             if self.pmu is not None:
                 self.pmu.set_flush_hook(self.engine.flush)
                 self.pmu.unquiet_hook = self.engine.unbind

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.hw.cache import HierarchyConfig, MemoryHierarchy, default_hierarchy
-from repro.hw.cpu import CPU, CPUConfig, MachineFault, RunResult
+from repro.hw.cpu import CPU, CPUConfig, MachineFault, RunResult, check_tier
 from repro.hw.events import Signal, fresh_counts
 from repro.hw.isa import Program
 from repro.hw.pmu import PMU, PMUConfig
@@ -39,17 +39,13 @@ class MachineConfig:
     #: simulated core clock, cycles per microsecond (500 => 500 MHz).
     mhz: int = 500
     seed: int = 12345
-    #: basic-block execution engine switch (see repro/hw/blockcache.py).
-    #: The engine is bit-exact with the interpreter -- identical counts,
-    #: cache state and interrupt delivery -- so this only trades
-    #: simulation speed against the pure-interpreter reference path.
-    block_engine: bool = True
-    #: engine tier: "off" (pure interpreter), "block" (per-block
-    #: compilation + steady-loop replay) or "trace" (block tier plus
-    #: superblock traces and compiled multi-block regions).  ``None``
-    #: derives the tier from ``block_engine`` ("trace" when True, the
-    #: default).  All tiers are bit-exact with each other.
-    engine: Optional[str] = None
+    #: execution-engine tier (see repro/hw/blockcache.py): "off" (pure
+    #: interpreter), "block" (per-block compilation + steady-loop replay)
+    #: or "trace" (block tier plus superblock traces and compiled
+    #: multi-block regions).  Every tier is bit-exact with the
+    #: interpreter -- identical counts, cache state and interrupt
+    #: delivery -- so this only trades simulation speed.
+    engine: str = "trace"
     #: number of CPUs.  Each CPU gets its own signal-counts array, PMU
     #: and block engine (private decode caches); the memory hierarchy is
     #: shared.  ``ncpus=1`` is bit-exact with the historical single-CPU
@@ -61,19 +57,7 @@ class MachineConfig:
             raise ValueError("clock rate must be at least 1 MHz")
         if self.ncpus < 1:
             raise ValueError("a machine needs at least one CPU")
-        if self.engine is not None and self.engine not in ("off", "block", "trace"):
-            raise ValueError(
-                f"unknown engine tier {self.engine!r}; "
-                "expected 'off', 'block' or 'trace'"
-            )
-
-    @property
-    def engine_tier(self) -> str:
-        """Resolved engine tier: explicit ``engine`` wins, else the
-        legacy ``block_engine`` flag selects trace/off."""
-        if self.engine is not None:
-            return self.engine
-        return "trace" if self.block_engine else "off"
+        check_tier(self.engine)
 
 
 class Machine:
@@ -108,8 +92,7 @@ class Machine:
                 hierarchy=self.hierarchy,
                 pmu=pmu,
                 counts=counts,
-                block_engine=self.config.block_engine,
-                engine_tier=self.config.engine_tier,
+                engine=self.config.engine,
             )
             cpu.cpu_index = i
             cpu.probe_dispatch = self._dispatch_probe

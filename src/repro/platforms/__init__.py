@@ -53,20 +53,16 @@ DIRECT_PLATFORMS: List[str] = [
 ]
 
 
-def create(name: str, seed: int = 12345, block_engine: bool = True,
-           ncpus: int = 1, inject: Optional[str] = None,
-           engine: Optional[str] = None) -> Substrate:
+def create(name: str, seed: int = 12345, ncpus: int = 1,
+           inject: Optional[str] = None, engine: str = "trace") -> Substrate:
     """Instantiate the named platform substrate.
 
-    ``block_engine=False`` forces the machine onto the pure-interpreter
-    reference path (see :class:`repro.hw.machine.MachineConfig`); results
-    are bit-identical either way, only simulation speed differs.
-
-    ``engine`` selects the execution-engine tier explicitly: ``"off"``
-    (interpreter), ``"block"`` (per-block compilation + steady-loop
-    replay) or ``"trace"`` (blocks plus superblock traces and compiled
-    multi-block regions, the default).  All tiers are bit-exact; when
-    given, ``engine`` wins over ``block_engine``.
+    ``engine`` selects the execution-engine tier (see
+    :class:`repro.hw.machine.MachineConfig`): ``"off"`` (the
+    pure-interpreter reference path), ``"block"`` (per-block compilation
+    + steady-loop replay) or ``"trace"`` (blocks plus superblock traces
+    and compiled multi-block regions, the default).  Results are
+    bit-identical at every tier; only simulation speed differs.
 
     ``ncpus`` builds an SMP machine: that many CPUs, each with a private
     PMU and block engine, behind one shared memory hierarchy.  The OS
@@ -86,8 +82,7 @@ def create(name: str, seed: int = 12345, block_engine: bool = True,
         raise SubstrateError(
             f"unknown platform {name!r}; known: {PLATFORM_NAMES}"
         ) from None
-    substrate = cls(seed=seed, block_engine=block_engine, ncpus=ncpus,
-                    engine=engine)
+    substrate = cls(seed=seed, ncpus=ncpus, engine=engine)
     spec = inject if inject is not None else os.environ.get(
         "REPRO_FAULT_PROFILE"
     )

@@ -120,12 +120,10 @@ class Substrate:
     #: skid plane keys its pass criteria on this plus :attr:`skid_max`.
     PROFILING = "overflow"
 
-    def __init__(self, seed: int = 12345, block_engine: bool = True,
-                 ncpus: int = 1, engine: Optional[str] = None) -> None:
+    def __init__(self, seed: int = 12345, ncpus: int = 1,
+                 engine: str = "trace") -> None:
         config = self._machine_config(seed)
-        if config.block_engine != block_engine:
-            config = dataclasses.replace(config, block_engine=block_engine)
-        if engine is not None and config.engine != engine:
+        if config.engine != engine:
             config = dataclasses.replace(config, engine=engine)
         if config.ncpus != ncpus:
             config = dataclasses.replace(config, ncpus=ncpus)

@@ -39,7 +39,7 @@ def probed_loop(n=400):
 
 class TestFlushHook:
     def test_read_invokes_engine_flush(self):
-        m = Machine(MachineConfig(block_engine=True))
+        m = Machine(MachineConfig(engine="trace"))
         m.load(probed_loop(10))
         m.pmu.program(0, [Signal.TOT_INS])
         m.pmu.start(0)
@@ -48,7 +48,7 @@ class TestFlushHook:
         assert m.engine_stats().flushes == before + 1
 
     def test_stop_invokes_engine_flush(self):
-        m = Machine(MachineConfig(block_engine=True))
+        m = Machine(MachineConfig(engine="trace"))
         m.load(probed_loop(10))
         m.pmu.program(0, [Signal.TOT_INS])
         m.pmu.start(0)
@@ -68,7 +68,7 @@ class TestFlushHook:
         asm.halt()
         prog = asm.build()
 
-        m = Machine(MachineConfig(block_engine=True))
+        m = Machine(MachineConfig(engine="trace"))
         m.load(prog)
         m.pmu.program(0, [Signal.TOT_INS])
         m.pmu.start(0)
@@ -80,9 +80,9 @@ class TestFlushHook:
 class TestMidLoopHighLevelRead:
     """core/highlevel.read issued from inside a running loop."""
 
-    @pytest.mark.parametrize("engine", [False, True])
-    def test_read_counters_mid_loop_monotone(self, engine):
-        sub = create("simPOWER", block_engine=engine)
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_read_counters_mid_loop_monotone(self, compiled):
+        sub = create("simPOWER", engine="trace" if compiled else "off")
         hl = HighLevel(Papi(sub))
         prog = probed_loop(200)
         sub.machine.load(prog)
@@ -102,8 +102,8 @@ class TestMidLoopHighLevelRead:
 
     def test_mid_loop_readings_identical_engine_on_off(self):
         per_engine = {}
-        for engine in (False, True):
-            sub = create("simX86", block_engine=engine)
+        for engine in ("off", "trace"):
+            sub = create("simX86", engine=engine)
             hl = HighLevel(Papi(sub))
             sub.machine.load(probed_loop(150))
             readings = []
@@ -114,4 +114,4 @@ class TestMidLoopHighLevelRead:
             sub.machine.run_to_completion()
             final = hl.stop_counters()
             per_engine[engine] = (readings, final, list(sub.machine.counts))
-        assert per_engine[True] == per_engine[False]
+        assert per_engine["trace"] == per_engine["off"]

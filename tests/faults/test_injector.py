@@ -17,9 +17,9 @@ from repro.tools.papirun import papirun
 from repro.workloads import dot
 
 
-def run_one(spec, platform="simPOWER", n=500, block_engine=True, **kw):
+def run_one(spec, platform="simPOWER", n=500, engine="trace", **kw):
     """One papirun under *spec*; returns (result, injector-or-None)."""
-    sub = create(platform, block_engine=block_engine)
+    sub = create(platform, engine=engine)
     injector = attach_from_spec(sub, spec) if spec else None
     result = papirun(sub, dot(n, use_fma=sub.HAS_FMA), **kw)
     return result, injector
@@ -45,9 +45,9 @@ class TestDeterminism:
         assert a == b
 
     @pytest.mark.parametrize("spec", ["3:chaos", "31:loss"])
-    def test_block_engine_on_off_identical(self, spec):
-        on = fingerprint(*run_one(spec, block_engine=True))
-        off = fingerprint(*run_one(spec, block_engine=False))
+    def test_engine_on_off_identical(self, spec):
+        on = fingerprint(*run_one(spec, engine="trace"))
+        off = fingerprint(*run_one(spec, engine="off"))
         assert on == off
 
     def test_different_seeds_diverge(self):

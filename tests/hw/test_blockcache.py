@@ -1,7 +1,7 @@
 """Block execution engine: partitioning, bit-exactness, replay, deadlines.
 
 Every test here checks the engine against the same ground truth: the
-pure interpreter (``block_engine=False``).  The contract under test is
+pure interpreter (``engine="off"``).  The contract under test is
 *bit-exactness* -- not "close", identical.
 """
 
@@ -14,27 +14,29 @@ import time
 
 import pytest
 
-from repro.hw import Assembler, Machine, MachineConfig, Signal
+from repro.hw import CPU, Assembler, Machine, MachineConfig, Signal
 from repro.hw.blockcache import (
     MAX_BLOCK_LEN,
     MAX_CODE_OBJECTS,
+    EngineStats,
     _compute_leaders,
     _count_consecutive_takens,
     compile_cached,
 )
 from repro.hw.branch import GsharePredictor, StaticTakenPredictor, TwoBitPredictor
-from repro.hw.cpu import MachineFault
-from repro.hw.isa import Instruction, Op
-
-
-TIERS = ("off", "block", "trace")
+from repro.hw.cache import default_hierarchy
+from repro.hw.cpu import ENGINE_TIERS, MachineFault
+from repro.hw.isa import INS_BYTES, Instruction, Op
+from repro.hw.pmu import PMUConfig
+from repro.platforms import create
+from repro.workloads import dot, random_branches
 
 
 def machine_pair(**cfg):
     """A (engine-off, engine-on) machine pair with identical configs."""
     base = MachineConfig(**cfg)
-    off = Machine(dataclasses.replace(base, block_engine=False))
-    on = Machine(dataclasses.replace(base, block_engine=True))
+    off = Machine(dataclasses.replace(base, engine="off"))
+    on = Machine(dataclasses.replace(base, engine="trace"))
     return off, on
 
 
@@ -471,7 +473,7 @@ def test_probe_handler_reload_of_same_program_restarts_it():
         m.run_to_completion()
         return fired
 
-    machines = {t: Machine(MachineConfig(engine=t)) for t in TIERS}
+    machines = {t: Machine(MachineConfig(engine=t)) for t in ENGINE_TIERS}
     logs = {t: (run(m), full_state(m)) for t, m in machines.items()}
     fired, state = logs["off"]
     assert len(fired) == 25 + 30
@@ -497,6 +499,246 @@ def test_pmu_read_mid_run_flushes_engine():
     off.pmu.start(0)
     off.run_to_completion()
     assert value == off.pmu.read(0)
+
+
+# ----------------------------------------------------------------------
+# pinned engine decisions
+# ----------------------------------------------------------------------
+#
+# Bit-exactness alone cannot catch an engine that declines too often: an
+# over-cautious worst-case delta or steady-fetch count keeps every count
+# exact while blocks stop compiling, regions stop entering and loops stop
+# replaying.  These runs pin every EngineStats field at the block and
+# trace tiers.
+
+
+def steady_self_loop(n=3000):
+    """A replay-eligible self-loop block whose body spans three L1I lines."""
+    asm = Assembler(name="steady")
+    asm.label("main")
+    asm.li("r1", 0)
+    asm.li("r2", n)
+    asm.label("loop")
+    for r in range(3, 21):
+        asm.addi(f"r{r}", f"r{r}", r)
+    asm.addi("r1", "r1", 1)
+    asm.blt("r1", "r2", "loop")
+    asm.halt()
+    return asm.build()
+
+
+def call_loop(n=2000):
+    """One static path through a CALL/RET pair: a superblock trace.
+
+    The leaf sits below ``main``, so its RET is a forward transfer and
+    the loop's closing branch is the only back edge.
+    """
+    asm = Assembler(name="calls")
+    asm.func("leaf")
+    asm.addi("r3", "r3", 5)
+    asm.muli("r4", "r5", 3)
+    asm.ret()
+    asm.endfunc()
+    asm.func("main")
+    asm.li("r1", 0)
+    asm.li("r2", n)
+    asm.label("loop")
+    asm.call("leaf")
+    asm.addi("r1", "r1", 1)
+    asm.blt("r1", "r2", "loop")
+    asm.halt()
+    asm.endfunc()
+    return asm.build()
+
+
+def probed_loop(n=1500):
+    """A loop headed by a probe with a registered handler: a region."""
+    asm = Assembler(name="probed")
+    asm.label("main")
+    asm.li("r1", 0)
+    asm.li("r2", n)
+    asm.label("loop")
+    asm.probe(1)
+    asm.addi("r3", "r3", 7)
+    asm.muli("r4", "r1", 3)
+    asm.addi("r1", "r1", 1)
+    asm.blt("r1", "r2", "loop")
+    asm.halt()
+    return asm.build()
+
+
+def pinned_run(scenario, tier):
+    """Run one pinned scenario at *tier*; returns the machine."""
+    pmu = PMUConfig(has_profileme=scenario == "profileme")
+    m = Machine(MachineConfig(engine=tier, pmu=pmu))
+    if scenario == "self_loop":
+        m.load(steady_self_loop())
+    elif scenario == "call_trace":
+        m.load(call_loop())
+    elif scenario == "region":
+        m.load(random_branches(400).program)
+    elif scenario == "probed":
+        m.load(probed_loop())
+        m.register_probe(1, lambda pid, cpu: None)
+    elif scenario == "profileme":
+        m.load(dot(400).program)
+        m.pmu.enable_profileme(53)
+    else:
+        # an overflow watch: its headroom caps block, region and replay
+        # steps by their worst-case deltas.
+        m.load(
+            steady_self_loop() if scenario == "watch_loop"
+            else random_branches(400).program
+        )
+        m.pmu.program(0, [Signal.TOT_CYC])
+        m.pmu.set_overflow(0, 4000, lambda rec: None)
+        m.pmu.start(0)
+    m.run_to_completion()
+    return m
+
+
+#: every EngineStats field per run, in field order: blocks_executed,
+#: fast_instructions, replays, replayed_instructions, blocks_compiled,
+#: flushes, regions_compiled, region_entries, region_instructions,
+#: traces_compiled, trace_replays.  A change that moves any of them
+#: changes what the engine decides, and must say why.
+PINNED_STATS = {
+    ("self_loop", "block"): (3, 60002, 1, 59940, 2, 0, 0, 0, 0, 0, 0),
+    ("self_loop", "trace"): (3, 60002, 1, 59940, 2, 0, 0, 0, 0, 0, 0),
+    ("call_trace", "block"): (6000, 12002, 0, 0, 4, 0, 0, 0, 0, 0, 0),
+    ("call_trace", "trace"): (50, 12002, 1, 11892, 4, 0, 0, 0, 0, 1, 1),
+    ("region", "block"): (1201, 2602, 0, 0, 5, 0, 0, 0, 0, 0, 0),
+    ("region", "trace"): (48, 2602, 0, 0, 5, 0, 1, 1, 2494, 0, 0),
+    ("probed", "block"): (1501, 6002, 0, 0, 2, 0, 0, 0, 0, 0, 0),
+    ("probed", "trace"): (17, 7486, 0, 0, 2, 0, 1, 1, 7420, 0, 0),
+    ("profileme", "block"): (740, 2851, 0, 0, 3, 0, 0, 0, 0, 0, 0),
+    ("profileme", "trace"): (91, 2851, 0, 0, 3, 0, 1, 60, 2593, 0, 0),
+    ("watch_loop", "block"): (18, 59702, 16, 59340, 2, 1, 0, 0, 0, 0, 0),
+    ("watch_loop", "trace"): (18, 59702, 16, 59340, 2, 1, 0, 0, 0, 0, 0),
+    ("watch_region", "block"): (1186, 2571, 0, 0, 5, 1, 0, 0, 0, 0, 0),
+    ("watch_region", "trace"): (109, 2571, 0, 0, 5, 1, 1, 97, 2331, 0, 0),
+}
+
+
+@pytest.mark.parametrize("scenario,tier", sorted(PINNED_STATS))
+def test_engine_decisions_pinned(scenario, tier):
+    m = pinned_run(scenario, tier)
+    assert m.engine_stats() == EngineStats(*PINNED_STATS[scenario, tier])
+
+
+# ----------------------------------------------------------------------
+# the warm-fetch check inside compiled blocks
+# ----------------------------------------------------------------------
+#
+# A compiled fetch binds the ways list of its line's L1I set and takes a
+# shortcut when the line is already the MRU way; anything else must go
+# through ``inst_fetch``, which reorders or evicts.  Code lines that
+# share a set and run alternately move the MRU way between executions
+# of one block.
+
+_L1I = default_hierarchy().l1i
+#: instructions per L1I line, and between two lines sharing one set.
+LINE_INS = _L1I.line_bytes // INS_BYTES
+SET_STRIDE = _L1I.size_bytes // _L1I.assoc // INS_BYTES
+#: first leaf pc: line-aligned and clear of main's lines.
+LEAF_BASE = 4 * LINE_INS
+
+
+def aliasing_calls(order, n=200):
+    """A loop calling leaf *k* for each slot *k* in *order*, per pass.
+
+    Leaf *k* sits *k* set strides past LEAF_BASE and spans two lines, so
+    its entry fetch and its mid-block fetch land in sets it shares with
+    every other leaf.
+    """
+    slots = sorted(set(order))
+    asm = Assembler(name="alias")
+    asm.func("main")
+    asm.li("r1", 0)
+    asm.li("r2", n)
+    asm.label("loop")
+    for k in order:
+        asm.call(f"leaf{k}")
+    asm.addi("r1", "r1", 1)
+    asm.blt("r1", "r2", "loop")
+    asm.halt()
+    asm.endfunc()
+    pc = len(order) + 5
+    for k in slots:
+        start = LEAF_BASE + k * SET_STRIDE
+        for _ in range(start - pc):
+            asm.nop()
+        asm.func(f"leaf{k}")
+        for _ in range(LINE_INS + 2):
+            asm.addi("r3", "r3", k + 1)
+        asm.ret()
+        asm.endfunc()
+        pc = start + LINE_INS + 3
+    return asm.build()
+
+
+def l1i_state(m):
+    return (
+        [list(c.counts) for c in m.cpus],
+        m.hierarchy.stats_snapshot(),
+        m.hierarchy.l1i.contents(),
+    )
+
+
+@pytest.mark.parametrize("order", [(0, 1), (0, 1, 0, 2), (0, 1, 2)])
+def test_block_warm_fetch_follows_mru_changes(order):
+    # (0, 1): hits whose MRU way alternates.  (0, 1, 0, 2): a non-MRU
+    # hit on leaf 0 must reorder the set, or leaf 2 evicts leaf 0
+    # instead of leaf 1.  (0, 1, 2): a thrashing 2-way set, every
+    # entry a miss.
+    prog = aliasing_calls(order)
+    states = {}
+    for tier in ("off", "block"):
+        m = Machine(MachineConfig(engine=tier))
+        m.load(prog)
+        m.run_to_completion()
+        states[tier] = l1i_state(m)
+    assert m.engine_stats().blocks_executed > 0
+    assert states["block"] == states["off"]
+
+
+def test_block_warm_fetch_sees_other_cpu_fetches():
+    # the CPUs share leaf 0's lines and each has a leaf of its own in
+    # the same sets; short alternating slices reorder the shared L1I
+    # between executions of each CPU's blocks.
+    progs = (aliasing_calls((0, 1)), aliasing_calls((0, 2)))
+    states = {}
+    for tier in ("off", "block"):
+        m = Machine(MachineConfig(engine=tier, ncpus=2))
+        for cpu, prog in zip(m.cpus, progs):
+            cpu.load(prog)
+        while not all(cpu.halted for cpu in m.cpus):
+            for cpu, budget in zip(m.cpus, (37, 41)):
+                cpu.run(max_instructions=budget)
+        states[tier] = l1i_state(m)
+    assert all(cpu.engine.stats.blocks_executed > 0 for cpu in m.cpus)
+    assert states["block"] == states["off"]
+
+
+# ----------------------------------------------------------------------
+# the engine tier knob
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tier", ["turbo", None])
+def test_unknown_tier_rejected_alike_everywhere(tier):
+    errors = set()
+    for build in (
+        lambda: MachineConfig(engine=tier),
+        lambda: CPU(engine=tier),
+        lambda: create("simX86", engine=tier),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        errors.add(str(err.value))
+    assert errors == {
+        f"unknown engine tier {tier!r}; expected one of {ENGINE_TIERS}"
+    }
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ with memory traffic, calls and probes), random PMU instrumentation
 (overflow watches, ProfileMe sampling, cycle timers) and random budgets:
 every observable -- the counts array, architectural state, cache
 statistics, overflow records, sample streams -- must be *identical* with
-the engine on and off.
+the engine off and at the block and trace tiers.  The block tier is the
+only one where compiled blocks run on their own, without traces or
+regions taking over the hot loops.
 """
 
 from __future__ import annotations
@@ -96,14 +98,14 @@ instrumentation = st.fixed_dictionaries({
 })
 
 
-def run_one(prog, inst, block_engine: bool):
+def run_one(prog, inst, engine: str):
     config = MachineConfig(
         seed=inst["seed"],
         pmu=PMUConfig(
             skid_max=inst["skid_max"],
             has_profileme=inst["sample_period"] is not None,
         ),
-        block_engine=block_engine,
+        engine=engine,
     )
     m = Machine(config)
     m.load(prog)
@@ -156,7 +158,8 @@ class TestEngineEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_engine_on_off_identical(self, segs, inst):
         prog = build_program(segs)
-        off = run_one(prog, inst, block_engine=False)
-        on = run_one(prog, inst, block_engine=True)
-        for key in off:
-            assert off[key] == on[key], key
+        off = run_one(prog, inst, "off")
+        for tier in ("block", "trace"):
+            on = run_one(prog, inst, tier)
+            for key in off:
+                assert off[key] == on[key], (tier, key)

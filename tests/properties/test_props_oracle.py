@@ -2,8 +2,8 @@
 
 Random structured programs -- counted loops with integer/floating point
 bodies, in-bounds memory traffic, data-dependent branches, calls into a
-leaf function, probes and syscalls -- executed on every substrate, with
-the block engine on and off and on 1- and 4-CPU machines.  For every
+leaf function, probes and syscalls -- executed on every substrate, at
+every engine tier and on 1- and 4-CPU machines.  For every
 architecturally determined signal the independent reference interpreter
 (:func:`repro.validate.oracle.expected_signal_counts`) and the
 simulator's raw signal totals must agree *exactly*.  The two
@@ -16,6 +16,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.hw import Assembler
+from repro.hw.cpu import ENGINE_TIERS
 from repro.hw.events import signal_name
 from repro.platforms import PLATFORM_NAMES, create
 from repro.validate.oracle import ORACLE_SIGNALS, expected_signal_counts
@@ -104,14 +105,14 @@ def build_program(segs):
 @given(
     segs=segments,
     platform=st.sampled_from(list(PLATFORM_NAMES)),
-    engine=st.booleans(),
+    engine=st.sampled_from(ENGINE_TIERS),
     ncpus=st.sampled_from([1, 4]),
 )
 @settings(deadline=None)
 def test_oracle_matches_simulator(segs, platform, engine, ncpus):
     program = build_program(segs)
     expected = expected_signal_counts(program)
-    substrate = create(platform, block_engine=engine, ncpus=ncpus)
+    substrate = create(platform, engine=engine, ncpus=ncpus)
     if ncpus == 1:
         substrate.machine.load(program)
         substrate.machine.run_to_completion()

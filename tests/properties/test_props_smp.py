@@ -72,12 +72,12 @@ def build_worker(index, iters, fmas, mem):
     return asm.build()
 
 
-def run_schedule(specs, setup, schedule, block_engine):
+def run_schedule(specs, setup, schedule, engine):
     """Run one random SMP schedule; return every observable + checks."""
     machine = Machine(MachineConfig(
         ncpus=setup["ncpus"],
         pmu=PMUConfig(n_counters=MAX_THREADS),
-        block_engine=block_engine,
+        engine=engine,
     ))
     os_ = OS(machine, quantum_cycles=setup["quantum"])
     threads = [
@@ -138,13 +138,13 @@ class TestSMPConservation:
     @given(workers, setups, schedules)
     @settings(deadline=None)
     def test_conservation_and_ground_truth(self, specs, setup, schedule):
-        run_schedule(specs, setup, schedule, block_engine=True)
+        run_schedule(specs, setup, schedule, engine="trace")
 
     @given(workers, setups, schedules)
     @settings(deadline=None)
     def test_engine_on_off_identical(self, specs, setup, schedule):
-        on = run_schedule(specs, setup, schedule, block_engine=True)
-        off = run_schedule(specs, setup, schedule, block_engine=False)
+        on = run_schedule(specs, setup, schedule, engine="trace")
+        off = run_schedule(specs, setup, schedule, engine="off")
         for key in on:
             assert on[key] == off[key], key
 
