@@ -71,8 +71,8 @@ previously blacklisted as unsteady.
 
 Compiling is the other half of the cost of a table.  Generated source
 embeds constants only (pcs, latencies, signal indices, literals); live
-objects -- the L1I ways, the predictor table, ``_code``, ``_eng``, probe
-handlers -- are bound as globals.  Machines of one configuration running
+objects -- the L1I ways, the predictor and its table, ``_code``,
+``_eng``, probe handlers -- are bound as globals.  Machines of one configuration running
 the same code therefore generate the same text, and the process keeps
 one LRU cache of compiled code objects (:func:`compile_cached`, at most
 :data:`MAX_CODE_OBJECTS`) keyed by the exact source text plus filename:
@@ -1157,11 +1157,21 @@ class BlockCompiler:
                 )
                 kindb = "static"
             else:
-                # twobit; the mispredict check nests inside the
+                # twobit or gshare; the mispredict check nests inside the
                 # table-update check (_s < 2 implies _s < 3, _s >= 2
                 # implies _s > 0), so saturated steady branches pay one
-                # comparison, not two.
-                idx = bpc & spec[2]
+                # comparison, not two.  gshare differs only in its
+                # history-hashed index and the history shift per arm.
+                if spec[0] == "gshare":
+                    em.emit(f"_i = ({bpc} ^ _gp._history) & {spec[2]}")
+                    idx = "_i"
+                    hm = predictor._history_mask
+                    shift = "_gp._history = (_gp._history << 1"
+                    taken_hist = [f"{shift} | 1) & {hm}"]
+                    fall_hist = [f"{shift}) & {hm}"]
+                else:
+                    idx = bpc & spec[2]
+                    taken_hist = fall_hist = []
                 em.emit(f"_s = _bt[{idx}]")
                 if defer:
                     taken_pre = [
@@ -1196,6 +1206,8 @@ class BlockCompiler:
                         f"        counts[{_S.TOT_CYC}] += {bp}",
                         f"        counts[{_S.STL_CYC}] += {bp}",
                     ]
+                taken_pre += taken_hist
+                fall_pre += fall_hist
                 kindb = "m"
             if defer:
                 branch_meta.append((bpc, owner, kindb))
@@ -1425,6 +1437,7 @@ class BlockCompiler:
             g.update(em.fetch_globals)
         if spec is not None and spec[1] is not None:
             g["_bt"] = spec[1]
+            g["_gp"] = predictor  # gshare reads and shifts its history
         ns: Dict[str, object] = {}
         exec(compile_cached(src, f"<region@{head}>"), g, ns)
         return Region(

@@ -52,10 +52,13 @@ class BranchPredictor:
         - ``("twobit", table, mask)`` -- per-pc two-bit counters indexed
           by ``pc & mask``; predict is ``table[i] >= 2``, update
           saturates at 0/3;
+        - ``("gshare", table, mask)`` -- the same counters indexed by
+          ``(pc ^ predictor._history) & mask``; update also shifts the
+          outcome into ``_history`` under ``_history_mask``;
         - ``("static", None, 0)`` -- always predicts taken, no state.
 
-        History-coupled predictors (gshare) return None and are driven
-        through the predict/update calls instead.
+        Other predictors return None and are driven through the
+        predict/update calls instead.
         """
         return None
 
@@ -166,6 +169,9 @@ class GsharePredictor(BranchPredictor):
             self._history == self._history_mask
             and self._table[(pc ^ self._history) & self._mask] == 3
         )
+
+    def inline_spec(self):
+        return ("gshare", self._table, self._mask)
 
 
 _PREDICTORS: Dict[str, type] = {

@@ -207,9 +207,7 @@ class CPU:
             # same code, but the registers and memory bound to the
             # engine are replaced below.
             self.engine.unbind()
-        self.memory = [0] * (program.data_size + heap)
-        for addr, value in program.data_init:
-            self.memory[addr] = value
+        self.memory = program.initial_memory(heap)
         self.pc = program.label_at(program.entry)
         self.iregs = [0] * NUM_IREGS
         self.fregs = [0.0] * NUM_FREGS

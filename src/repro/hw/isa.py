@@ -230,7 +230,7 @@ class Program:
         entry: str = "main",
         data_size: int = 0,
         name: str = "a.out",
-        data_init: Sequence[Tuple[int, object]] = (),
+        data_init: Sequence[Tuple[int, Sequence[object]]] = (),
     ) -> None:
         self._instructions: Tuple[Instruction, ...] = tuple(instructions)
         self._labels = dict(labels)
@@ -238,9 +238,12 @@ class Program:
         self.entry = entry
         self.data_size = int(data_size)
         self.name = name
-        #: (word address, value) pairs applied to memory at load time
-        #: (the program's ``.data`` section).
-        self.data_init: Tuple[Tuple[int, object], ...] = tuple(data_init)
+        #: the program's ``.data`` section: ``(base word, values)`` runs,
+        #: applied to memory in order at load time (a later run
+        #: overrides an earlier one where they overlap).
+        self.data_init: Tuple[Tuple[int, Tuple[object, ...]], ...] = tuple(
+            (int(base), tuple(values)) for base, values in data_init
+        )
         self._validate()
 
     # -- introspection -------------------------------------------------
@@ -291,12 +294,21 @@ class Program:
         for fn in self._functions.values():
             if not (0 <= fn.start <= fn.end <= n):
                 raise ProgramError(f"function {fn.name!r} region out of range")
-        for addr, _value in self.data_init:
-            if not 0 <= addr < self.data_size:
+        for base, values in self.data_init:
+            end = base + len(values)
+            if not 0 <= base <= end <= self.data_size:
                 raise ProgramError(
-                    f"data initializer at word {addr} outside the data "
-                    f"section (size {self.data_size})"
+                    f"data initializer at words [{base}, {end}) outside "
+                    f"the data section (size {self.data_size})"
                 )
+
+    def initial_memory(self, heap_words: int = 0) -> List[object]:
+        """The load-time memory image: the data section, then *heap_words*
+        zero words, with every ``.data`` run applied in order."""
+        memory: List[object] = [0] * (self.data_size + heap_words)
+        for base, values in self.data_init:
+            memory[base:base + len(values)] = values
+        return memory
 
     def resolve(self) -> List[Tuple[int, object, object, object, object]]:
         """Lower to executable form: flat tuples with absolute targets."""
@@ -493,7 +505,7 @@ class Assembler:
         self._functions: Dict[str, FunctionInfo] = {}
         self._open_function: Optional[Tuple[str, int]] = None
         self._data_size = 0
-        self._data_init: List[Tuple[int, object]] = []
+        self._data_init: List[Tuple[int, Tuple[object, ...]]] = []
 
     # -- structure -------------------------------------------------------
 
@@ -534,13 +546,12 @@ class Assembler:
     def init_array(self, values: Sequence[object]) -> int:
         """Reserve and initialize an array; returns the base address."""
         base = self.reserve_data(len(values))
-        for i, v in enumerate(values):
-            self._data_init.append((base + i, v))
+        self._data_init.append((base, tuple(values)))
         return base
 
     def init_word(self, addr: int, value: object) -> "Assembler":
-        """Initialize one already-reserved data word."""
-        self._data_init.append((int(addr), value))
+        """Initialize one already-reserved data word (a run of one)."""
+        self._data_init.append((int(addr), (value,)))
         return self
 
     def raw(self, ins: Instruction) -> "Assembler":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.hw.cpu import CPUContext
 from repro.hw.isa import DATA_SEGMENT_BASE, NUM_FREGS, NUM_IREGS, Program
@@ -29,9 +29,6 @@ class ThreadState(enum.Enum):
 
 def _fresh_context(program: Program, heap_words: int, tid: int) -> CPUContext:
     """Build the boot-time context for *program* without touching the CPU."""
-    memory: List[float] = [0] * (program.data_size + heap_words)
-    for addr, value in program.data_init:
-        memory[addr] = value
     return CPUContext(
         pc=program.label_at(program.entry),
         data_base=DATA_SEGMENT_BASE + tid * THREAD_ADDRESS_STRIDE,
@@ -41,7 +38,7 @@ def _fresh_context(program: Program, heap_words: int, tid: int) -> CPUContext:
         halted=False,
         cur_iline=-1,
         code=program.resolve(),
-        memory=memory,
+        memory=program.initial_memory(heap_words),
         program=program,
         touched_pages=set(),
     )

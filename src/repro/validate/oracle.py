@@ -92,9 +92,7 @@ def expected_signal_counts(
     """
     code = program.resolve()
     counts = [0] * Signal.N_SIGNALS
-    memory: List[object] = [0] * (program.data_size + heap_words)
-    for addr, value in program.data_init:
-        memory[addr] = value
+    memory = program.initial_memory(heap_words)
     mem_len = len(memory)
     iregs = [0] * NUM_IREGS
     fregs = [0.0] * NUM_FREGS

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.hw import Machine, MachineConfig
+from repro.hw.events import Signal
 from repro.hw.isa import (
     Assembler,
     BRANCH_OPS,
@@ -12,6 +14,8 @@ from repro.hw.isa import (
     Program,
     ProgramError,
 )
+from repro.simos.thread import _fresh_context
+from repro.validate.oracle import expected_signal_counts
 
 
 def build_simple():
@@ -130,12 +134,14 @@ class TestAssembler:
 
     def test_init_array_records_data(self):
         asm = Assembler()
+        asm.reserve_data(2)
         base = asm.init_array([1.5, 2.5])
         asm.func("main")
         asm.halt()
         asm.endfunc()
-        prog = asm.build()
-        assert dict(prog.data_init) == {base: 1.5, base + 1: 2.5}
+        prog = asm.build(extra_data=1)
+        assert prog.data_init == ((base, (1.5, 2.5)),)
+        assert prog.initial_memory(0) == [0, 0, 1.5, 2.5, 0]
 
     def test_data_init_out_of_range_rejected(self):
         asm = Assembler()
@@ -145,6 +151,69 @@ class TestAssembler:
         asm.endfunc()
         with pytest.raises(ProgramError):
             asm.build()
+
+
+def _summing_program(override=None):
+    """Sums a three-word array, then loops that many times, so the
+    executed instruction count depends on the memory image."""
+    asm = Assembler()
+    base = asm.init_array([3, 5, 7])
+    if override is not None:
+        asm.init_word(base + 1, override)
+    asm.func("main")
+    asm.li("r1", base)
+    for k in range(3):
+        asm.load("r2", "r1", k)
+        asm.add("r3", "r3", "r2")
+    asm.label("loop")
+    asm.addi("r4", "r4", 1)
+    asm.blt("r4", "r3", "loop")
+    asm.halt()
+    asm.endfunc()
+    return asm.build()
+
+
+class TestDataSection:
+    """``.data`` is a sequence of ``(base, values)`` runs applied in order."""
+
+    def test_init_word_after_init_array_overrides_element(self):
+        prog = _summing_program(override=11)
+        assert prog.data_init == ((0, (3, 5, 7)), (1, (11,)))
+        assert prog.initial_memory(2) == [3, 11, 7, 0, 0]
+
+    def test_run_ending_past_data_section_rejected(self):
+        prog = build_simple()
+        parts = (prog.instructions, prog.labels, prog.functions)
+        with pytest.raises(ProgramError, match=r"\[2, 5\)"):
+            Program(*parts, data_size=4, data_init=[(2, (1, 2, 3))])
+        with pytest.raises(ProgramError):
+            Program(*parts, data_size=4, data_init=[(-1, (1,))])
+        ok = Program(*parts, data_size=4, data_init=[(1, (1, 2, 3))])
+        assert ok.initial_memory(0) == [0, 1, 2, 3]
+
+    def test_insert_and_remove_carry_runs(self):
+        prog = _summing_program(override=11)
+        inserted, _ = prog.insert({0: [Instruction(Op.NOP)]})
+        removed, _ = inserted.remove([0])
+        for new in (inserted, removed):
+            assert new.data_init == prog.data_init
+            assert new.initial_memory(3) == prog.initial_memory(3)
+
+    def test_loaders_build_equal_memory(self):
+        for override, total in ((None, 15), (11, 21)):
+            prog = _summing_program(override)
+            want = prog.initial_memory(4)
+            m = Machine(MachineConfig(engine="off"))
+            m.load(prog, heap_words=4)
+            assert m.cpu.memory == want
+            assert _fresh_context(prog, 4, tid=1).memory == want
+            m.run_to_completion()
+            assert m.cpu.iregs[3] == total
+            # the oracle executes its own image: the data-dependent loop
+            # makes its instruction count a function of that image.
+            oracle = expected_signal_counts(prog, heap_words=4)
+            assert oracle[Signal.TOT_INS] == m.counts[Signal.TOT_INS]
+            assert oracle[Signal.TOT_INS] == 8 + 2 * total
 
 
 class TestInstruction:

@@ -11,7 +11,8 @@ architectural state and cache statistics at all three engine tiers
 at ncpus=4, with a seeded fault injector perturbing the counter
 substrate, and run in fixed-size steps that reload the program whenever
 it halts (the papid session pattern, which keeps the code table across
-reloads).
+reloads).  The single-CPU property also draws the branch predictor, so
+regions open-code each of the static, two-bit and gshare predictors.
 """
 
 from __future__ import annotations
@@ -22,10 +23,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import PapiError
 from repro.core.library import Papi
 from repro.hw import Assembler, Machine, MachineConfig
+from repro.hw.blockcache import REGION_HOT
+from repro.hw.cpu import CPUConfig
 from repro.platforms import create
 from repro.simos.scheduler import OS
 
 TIERS = ["off", "block", "trace"]
+
+PREDICTORS = ["static-taken", "two-bit", "gshare"]
 
 _OPS = ("addi", "add", "muli", "fma", "fadd", "nop")
 
@@ -112,8 +117,8 @@ def build_program(segs):
     return asm.build()
 
 
-def run_single(prog, engine):
-    m = Machine(MachineConfig(engine=engine))
+def run_single(prog, engine, predictor):
+    m = Machine(MachineConfig(engine=engine, cpu=CPUConfig(predictor=predictor)))
     m.load(prog)
     probes = []
     for pid in range(1, 6):
@@ -130,7 +135,11 @@ def run_single(prog, engine):
         "pc": m.cpu.pc,
         "cache_stats": m.hierarchy.stats_snapshot(),
         "probes": probes,
-    }
+        "predictor": (
+            list(getattr(m.cpu.predictor, "_table", ())),
+            getattr(m.cpu.predictor, "_history", None),
+        ),
+    }, m
 
 
 def run_smp(prog, engine, nthreads=3, quantum=400):
@@ -218,16 +227,20 @@ def run_stepped(prog, engine, step, nsteps, inject=None):
 
 
 class TestTraceTierEquivalence:
-    @given(segments)
+    @given(segments, st.sampled_from(PREDICTORS))
     @settings(max_examples=40, deadline=None)
-    def test_all_tiers_identical_single_cpu(self, segs):
+    def test_all_tiers_identical_single_cpu(self, segs, predictor):
         prog = build_program(segs)
-        ref = run_single(prog, "off")
+        ref, _ = run_single(prog, "off", predictor)
         assert ref["halted"] == (True, True)
         for tier in TIERS[1:]:
-            got = run_single(prog, tier)
+            got, m = run_single(prog, tier, predictor)
             for key in ref:
                 assert got[key] == ref[key], (tier, key)
+        if predictor == "gshare" and max(s["iters"] for s in segs) > REGION_HOT:
+            # a loop that takes more than REGION_HOT back edges gets hot
+            # and compiles: the gshare draws run open-coded regions.
+            assert m.engine_stats().regions_compiled > 0
 
     @given(segments)
     @settings(max_examples=10, deadline=None)
@@ -296,3 +309,17 @@ class TestTraceTierCoverage:
         m.register_probe(1, lambda p, cpu: None)
         m.run_to_completion()
         assert m.cpu.engine.stats.regions_compiled > 0
+
+    def test_hot_diamond_open_codes_gshare(self):
+        seg = {
+            "iters": 40, "parity": True,
+            "then_ops": ["addi"], "else_ops": ["add"],
+            "join_ops": [], "call": False, "probed": False,
+        }
+        m = Machine(MachineConfig(engine="trace",
+                                  cpu=CPUConfig(predictor="gshare")))
+        m.load(build_program([seg]))
+        m.run_to_completion()
+        regions = list(m.cpu.engine._table.regions.values())
+        assert regions and all(r.predictor is m.cpu.predictor for r in regions)
+        assert m.cpu.engine.stats.region_instructions > 0
