@@ -2,8 +2,10 @@
 
 Five analyzers behind one diagnostic engine (see DESIGN.md):
 
-- **API misuse** (:mod:`repro.lint.apilint`, rules PL0xx): an AST
-  state machine over Papi/EventSet/HighLevel call sequences;
+- **API misuse** (:mod:`repro.lint.apilint`, most PL0xx rules): an
+  AST walk over Papi/EventSet/HighLevel call sequences -- event names,
+  membership, multiplexing and overflow configuration, the HighLevel
+  lifecycle, swallowed errors and papid clients;
 - **static feasibility** (:mod:`repro.lint.feasibility`, PL1xx):
   decides counter allocability without executing, reusing the runtime
   allocator's bipartite matching over the platform tables;
@@ -12,10 +14,13 @@ Five analyzers behind one diagnostic engine (see DESIGN.md):
   drift versus the catalogue's reference vectors;
 - **flow-sensitive typestate** (:mod:`repro.lint.flow` over
   :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow` /
-  :mod:`repro.lint.typestate` / :mod:`repro.lint.summaries`, PL3xx
-  lifecycle + PL4xx SMP rules): a CFG-based, path-sensitive,
-  interprocedural analysis of EventSet/counter lifecycles, enabled
-  with ``--flow``;
+  :mod:`repro.lint.typestate` / :mod:`repro.lint.summaries`): the one
+  CFG-based, path-sensitive, interprocedural analysis of EventSet run
+  state and thread/counter binding.  Misuse on every path of a set
+  created in the scope is reported under PL0xx codes
+  (PL001/002/005/007/008/014/015/016) in every mode; misuse on some
+  paths only, or seen through a helper, under PL3xx/PL4xx codes, which
+  ``--flow`` adds;
 - **static counter oracle** (:mod:`repro.lint.staticoracle`): affine
   bounds on every architecturally-determined signal of a machine
   program, derived without executing it, bracketing the exact oracle.
@@ -34,12 +39,7 @@ from repro.lint.diagnostics import (
     sort_diagnostics,
     worst_severity,
 )
-from repro.lint.engine import (
-    FLOW_SHADOWED_BY,
-    dedupe_diagnostics,
-    lint_file,
-    lint_source,
-)
+from repro.lint.engine import lint_file, lint_source
 from repro.lint.feasibility import (
     EventResolution,
     FeasibilityReport,
@@ -69,7 +69,6 @@ __all__ = [
     "AffineReport",
     "Diagnostic",
     "EventResolution",
-    "FLOW_SHADOWED_BY",
     "FeasibilityReport",
     "Interval",
     "JSON_SCHEMA",
@@ -81,7 +80,6 @@ __all__ = [
     "TraceCertificate",
     "apply_suppressions",
     "check_events",
-    "dedupe_diagnostics",
     "lint_file",
     "lint_mapping",
     "lint_platform_table",

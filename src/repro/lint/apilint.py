@@ -1,25 +1,32 @@
 """AST-based API-misuse linting for PAPI instrumentation scripts.
 
 The checker walks a script's AST and tracks, per scope, an abstract
-state machine for every ``Papi`` / ``EventSet`` / ``HighLevel`` object
-it can identify statically: which platform it is bound to (from a
+state for every ``Papi`` / ``EventSet`` / ``HighLevel`` object it can
+identify statically: which platform it is bound to (from a
 ``create("simX86")`` literal), which events were added (from string
 literals, ``event_name_to_code`` calls, or module-level constant
-lists), and whether it is running, multiplexed, or has overflow
-registered.  Illegal or hazardous call sequences become PL0xx
-diagnostics; when the platform and event names are all statically
-known, the set is additionally handed to the static feasibility
-checker (:mod:`repro.lint.feasibility`) for PL1xx diagnostics, and
-assignments into ``PLATFORM_PRESET_TABLES`` are validated by the
-preset lint (PL2xx).
+lists), and whether it is multiplexed or has overflow registered.
+Illegal or hazardous call sequences become PL0xx diagnostics; when the
+platform and event names are all statically known, the set is
+additionally handed to the static feasibility checker
+(:mod:`repro.lint.feasibility`) for PL1xx diagnostics, and assignments
+into ``PLATFORM_PRESET_TABLES`` are validated by the preset lint
+(PL2xx).
+
+EventSet run state and thread/counter binding (PL001/002/005/007/008
+/014/015/016 on EventSets) are not checked here: the typestate pass
+(:mod:`repro.lint.flow`) owns them.  This walk keeps only a coarse
+``running`` bit per EventSet, for the overlap (PL013) and short
+multiplexed run (PL004) rules, and the HighLevel lifecycle, which has
+no typestate twin.
 
 Design points:
 
 - **Linear control flow.**  Statements are interpreted in source
-  order; both branches of an ``if`` are walked with the same entry
-  state and loop bodies are walked once.  This is the usual lint
-  trade-off: simple, fast, and right for straight-line instrumentation
-  code, which is what counter-measurement scripts overwhelmingly are.
+  order: the body of an ``if`` and then its ``else``, and loop bodies
+  once.  This is the usual lint trade-off: simple, fast, and right for
+  the configuration rules here; the run-state rules, where it is
+  wrong on branches and loops, live in the typestate pass.
 - **Guard awareness.**  A call inside ``try: ... except ConflictError``
   demonstrates intent (the script *expects* the failure -- e.g. the
   multiplexing example that shows the ECNFLCT path), so rules whose
@@ -67,20 +74,14 @@ class _PapiState:
 class _EventSetState:
     """Abstract state of one EventSet variable."""
 
-    def __init__(self, papi: Optional[_PapiState], line: int) -> None:
+    def __init__(self, papi: Optional[_PapiState]) -> None:
         self.papi = papi
-        self.created_line = line
         self.events: List[Tuple[Optional[str], int]] = []  # (name, line)
         self.multiplexed = False
         self.running = False
         self.overflow = False
         self.started_line: Optional[int] = None
-        self.ever_stopped = False
         self.conflict_reported = False
-        #: identity of the thread this set is attached to (a _ThreadRef
-        #: for tracked spawn() results, else the argument's source text)
-        self.attached: Optional[object] = None
-        self.attached_line: Optional[int] = None
 
     @property
     def platform(self) -> Optional[str]:
@@ -189,9 +190,6 @@ class _ScopeInterpreter:
         self.highlevels: List[_HighLevelState] = []
         self.clients: List["_ClientState"] = []
         self.guard_stack: List[Set[str]] = []
-        #: counter index -> (thread identity, bind line) for OS-level
-        #: bind_counter calls (a PMU register is exclusive machine-wide)
-        self.counter_binds: Dict[int, Tuple[object, int]] = {}
         #: running count of method calls on tracked PAPI objects; a
         #: try-body that raises it contains counter calls (PL017).
         self.papi_calls = 0
@@ -239,27 +237,8 @@ class _ScopeInterpreter:
                 value.escaped = True
         elif isinstance(stmt, ast.If):
             self.eval_expr(stmt.test)
-            refined = self._running_test(stmt.test)
-            if refined is not None:
-                # ``if es.running:`` -- walk each branch under the
-                # state the condition proves, then keep the branch the
-                # entry state would actually have taken.  This is the
-                # guarded-cleanup idiom (stop before destroy); without
-                # it the linear walk reports a spurious PL001/PL002.
-                es, truth = refined
-                entry = es.running
-                es.running = truth
-                self.visit_block(stmt.body)
-                after_body = es.running
-                es.running = not truth
-                self.visit_block(stmt.orelse)
-                after_orelse = es.running
-                es.running = (
-                    after_body if entry == truth else after_orelse
-                )
-            else:
-                self.visit_block(stmt.body)
-                self.visit_block(stmt.orelse)
+            self.visit_block(stmt.body)
+            self.visit_block(stmt.orelse)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self.eval_expr(stmt.iter)
             self.visit_block(stmt.body)
@@ -292,21 +271,6 @@ class _ScopeInterpreter:
             self.visit_block(stmt.orelse)
             self.visit_block(stmt.finalbody)
         # FunctionDef/ClassDef bodies are linted as separate scopes.
-
-    def _running_test(
-        self, test: ast.expr
-    ) -> Optional[Tuple["_EventSetState", bool]]:
-        """Match ``<eventset>.running`` (optionally negated) conditions."""
-        truth = True
-        while isinstance(test, ast.UnaryOp) and isinstance(
-            test.op, ast.Not
-        ):
-            test, truth = test.operand, not truth
-        if isinstance(test, ast.Attribute) and test.attr == "running":
-            target = self.eval_expr(test.value)
-            if isinstance(target, _EventSetState):
-                return target, truth
-        return None
 
     @staticmethod
     def _one_handler_names(handler: ast.excepthandler) -> Set[str]:
@@ -396,9 +360,7 @@ class _ScopeInterpreter:
     ) -> None:
         if isinstance(
             value, (_PapiState, _EventSetState, _HighLevelState, str)
-        ) or value.__class__.__name__ in (
-            "_SubstrateRef", "_ThreadRef", "_ClientState"
-        ):
+        ) or value.__class__.__name__ in ("_SubstrateRef", "_ClientState"):
             self.vars[name] = value
             return
         if isinstance(rhs, ast.Name) and rhs.id in self.vars:
@@ -558,7 +520,7 @@ class _ScopeInterpreter:
             return None
         if isinstance(base, _PapiState):
             if method == "create_eventset":
-                es = _EventSetState(base, node.lineno)
+                es = _EventSetState(base)
                 self.eventsets.append(es)
                 return es
             if method in ("num_components", "component_names"):
@@ -593,143 +555,40 @@ class _ScopeInterpreter:
             # the receiver is untracked (e.g. a function parameter),
             # but the method name is unambiguous: still track the set
             # so feasibility checks work under --platform.
-            es = _EventSetState(None, node.lineno)
+            es = _EventSetState(None)
             self.eventsets.append(es)
             return es
         if method == "PapidClient":
             # attribute-form constructor (daemon.PapidClient(...)): the
             # receiver is a module, the class name is unambiguous
             return self._new_client(node)
-        if method == "spawn":
-            # OS thread creation (os_.spawn / sub.os.spawn): track the
-            # result so bind_counter exclusivity sees through aliases.
-            return _ThreadRef(node.lineno)
-        if method == "bind_counter":
-            self._os_bind_counter(node)
-        if method == "unbind_counter":
-            self._os_unbind_counter(node)
         if method == "run":
             self._check_short_mpx_run(node)
         return None
 
-    # -- OS-level counter virtualization --------------------------------
-
-    def _thread_identity(self, node: ast.expr) -> Optional[object]:
-        """Resolve a thread-valued argument to a stable identity."""
-        if isinstance(node, ast.Name):
-            value = self.vars.get(node.id)
-            if isinstance(value, _ThreadRef):
-                return value
-            return node.id
-        try:
-            return ast.unparse(node)
-        except Exception:  # pragma: no cover - malformed expression
-            return None
-
-    def _os_bind_counter(self, node: ast.Call) -> None:
-        """``os.bind_counter(thread, index)``: one thread per index."""
-        if len(node.args) < 2:
-            return
-        thread = self._thread_identity(node.args[0])
-        index = self.linter._literal(node.args[1])
-        if thread is None or not isinstance(index, int):
-            return
-        previous = self.counter_binds.get(index)
-        if previous is not None and previous[0] != thread:
-            self.report(
-                "PL016", node,
-                f"counter {index} is bound here but was already bound "
-                f"to another thread at line {previous[1]}",
-                hint="unbind_counter() first, or use a different index "
-                     "(a counter register is exclusive machine-wide)",
-            )
-            return
-        self.counter_binds[index] = (thread, node.lineno)
-
-    def _os_unbind_counter(self, node: ast.Call) -> None:
-        if len(node.args) < 2:
-            return
-        index = self.linter._literal(node.args[1])
-        if isinstance(index, int):
-            self.counter_binds.pop(index, None)
-
-    # -- EventSet state machine ----------------------------------------
+    # -- EventSet membership and configuration ---------------------------
 
     def _eventset_method(
         self, es: _EventSetState, method: str, node: ast.Call
     ) -> Optional[object]:
         if method in ("add_event", "add_events", "add_named"):
-            self._es_add(es, method, node)
-        elif method in ("remove_event", "cleanup"):
-            if es.running:
-                self.report(
-                    "PL007", node,
-                    f"{method} on a running EventSet",
-                    hint="stop() it first",
-                )
-            if method == "cleanup":
-                es.events.clear()
-            else:
-                self._es_remove(es, node)
+            for name in self._event_names_of_call(method, node):
+                self._es_add_one(es, name, node)
+        elif method == "cleanup":
+            es.events.clear()
+        elif method == "remove_event":
+            self._es_remove(es, node)
         elif method == "set_multiplex":
             self._es_set_multiplex(es, node)
-        elif method == "set_domain":
-            if es.running:
-                self.report(
-                    "PL007", node,
-                    f"{method} on a running EventSet",
-                    hint="stop() it first",
-                )
-        elif method == "attach":
-            self._es_attach(es, node)
-        elif method == "detach":
-            if es.running:
-                self.report(
-                    "PL014", node,
-                    "detach on a running EventSet",
-                    hint="stop() it first; the running counters belong "
-                         "to the attached thread",
-                )
-            es.attached = None
-            es.attached_line = None
         elif method == "overflow":
             self._es_overflow(es, node)
         elif method == "start":
             self._es_start(es, node)
         elif method == "stop":
-            self._es_expect_running(es, "stop", node)
             if es.running and es.papi is not None:
                 es.papi.running.discard(id(es))
             es.running = False
-            es.ever_stopped = True
-        elif method in ("read", "reset", "accum"):
-            self._es_expect_running(es, method, node)
         return None
-
-    def _es_expect_running(
-        self, es: _EventSetState, method: str, node: ast.Call
-    ) -> None:
-        if not es.running:
-            self.report(
-                "PL001", node,
-                f"{method}() on an EventSet that was never started "
-                f"(created at line {es.created_line})"
-                if es.started_line is None else
-                f"{method}() on an EventSet that is already stopped",
-                hint="call start() first",
-            )
-
-    def _es_add(
-        self, es: _EventSetState, method: str, node: ast.Call
-    ) -> None:
-        if es.running:
-            self.report(
-                "PL007", node,
-                f"{method} on a running EventSet",
-                hint="stop() before changing membership",
-            )
-        for name in self._event_names_of_call(method, node):
-            self._es_add_one(es, name, node)
 
     def _event_names_of_call(
         self, method: str, node: ast.Call
@@ -956,12 +815,6 @@ class _ScopeInterpreter:
     def _es_set_multiplex(
         self, es: _EventSetState, node: ast.Call
     ) -> None:
-        if es.running:
-            self.report(
-                "PL007", node,
-                "set_multiplex on a running EventSet",
-                hint="stop() it first",
-            )
         if es.overflow:
             self.report(
                 "PL009", node,
@@ -978,33 +831,6 @@ class _ScopeInterpreter:
             )
         es.multiplexed = True
 
-    def _es_attach(self, es: _EventSetState, node: ast.Call) -> None:
-        if es.running:
-            self.report(
-                "PL014", node,
-                "attach on a running EventSet",
-                hint="stop() it first; per-thread counters cannot be "
-                     "re-homed mid-run",
-            )
-        thread = (
-            self._thread_identity(node.args[0]) if node.args else None
-        )
-        if (
-            es.attached is not None
-            and thread is not None
-            and thread != es.attached
-        ):
-            self.report(
-                "PL015", node,
-                f"EventSet is re-attached to a different thread without "
-                f"detach (attached at line {es.attached_line})",
-                hint="detach() first; re-attaching discards the first "
-                     "thread's virtual counts",
-            )
-        if thread is not None:
-            es.attached = thread
-            es.attached_line = node.lineno
-
     def _es_overflow(self, es: _EventSetState, node: ast.Call) -> None:
         if node.args:
             name = self._event_name(node.args[0])
@@ -1017,12 +843,6 @@ class _ScopeInterpreter:
                          "PAPI_overflow needs a programmed PMU counter "
                          "(the runtime raises PAPI_EINVAL)",
                 )
-        if es.running:
-            self.report(
-                "PL005", node,
-                "overflow registered while the EventSet is running",
-                hint="register before start() for portable behaviour",
-            )
         if es.multiplexed:
             self.report(
                 "PL009", node,
@@ -1032,11 +852,6 @@ class _ScopeInterpreter:
         es.overflow = True
 
     def _es_start(self, es: _EventSetState, node: ast.Call) -> None:
-        if es.running:
-            self.report(
-                "PL002", node,
-                "start() on an EventSet that is already running",
-            )
         papi = es.papi
         if papi is not None:
             if papi.running - {id(es)}:
@@ -1226,14 +1041,6 @@ class _ScopeInterpreter:
     # -- scope exit -----------------------------------------------------
 
     def _end_of_scope(self, body: Sequence[ast.stmt]) -> None:
-        for es in self.eventsets:
-            if es.running and es.started_line is not None:
-                self.linter.diagnostics.append(Diagnostic(
-                    "PL008", self.linter.path, es.started_line, 0,
-                    "EventSet is started here but never stopped in "
-                    "this scope",
-                    hint="stop() releases the hardware counters",
-                ))
         for hl in self.highlevels:
             if hl.started and hl.started_line is not None:
                 self.linter.diagnostics.append(Diagnostic(
@@ -1258,13 +1065,6 @@ class _SubstrateRef:
 
     def __init__(self, platform: Optional[str]) -> None:
         self.platform = platform
-
-
-class _ThreadRef:
-    """Marker for an ``os.spawn(...)`` result bound to a variable."""
-
-    def __init__(self, line: int) -> None:
-        self.line = line
 
 
 class _ClientState:

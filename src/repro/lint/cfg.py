@@ -1,12 +1,13 @@
 """Control-flow graphs over Python AST for the flow-sensitive linter.
 
-PR 1's AST state machine interprets statements in source order -- right
-for straight-line instrumentation code, blind to everything the paper's
+A walk that interprets statements in source order is right for
+straight-line instrumentation code and blind to everything the paper's
 hardest lessons are about: error paths.  This module builds a real CFG
 for one *scope* (a module body or one function body) so the dataflow
-engine (:mod:`repro.lint.dataflow`) can reason about branches, loops,
-``try``/``except``/``finally``, ``with``, ``break``/``continue`` and
-early ``return``.
+engine (:mod:`repro.lint.dataflow`) -- and with it every EventSet
+run-state and counter-binding rule, PL0xx and PL3xx/PL4xx alike -- can
+reason about branches, loops, ``try``/``except``/``finally``, ``with``,
+``break``/``continue`` and early ``return``.
 
 Shape of the graph:
 
@@ -58,7 +59,7 @@ class Node:
     #: normal/return/break exit) or "finally_exc" (exception unwinding)
     kind: str
     #: exception names catchable by enclosing handlers *in this scope*
-    #: (the guard-awareness set, same semantics as the AST pass)
+    #: (the guard-awareness set, same semantics as the AST walk's)
     guards: frozenset = frozenset()
 
     @property

@@ -3,20 +3,18 @@
 One entry point per input kind:
 
 - :func:`lint_source` / :func:`lint_file` run the AST API-misuse
-  checker (with its embedded feasibility and preset-table hooks) over a
-  Python instrumentation script; with ``flow=True`` the CFG-based
-  typestate pass (:mod:`repro.lint.flow`) runs as well and its findings
-  are merged;
+  checker (with its embedded feasibility and preset-table hooks) and
+  the CFG-based typestate pass (:mod:`repro.lint.flow`) over a Python
+  instrumentation script, and merge their findings;
 - the feasibility and preset-table analyzers are also usable directly
   via :mod:`repro.lint.feasibility` and :mod:`repro.lint.presetlint`
   for the ``check-events`` / ``check-presets`` CLI verbs.
 
-The two passes overlap by design: the AST pass reports *must*-misuses
-in source order, the flow pass *may*-misuses over all paths.  When both
-flag the same hazard at the same line the flow finding is dropped
-(:data:`FLOW_SHADOWED_BY`), and any finding is reported at most once
-per ``(rule, file, line, col)`` -- so enabling ``--flow`` never
-double-reports.
+The two passes do not overlap: the typestate pass owns every EventSet
+run-state and thread/counter-binding rule, the AST pass everything
+else.  ``flow=True`` only adds the typestate pass's PL3xx/PL4xx
+findings (misuse on some paths only, or seen through a helper);
+without it they are dropped.  Only exact duplicates are collapsed.
 
 A file that does not parse yields exactly one PL900 diagnostic at the
 syntax error's position rather than raising -- linters report, they do
@@ -26,7 +24,7 @@ not crash.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
 from repro.lint.apilint import ApiLinter
 from repro.lint.diagnostics import (
@@ -35,43 +33,6 @@ from repro.lint.diagnostics import (
     parse_suppressions,
     sort_diagnostics,
 )
-
-#: flow-pass rule -> AST-pass rules that report the same hazard.  A flow
-#: finding is dropped when a shadowing AST finding exists on its line.
-FLOW_SHADOWED_BY: Dict[str, Tuple[str, ...]] = {
-    "PL301": ("PL001",),
-    "PL302": ("PL002", "PL005", "PL007", "PL014"),
-    "PL303": ("PL008", "PL017"),
-    "PL304": ("PL008",),
-    "PL401": ("PL015", "PL016"),
-    "PL403": ("PL016",),
-}
-
-
-def dedupe_diagnostics(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
-    """At most one finding per (rule, file, line, col), first one wins."""
-    seen: Set[Tuple[str, str, int, int]] = set()
-    kept: List[Diagnostic] = []
-    for diag in diagnostics:
-        key = (diag.code, diag.path, diag.line, diag.col)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(diag)
-    return kept
-
-
-def _drop_shadowed(
-    ast_diags: List[Diagnostic], flow_diags: List[Diagnostic]
-) -> List[Diagnostic]:
-    positions = {(d.code, d.line) for d in ast_diags}
-    kept = []
-    for diag in flow_diags:
-        shadows = FLOW_SHADOWED_BY.get(diag.code, ())
-        if any((code, diag.line) in positions for code in shadows):
-            continue
-        kept.append(diag)
-    return kept
 
 
 def lint_source(
@@ -84,8 +45,8 @@ def lint_source(
 
     *default_platform* supplies a platform for feasibility checks when
     the script itself does not pin one statically (the CLI's
-    ``--platform`` flag).  *flow* additionally runs the CFG-based
-    typestate pass (PL3xx/PL4xx rules).
+    ``--platform`` flag).  *flow* additionally reports the typestate
+    pass's PL3xx/PL4xx findings; both modes run the same analysis.
     """
     try:
         tree = ast.parse(source, filename=path)
@@ -94,15 +55,14 @@ def lint_source(
             "PL900", path, exc.lineno or 0, (exc.offset or 1) - 1,
             f"cannot parse: {exc.msg}",
         )]
+    from repro.lint.flow import lint_flow
+
     linter = ApiLinter(path, default_platform=default_platform)
     diagnostics = linter.lint(tree)
-    if flow:
-        from repro.lint.flow import lint_flow
-
-        diagnostics = diagnostics + _drop_shadowed(
-            diagnostics, lint_flow(tree, path)
-        )
-    diagnostics = dedupe_diagnostics(diagnostics)
+    found = lint_flow(tree, path)
+    if not flow:
+        found = [d for d in found if d.code[2] not in "34"]
+    diagnostics = list(dict.fromkeys(diagnostics + found))
     diagnostics = apply_suppressions(
         diagnostics, parse_suppressions(source)
     )

@@ -1,4 +1,6 @@
-"""Driver for the flow-sensitive lint pass (rules PL3xx/PL4xx).
+"""The flow-sensitive lint pass: every EventSet run-state
+and thread/counter-binding rule (PL001/002/005/007/008/014/015/016,
+PL3xx, PL4xx).
 
 Per scope (the module body and every function body, nested included):
 
@@ -7,11 +9,13 @@ Per scope (the module body and every function body, nested included):
    :mod:`repro.lint.typestate`) with interprocedural summaries
    (:mod:`repro.lint.summaries`) for module-level helpers;
 3. replay every node's transfer against its final IN fact with a
-   diagnostic sink attached (rules PL301/PL302/PL401/PL402/PL403 fire
-   inside transfers);
-4. inspect the scope's exit facts for lifecycle leaks: a set still
-   running at normal exit on an exception-tainted path (PL303), and a
-   set still running after an exception-path ``finally`` ran (PL304).
+   diagnostic sink attached (the run-state, attach and binding rules
+   fire inside transfers, under the codes of
+   :data:`repro.lint.typestate.MUST_CODES`);
+4. inspect the scope's exit facts for lifecycle leaks: a set created in
+   the scope still running at a normal exit (PL008); for any other set,
+   one still running at exit on an exception-tainted path (PL303), or
+   still running after an exception-path ``finally`` ran (PL304).
 
 Plus one syntactic rule, PL305: a loop whose ``except`` catches only
 *fatal* PAPI error classes (from :mod:`repro.core.errors`) and whose
@@ -32,10 +36,10 @@ from repro.lint.dataflow import solve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.summaries import collect_functions, compute_summaries
 from repro.lint.typestate import (
-    ALL_STATES,
     RUNNING,
     TypestateAnalysis,
     is_eventset,
+    is_local_eventset,
 )
 
 _SeenKey = Tuple[str, int, int]
@@ -105,7 +109,8 @@ def _leak_checks(
     cfg, ins: Dict[int, object], outs: Dict[int, object], path: str,
     seen: Set[_SeenKey],
 ) -> List[Diagnostic]:
-    """PL303 (swallowed-exception leak) and PL304 (finally misses stop)."""
+    """PL008 (never stopped), else PL303 (swallowed-exception leak) and
+    PL304 (finally misses stop)."""
     found: List[Diagnostic] = []
 
     def emit(rule: str, line: int, message: str, hint: str) -> None:
@@ -115,14 +120,23 @@ def _leak_checks(
         seen.add(key)
         found.append(Diagnostic(rule, path, line, 0, message, hint=hint))
 
+    never_stopped: Set[str] = set()
     exit_fact = ins[cfg.exit]
     if exit_fact.objs:
         for oid, fact in exit_fact.objs_dict().items():
             if not is_eventset(oid) or not fact.started_lines:
                 continue
-            if fact.state_names == ALL_STATES:
-                continue  # fully unknown: stay silent
-            if (RUNNING, True) in fact.states:
+            if fact.unknown:
+                continue  # nothing known: stay silent
+            if is_local_eventset(oid) and (RUNNING, False) in fact.states:
+                never_stopped.add(oid)
+                emit(
+                    "PL008", max(fact.started_lines),
+                    "EventSet is started here but never stopped in this "
+                    "scope",
+                    "stop() releases the hardware counters",
+                )
+            elif (RUNNING, True) in fact.states:
                 emit(
                     "PL303", min(fact.started_lines),
                     "EventSet started here may still be running when "
@@ -143,7 +157,7 @@ def _leak_checks(
         for oid, fact in after.objs_dict().items():
             if not is_eventset(oid) or not fact.started_lines:
                 continue
-            if fact.state_names == ALL_STATES:
+            if fact.unknown or oid in never_stopped:
                 continue
             if RUNNING in fact.state_names:
                 emit(

@@ -4,12 +4,19 @@ Every diagnostic papi-lint can emit is declared here with a stable code,
 a default severity, and the paper section whose lesson it mechanizes.
 Rule codes are grouped by analyzer:
 
-- ``PL0xx`` -- API-misuse rules from the AST state machine
-  (:mod:`repro.lint.apilint`);
+- ``PL0xx`` -- API-misuse rules.  Most come from the AST walk
+  (:mod:`repro.lint.apilint`); the EventSet run-state and
+  thread/counter-binding ones (PL001/002/005/007/008/014/015/016 on
+  EventSets) are the typestate pass's findings that hold on every path
+  of a set created in the scope (:mod:`repro.lint.typestate`);
 - ``PL1xx`` -- static EventSet feasibility rules
   (:mod:`repro.lint.feasibility`);
 - ``PL2xx`` -- preset-table cross-validation rules
   (:mod:`repro.lint.presetlint`);
+- ``PL3xx`` / ``PL4xx`` -- typestate findings that hold on some paths
+  only, or on a parameter or helper-returned set, or that need a
+  helper's summary to see (:mod:`repro.lint.flow`); reported with
+  ``--flow``;
 - ``PL9xx`` -- engine-level problems (unparseable input).
 
 Severities: an ``error`` is a call sequence or configuration that the
@@ -49,7 +56,7 @@ class Rule:
     paper: str
     #: names of PAPI exception types whose except-handler statically
     #: guards this rule (a try/except around the call shows intent, so
-    #: the diagnostic is suppressed -- see repro.lint.apilint).
+    #: the diagnostic is suppressed).
     guards: Tuple[str, ...] = ()
 
 
@@ -58,7 +65,7 @@ _PAPI_GUARD = ("PapiError",)
 RULES: Dict[str, Rule] = {
     r.code: r
     for r in [
-        # -- API misuse (AST state machine) -----------------------------
+        # -- API misuse (AST walk and every-path typestate findings) ----
         Rule("PL001", Severity.ERROR,
              "read/stop/reset/accum on an EventSet that is not running",
              "Section 5 (EventSet run control)",
@@ -171,7 +178,8 @@ RULES: Dict[str, Rule] = {
              "one EventSet is shared between two spawned threads "
              "without bind_cpu (virtual counts follow a single owner)",
              "SMP counter virtualization (PR 3); Section 2 threads",
-             guards=("IsRunningError",) + _PAPI_GUARD),
+             guards=("IsRunningError", "OSError_", "OSError")
+             + _PAPI_GUARD),
         Rule("PL402", Severity.WARNING,
              "off-CPU counter read bypasses counter-home routing: a "
              "thread-bound counter is read directly from one PMU "

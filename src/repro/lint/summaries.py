@@ -21,17 +21,18 @@ concrete lifecycle state, recording
 
 The caller-side transfer (:mod:`repro.lint.typestate`) then plays a
 call as a table lookup: violations become diagnostics at the call site
-when at least one of the argument's possible states triggers them, and
-the argument's state set is rewritten through the exit-state map.
+when at least one of the argument's possible states triggers them
+(under their flow codes, even when every state does), and the
+argument's state set is rewritten through the exit-state map.
 Functions whose summary cannot be computed (recursion, too many
-parameters) degrade soundly: calls to them havoc the argument's state
-to fully-unknown, which silences downstream reports instead of
+parameters) degrade soundly: calls to them set the argument's
+``unknown`` bit, which silences downstream reports instead of
 inventing them.
 
 A second, standalone run per function records the lifecycle states of
-any locally created EventSet the function returns, so factory helpers
+any EventSet the function returns, so factory helpers
 (``def make(): es = papi.create_eventset(); ... ; return es``) hand the
-caller a tracked object instead of an untyped value.
+caller a tracked object (a ``ret@`` id) instead of an untyped value.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.lint.typestate import (
     ParamEffect,
     TypestateAnalysis,
     eval_expr_values,
-    is_eventset,
     param_id,
 )
 
@@ -116,7 +116,8 @@ def _returns_states(
     summaries: Dict[str, FunctionSummary],
     params: List[str],
 ) -> Optional[FrozenSet[str]]:
-    """Lifecycle states of a locally created EventSet *fn* returns."""
+    """Lifecycle states of an EventSet *fn* creates, or gets from a
+    helper, and returns."""
     analysis = TypestateAnalysis(summaries, params)
     ins, _outs = solve(cfg, analysis)
     states: Set[str] = set()
@@ -126,8 +127,11 @@ def _returns_states(
             continue
         vals, objs = eval_expr_values(analysis, ins[node.id], stmt.value)
         for val in vals:
-            if val.startswith("es@") and val in objs:
-                states |= objs[val].state_names
+            if not val.startswith(("es@", "ret@")) or val not in objs:
+                continue
+            if objs[val].unknown:
+                return None  # nothing known: the caller gets no object
+            states |= objs[val].state_names
     return frozenset(states) if states else None
 
 
@@ -166,7 +170,9 @@ def _param_effect(
         # never sees it, so there is nothing to propagate.
         exit_states = frozenset()
     return ParamEffect(
-        exit_states=exit_states, violations=tuple(violations)
+        exit_states=exit_states,
+        violations=tuple(violations),
+        exit_unknown=exit_fact is not None and exit_fact.unknown,
     )
 
 

@@ -1,28 +1,31 @@
 """Typestate lattice and transfer functions for the flow-sensitive linter.
 
-The abstract domain tracks, per control-flow point:
+This is papi-lint's only analysis of EventSet run state and of
+thread/counter binding.  The abstract domain tracks, per control-flow
+point:
 
 - an **environment** mapping variable names to sets of abstract values
   (EventSet/Thread creation sites, PMU references);
 - per abstract object a :class:`ObjFact`: the set of *possible*
   lifecycle states -- each element tagged with whether it was reached
-  through an exception edge -- plus thread-attachment, ``bind_cpu`` and
-  OS-level counter-binding facts.
+  through an exception edge -- an explicit ``unknown`` bit, plus
+  thread-attachment, ``bind_cpu`` and OS-level counter-binding facts.
 
 Everything is a finite powerset, joins are elementwise unions (except
-``must_bound``, which is an intersection), and all transfers are
-elementwise filter/map -- so the worklist solver terminates and the
-analysis is monotone by construction.
+``must_attached`` and ``must_bound``, which are intersections, and
+``unknown``, which is an or), and all transfers are elementwise
+filter/map -- so the worklist solver terminates and the analysis is
+monotone by construction.
 
-Rule logic (PL3xx/PL4xx) lives here too: after the fixpoint, a report
-pass re-runs every node's transfer against its final IN fact with a
-diagnostic sink attached.  The rules report both may-violations (wrong
-on *some* path) and must-violations (wrong on every path); the engine's
-shadow dedup drops the flow finding when PR 1's AST pass already
-reported the same hazard on the same line, so must-cases surface under
-the flow rules only where the AST pass is blind (summary-returned sets,
-loop-carried state).  Objects whose state is completely unknown
-(function parameters before any observed operation) are never reported.
+Rule logic lives here too: after the fixpoint, a report pass re-runs
+every node's transfer against its final IN fact with a diagnostic sink
+attached.  Which code a violation gets is one table,
+:data:`MUST_CODES`: a violation that holds on every path of a set
+created in the scope (``es@line:col``) takes its PL0xx code; one that
+holds on some paths only, or on a parameter or a helper-returned set,
+keeps its PL3xx/PL4xx code.  Objects whose ``unknown`` bit is set
+(parameters and arguments of an unknown callee, until an operation on
+them succeeds) are never reported.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ import ast
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lint.cfg import CFG, Node
+from repro.lint.cfg import Node
 from repro.lint.dataflow import Analysis
-from repro.lint.diagnostics import Diagnostic
 from repro.lint.rules import RULES
 
 # -- lifecycle states ---------------------------------------------------
@@ -50,9 +52,8 @@ UNKNOWN_ELEMENTS = frozenset((s, False) for s in ALL_STATES)
 #: EventSet methods that require the set to be running.
 REQUIRES_RUNNING = frozenset({"read", "stop", "reset", "accum"})
 
-#: EventSet methods that require the set NOT to be running.  ``bind_cpu``
-#: is here too: PR 3's runtime raises IsRunningError for it, but PR 1's
-#: AST pass has no rule for it, so the flow pass is its only checker.
+#: EventSet methods that require the set NOT to be running (the runtime
+#: raises IsRunningError for each, ``bind_cpu`` included).
 REQUIRES_STOPPED = frozenset({
     "start", "add_event", "add_events", "add_named", "remove_event",
     "cleanup", "set_multiplex", "set_domain", "attach", "detach",
@@ -63,6 +64,46 @@ REQUIRES_STOPPED = frozenset({
 OS_COUNTER_OPS = frozenset({
     "counter_start", "counter_stop", "counter_value", "unbind_counter",
 })
+
+#: The code rule: flow rule -> method -> the PL0xx code a violation is
+#: reported under when it holds on every path of a set created in the
+#: scope (for ``bind_counter``: when the other thread holds the index on
+#: every path).  Every other violation keeps its flow code, and so does
+#: every violation on a parameter, on a helper-returned set, or seen
+#: only through a helper's summary.  ``bind_cpu`` has no PL0xx twin.
+MUST_CODES: Dict[str, Dict[str, str]] = {
+    "PL301": dict.fromkeys(REQUIRES_RUNNING, "PL001"),
+    "PL302": {
+        **dict.fromkeys(REQUIRES_STOPPED - {"bind_cpu"}, "PL007"),
+        "start": "PL002",
+        "overflow": "PL005",
+        "attach": "PL014",
+        "detach": "PL014",
+    },
+    "PL401": {"attach": "PL015", "bind_counter": "PL016"},
+}
+
+#: PL0xx code -> (message template, hint) of its every-path findings
+MUST_WORDING: Dict[str, Tuple[str, str]] = {
+    "PL001": ("{method}() on an EventSet that {state}",
+              "call start() first"),
+    "PL002": ("start() on an EventSet that is already running",
+              "stop() it first"),
+    "PL005": ("overflow registered while the EventSet is running",
+              "register before start() for portable behaviour"),
+    "PL007": ("{method} on a running EventSet", "stop() it first"),
+    "PL014": ("{method} on a running EventSet",
+              "stop() it first; per-thread counters cannot be re-homed "
+              "mid-run"),
+    "PL015": ("EventSet is re-attached to a different thread without "
+              "detach",
+              "detach() first; re-attaching discards the first thread's "
+              "virtual counts"),
+    "PL016": ("counter {index} is bound here but was already bound to "
+              "another thread",
+              "unbind_counter() first, or use a different index (a "
+              "counter register is exclusive machine-wide)"),
+}
 
 
 # -- abstract values ----------------------------------------------------
@@ -78,16 +119,27 @@ def thread_id(line: int, col: int) -> str:
     return f"thread@{line}:{col}"
 
 
+def returned_id(line: int, col: int) -> str:
+    """A set handed back by a helper call (a summary's returns_states)."""
+    return f"ret@{line}:{col}"
+
+
 def param_id(index: int) -> str:
     return f"param:{index}"
 
 
 def is_eventset(val: str) -> bool:
-    return val.startswith("es@") or val.startswith("param:")
+    return val.startswith(("es@", "ret@", "param:"))
+
+
+def is_local_eventset(val: str) -> bool:
+    """Created by ``create_eventset`` in the scope under analysis."""
+    return val.startswith("es@")
 
 
 def is_thread(val: str) -> bool:
-    return val.startswith("thread@")
+    """A tracked ``spawn()`` result, or a thread named by source text."""
+    return val.startswith(("thread@", "thread:"))
 
 
 # -- facts --------------------------------------------------------------
@@ -99,8 +151,14 @@ class ObjFact:
 
     #: lifecycle: set of (state, reached_via_exception_edge) pairs
     states: FrozenSet[Tuple[str, bool]] = frozenset()
+    #: nothing is known about the lifecycle (a parameter, or an argument
+    #: of an unknown callee) until an operation on it succeeds; rules
+    #: stay silent on such an object
+    unknown: bool = False
     #: thread identities this EventSet may currently be attached to
     attached: FrozenSet[str] = frozenset()
+    #: thread identities it is attached to on EVERY path
+    must_attached: FrozenSet[str] = frozenset()
     #: bind_cpu() was called on some path (suppresses sharing hazards)
     bound_cpu: bool = False
     #: source lines where start() was observed (for report anchoring)
@@ -111,9 +169,13 @@ class ObjFact:
     must_bound: FrozenSet[int] = frozenset()
 
     def join(self, other: "ObjFact") -> "ObjFact":
+        if self == other:
+            return self  # most joins: both paths agree
         return ObjFact(
             states=self.states | other.states,
+            unknown=self.unknown or other.unknown,
             attached=self.attached | other.attached,
+            must_attached=self.must_attached & other.must_attached,
             bound_cpu=self.bound_cpu or other.bound_cpu,
             started_lines=self.started_lines | other.started_lines,
             may_bound=self.may_bound | other.may_bound,
@@ -175,6 +237,10 @@ def join_facts(a: FlowFact, b: FlowFact) -> FlowFact:
     for oid in set(objs_a) | set(objs_b):
         if oid in objs_a and oid in objs_b:
             objs[oid] = objs_a[oid].join(objs_b[oid])
+        elif oid.startswith("thread:"):
+            # a thread named by source text exists on every path; where
+            # it has no fact yet, nothing is bound to it
+            objs[oid] = (objs_a.get(oid) or objs_b[oid]).join(ObjFact())
         else:
             objs[oid] = objs_a.get(oid) or objs_b[oid]
     return FlowFact.make(env, objs)
@@ -190,6 +256,8 @@ class ParamEffect:
     exit_states: FrozenSet[str]
     #: (rule code, method name) misuses triggered for this entry state
     violations: Tuple[Tuple[str, str], ...] = ()
+    #: the function hands the parameter to an unknown callee
+    exit_unknown: bool = False
 
 
 @dataclass
@@ -222,9 +290,6 @@ class TypestateAnalysis(Analysis[FlowFact]):
         self.summaries = summaries or {}
         self.param_names = param_names or []
         self.seed_param = seed_param
-        #: summary-computation mode: the caller decides may-vs-must, so
-        #: record violations even when every path is bad.
-        self.must_mode = seed_param is not None
         self.sink: Optional[Sink] = None
         self._node: Optional[Node] = None
 
@@ -236,10 +301,12 @@ class TypestateAnalysis(Analysis[FlowFact]):
         for i, name in enumerate(self.param_names):
             oid = param_id(i)
             env[name] = frozenset({oid})
-            elements = UNKNOWN_ELEMENTS
             if self.seed_param is not None and self.seed_param[0] == i:
-                elements = frozenset({(self.seed_param[1], False)})
-            objs[oid] = ObjFact(states=elements)
+                objs[oid] = ObjFact(
+                    states=frozenset({(self.seed_param[1], False)})
+                )
+            else:
+                objs[oid] = ObjFact(states=UNKNOWN_ELEMENTS, unknown=True)
         return FlowFact.make(env, objs)
 
     def bottom(self) -> FlowFact:
@@ -300,7 +367,7 @@ class TypestateAnalysis(Analysis[FlowFact]):
         )
         if not kept:
             return BOTTOM  # contradiction: this branch cannot be taken
-        interp.objs[oid] = replace(old, states=kept)
+        interp.objs[oid] = replace(old, states=kept, unknown=False)
         return interp.result()
 
     # -- reporting -----------------------------------------------------
@@ -429,14 +496,35 @@ class _StmtInterpreter:
         return None
 
     def _thread_identities(self, node: ast.expr) -> FrozenSet[str]:
-        """Resolve a thread-valued argument to stable identities."""
+        """Resolve a thread-valued argument to stable identities: the
+        tracked ``spawn()`` results it may hold, else its source text."""
         vals = frozenset(v for v in self.eval(node) if is_thread(v))
         if vals:
             return vals
         try:
-            return frozenset({ast.unparse(node)})
+            return frozenset({"thread:" + ast.unparse(node)})
         except Exception:  # pragma: no cover - malformed expression
             return frozenset()
+
+    # -- reporting --------------------------------------------------------
+
+    def _violation(
+        self,
+        rule: str,
+        objid: str,
+        method: str,
+        every_path: bool,
+        message: str,
+        hint: str,
+        **fields: object,
+    ) -> None:
+        """Report *rule*, or its PL0xx twin from :data:`MUST_CODES` (in
+        the PL0xx wording) when *every_path* holds."""
+        code = MUST_CODES[rule].get(method, rule) if every_path else rule
+        if code != rule:
+            template, hint = MUST_WORDING[code]
+            message = template.format(method=method, **fields)
+        self.analysis.report(code, objid, message, hint=hint, method=method)
 
     # -- method dispatch ------------------------------------------------
 
@@ -464,131 +552,126 @@ class _StmtInterpreter:
 
         es_ids = [v for v in basevals if is_eventset(v) and v in self.objs]
         if es_ids:
-            return self._eventset_method(es_ids, method, node)
+            strong = len(es_ids) == 1
+            for oid in es_ids:
+                old = self.objs[oid]
+                new = self._apply_eventset_method(oid, old, method, node)
+                self.objs[oid] = new if strong else old.join(new)
+            return frozenset()  # counter values, not tracked objects
         if PMU_VALUE in basevals and method in ("read", "stop"):
             self._pmu_direct_access(method, node)
         return frozenset()
 
     # -- EventSet lifecycle ---------------------------------------------
 
-    def _eventset_method(
-        self, es_ids: List[str], method: str, node: ast.Call
-    ) -> FrozenSet[str]:
-        strong = len(es_ids) == 1
-        for oid in es_ids:
-            old = self.objs[oid]
-            new = self._apply_eventset_method(oid, old, method, node)
-            self.objs[oid] = new if strong else old.join(new)
-        if method in ("read", "stop", "accum"):
-            return frozenset()  # counter values, not tracked objects
-        return frozenset()
-
     def _apply_eventset_method(
         self, oid: str, fact: ObjFact, method: str, node: ast.Call
     ) -> ObjFact:
-        states = fact.states
         names = fact.state_names
+        local = is_local_eventset(oid)
         if method in REQUIRES_RUNNING:
-            bad = frozenset(s for s in names if s != RUNNING)
-            if bad and names != ALL_STATES:
-                where = (
-                    "along some path" if RUNNING in names
-                    else "on every path"
-                )
-                self.analysis.report(
-                    "PL301", oid,
+            bad = names - {RUNNING}
+            if bad and not fact.unknown:
+                every_path = RUNNING not in names
+                where = "on every path" if every_path else "along some path"
+                created = oid.partition("@")[2].partition(":")[0]
+                self._violation(
+                    "PL301", oid, method, every_path and local,
                     f"{method}() executes on an EventSet that is "
                     f"{'/'.join(sorted(bad))} {where}",
-                    hint="every path reaching this call must have "
-                         "start()ed the set (PAPI_ENOTRUN otherwise)",
-                    method=method,
+                    "every path reaching this call must have start()ed "
+                    "the set (PAPI_ENOTRUN otherwise)",
+                    state="is already stopped" if STOPPED in names
+                    else f"was never started (created at line {created})",
                 )
             # the operation succeeded => the set was running; a stop
             # leaves it stopped, everything else leaves it running.
             post = STOPPED if method == "stop" else RUNNING
-            new_states = frozenset(
-                (post, via) for s, via in states if s == RUNNING
+            return replace(
+                fact,
+                states=frozenset(
+                    (post, via) for s, via in fact.states if s == RUNNING
+                ),
+                unknown=False,
             )
-            return replace(fact, states=new_states)
 
-        if method in REQUIRES_STOPPED:
-            if RUNNING in names and names != ALL_STATES:
-                where = (
-                    "along some path" if names != {RUNNING}
-                    else "on every path"
-                )
-                self.analysis.report(
-                    "PL302", oid,
-                    f"{method}() executes on an EventSet that is "
-                    f"still running {where}",
-                    hint="stop() the set on every path first "
-                         "(PAPI_EISRUN otherwise)",
-                    method=method,
-                )
-            kept = frozenset((s, via) for s, via in states if s != RUNNING)
-            if method == "start":
-                new_states = frozenset((RUNNING, via) for _s, via in kept)
-                return replace(
-                    fact,
-                    states=new_states,
-                    started_lines=fact.started_lines | {node.lineno},
-                )
-            if method == "attach":
-                return self._attach(fact, kept, node)
-            if method == "detach":
-                return replace(fact, states=kept, attached=frozenset())
-            if method == "bind_cpu":
-                return replace(fact, states=kept, bound_cpu=True)
-            return replace(fact, states=kept)
+        if method not in REQUIRES_STOPPED:
+            return fact
+        if RUNNING in names and not fact.unknown:
+            every_path = names == {RUNNING}
+            where = "on every path" if every_path else "along some path"
+            self._violation(
+                "PL302", oid, method, every_path and local,
+                f"{method}() executes on an EventSet that is still "
+                f"running {where}",
+                "stop() the set on every path first (PAPI_EISRUN "
+                "otherwise)",
+            )
+        kept = frozenset((s, via) for s, via in fact.states if s != RUNNING)
+        fact = replace(fact, states=kept, unknown=False)
+        if method == "start":
+            return replace(
+                fact,
+                states=frozenset((RUNNING, via) for _s, via in kept),
+                started_lines=fact.started_lines | {node.lineno},
+            )
+        if method == "attach":
+            return self._attach(oid, fact, node)
+        if method == "detach":
+            return replace(
+                fact, attached=frozenset(), must_attached=frozenset()
+            )
+        if method == "bind_cpu":
+            return replace(fact, bound_cpu=True)
         return fact
 
-    def _attach(
-        self,
-        fact: ObjFact,
-        kept: FrozenSet[Tuple[str, bool]],
-        node: ast.Call,
-    ) -> ObjFact:
+    def _attach(self, oid: str, fact: ObjFact, node: ast.Call) -> ObjFact:
         identities = (
             self._thread_identities(node.args[0]) if node.args
             else frozenset()
         )
         foreign = fact.attached - identities
         if foreign and identities and not fact.bound_cpu:
-            self.analysis.report(
-                "PL401", "",
+            self._violation(
+                "PL401", "", "attach",
+                bool(fact.must_attached - identities)
+                and is_local_eventset(oid),
                 "this EventSet may still be owned by a different "
                 "spawned thread here (attached on another path without "
                 "an intervening detach)",
-                hint="detach() on every path first, or bind_cpu() to "
-                     "pin the counters to one CPU",
+                "detach() on every path first, or bind_cpu() to pin the "
+                "counters to one CPU",
             )
-        return replace(fact, states=kept, attached=identities)
+        return replace(
+            fact,
+            attached=identities,
+            must_attached=identities if len(identities) == 1
+            else frozenset(),
+        )
 
     # -- OS-level counter virtualization ---------------------------------
 
     def _os_bind_counter(self, node: ast.Call) -> None:
         if len(node.args) < 2:
             return
-        threads = [
-            v for v in self.eval(node.args[0])
-            if is_thread(v) and v in self.objs
-        ]
         index = self._literal_int(node.args[1])
         if index is None:
             return
+        threads = self._thread_identities(node.args[0])
         for tid, fact in self.objs.items():
             if not is_thread(tid) or tid in threads:
                 continue
             if index in fact.may_bound:
-                self.analysis.report(
-                    "PL401", tid,
+                self._violation(
+                    "PL401", tid, "bind_counter", index in fact.must_bound,
                     f"counter {index} may still be bound to another "
                     f"thread on some path reaching this bind_counter",
-                    hint="unbind_counter() on every path first (a "
-                         "counter register is exclusive machine-wide)",
+                    "unbind_counter() on every path first (a counter "
+                    "register is exclusive machine-wide)",
+                    index=index,
                 )
         for tid in threads:
-            fact = self.objs[tid]
+            fact = self.objs.get(tid, ObjFact())
             self.objs[tid] = replace(
                 fact,
                 may_bound=fact.may_bound | {index},
@@ -598,13 +681,14 @@ class _StmtInterpreter:
     def _os_counter_op(self, method: str, node: ast.Call) -> None:
         if len(node.args) < 2:
             return
-        threads = [
-            v for v in self.eval(node.args[0])
-            if is_thread(v) and v in self.objs
-        ]
         index = self._literal_int(node.args[1])
-        if index is None or not threads:
+        if index is None:
             return
+        # only threads this scope spawned or bound are checked
+        threads = [
+            v for v in self._thread_identities(node.args[0])
+            if v in self.objs
+        ]
         if method == "unbind_counter":
             for tid in threads:
                 fact = self.objs[tid]
@@ -659,7 +743,8 @@ class _StmtInterpreter:
                 for oid in vals:
                     if is_eventset(oid) and oid in self.objs:
                         self.objs[oid] = replace(
-                            self.objs[oid], states=UNKNOWN_ELEMENTS
+                            self.objs[oid], states=UNKNOWN_ELEMENTS,
+                            unknown=True,
                         )
             return frozenset()
 
@@ -670,10 +755,10 @@ class _StmtInterpreter:
             for oid in vals:
                 if not (is_eventset(oid) and oid in self.objs):
                     continue
-                self._apply_summary_effect(name, oid, effects, node)
+                self._apply_summary_effect(name, oid, effects)
 
         if summary.returns_states is not None:
-            oid = eventset_id(node.lineno, node.col_offset)
+            oid = returned_id(node.lineno, node.col_offset)
             self.objs[oid] = ObjFact(states=frozenset(
                 (s, False) for s in summary.returns_states
             ))
@@ -681,42 +766,39 @@ class _StmtInterpreter:
         return frozenset()
 
     def _apply_summary_effect(
-        self,
-        fname: str,
-        oid: str,
-        effects: Dict[str, ParamEffect],
-        node: ast.Call,
+        self, fname: str, oid: str, effects: Dict[str, ParamEffect]
     ) -> None:
+        """Play a call as the summary's table lookup.  Its violations
+        keep their flow codes, even when every entry state has one."""
         fact = self.objs[oid]
-        names = fact.state_names
-        if names == ALL_STATES:
-            # completely unknown: havoc through the call, stay silent
+        if fact.unknown:
+            # havoc through the call, stay silent
             self.objs[oid] = replace(fact, states=UNKNOWN_ELEMENTS)
             return
         new_states: Set[Tuple[str, bool]] = set()
         reported: Set[Tuple[str, str]] = set()
-        clean_states = frozenset(
-            s for s in names if not effects[s].violations
-        )
+        unknown = False
         for s, via in fact.states:
             effect = effects[s]
+            unknown = unknown or effect.exit_unknown
             for rule, method in effect.violations:
                 if (rule, method) in reported:
                     continue
                 reported.add((rule, method))
-                if clean_states or self.analysis.must_mode:
-                    self.analysis.report(
-                        rule, oid,
-                        f"call to {fname}() performs {method}() on an "
-                        f"EventSet that may be {s} here",
-                        hint=f"{fname}() requires a different lifecycle "
-                             f"state; normalize the set's state on "
-                             f"every path before the call",
-                        method=method,
-                    )
+                self.analysis.report(
+                    rule, oid,
+                    f"call to {fname}() performs {method}() on an "
+                    f"EventSet that may be {s} here",
+                    hint=f"{fname}() requires a different lifecycle "
+                         f"state; normalize the set's state on "
+                         f"every path before the call",
+                    method=method,
+                )
             for exit_state in effect.exit_states:
                 new_states.add((exit_state, via))
-        self.objs[oid] = replace(fact, states=frozenset(new_states))
+        self.objs[oid] = replace(
+            fact, states=frozenset(new_states), unknown=unknown
+        )
 
 
 def eval_expr_values(

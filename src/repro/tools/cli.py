@@ -627,9 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--flow", action="store_true",
-        help="also run the CFG-based typestate pass (PL3xx/PL4xx: "
-             "path-sensitive lifecycle, leak-on-exception and SMP "
-             "misuse rules)",
+        help="also report the typestate pass's PL3xx/PL4xx findings "
+             "(misuse on some paths only or through a helper, "
+             "leak-on-exception and SMP rules); both modes run the "
+             "same analysis",
     )
     p.add_argument(
         "--format", choices=["text", "json", "sarif"], default="text"

@@ -1,5 +1,6 @@
 """Flow-sensitive rules PL3xx/PL4xx: each fires, each clean twin stays
-silent, and AST-pass shadowing drops redundant flow findings."""
+silent, and misuse on every path is reported under its PL0xx code
+instead."""
 
 import textwrap
 
@@ -54,8 +55,8 @@ class TestPL301ReadBeforeStartOnSomePath:
         assert just_codes(src) == []
 
     def test_direct_misuse_is_shadowed_by_ast_rule(self):
-        # flat read-without-start: the AST pass already reports PL001
-        # on that line, so the flow finding must be deduplicated away.
+        # flat read-without-start holds on every path of a set created
+        # in the scope: it is PL001, never also PL301.
         src = PRELUDE + "counts = es.read()\n"
         codes = just_codes(src)
         assert "PL001" in codes
@@ -65,7 +66,7 @@ class TestPL301ReadBeforeStartOnSomePath:
 class TestPL302DoubleStart:
     def test_loop_carried_double_start(self):
         # start() inside a loop re-enters on the back edge while the
-        # set is still running -- invisible to the source-order AST pass
+        # set is still running -- on some paths only, so PL302
         src = PRELUDE + (
             "for attempt in range(2):\n"
             "    es.start()\n"
@@ -157,8 +158,8 @@ class TestPL305BlindFatalRetry:
 
 class TestPL401SharedAcrossThreads:
     def test_conditional_detach_leaves_other_owner(self):
-        # the AST pass sees the detach() in source order and stays
-        # silent; only the flow pass knows it is path-dependent.
+        # attached to t1 on the path that skips the detach() only: the
+        # re-attach is PL401, not the every-path PL015.
         src = SMP_PRELUDE + (
             "es.attach(t1)\n"
             "es.start()\n"
@@ -191,6 +192,24 @@ if done():
 substrate.os.bind_counter(t2, 2)
 """
         assert ("PL401", 8) in flow_codes(src)
+
+    def test_oserror_guard_suppresses_maybe_bound_counter(self):
+        # bind_counter raises OSError_ at runtime: a handler for it
+        # guards PL401 as it guards the every-path PL016
+        src = """\
+from repro import create
+from repro.simos import OSError_
+substrate = create("simPOWER", ncpus=2)
+t1 = substrate.os.spawn(prog1)
+t2 = substrate.os.spawn(prog2)
+if ready():
+    substrate.os.bind_counter(t1, 0)
+try:
+    substrate.os.bind_counter(t2, 0)
+except OSError_:
+    pass
+"""
+        assert just_codes(src) == []
 
 
 class TestPL402OffCpuRead:

@@ -14,10 +14,9 @@ def just_codes(src):
 
 class TestSummaryEffects:
     def test_helper_start_propagates_to_caller(self):
-        # arm() leaves the set running, so the read is legal: the flow
-        # pass must NOT report PL301 (the AST pass, blind to the
-        # helper, still reports its own PL001 -- that is its known
-        # flow-insensitive false positive, not ours).
+        # arm() leaves the set running, so the read is legal: the
+        # summary carries the running state into the caller, and
+        # neither PL301 nor its every-path twin PL001 is reported.
         src = """\
 def arm(es):
     es.start()

@@ -1,0 +1,165 @@
+"""One lifecycle analysis: cases where the AST walk and the typestate
+pass used to disagree, and the contract between the two lint modes.
+
+Each case lists every ``(code, line)`` a flow-mode lint reports.
+Misuse on every path of a set created in the scope is PL0xx; misuse on
+some paths only, or seen through a helper's summary, is PL3xx/PL4xx.
+Without ``--flow`` a lint reports exactly the flow-mode findings minus
+the PL3xx/PL4xx ones, on every case here and on every example.
+"""
+
+import pathlib
+
+import pytest
+
+from repro.lint import lint_source
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+
+DOUBLE_ARM = """\
+def arm(es):
+    es.start()
+
+def main(papi):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    arm(es)
+    arm(es)
+    es.stop()
+"""
+
+START_ON_BOTH_BRANCHES = """\
+def main(papi, c):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    if c:
+        es.start()
+    else:
+        es.start()
+    counts = es.read()
+    es.stop()
+    return counts
+"""
+
+HELPER_STOPS = """\
+def finish(es):
+    es.stop()
+
+def main(papi):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    es.start()
+    finish(es)
+    return es.read()
+"""
+
+TWO_UNKNOWN_NAMES = """\
+from repro import Papi, create
+papi = Papi(create("simPOWER"))
+es = papi.create_eventset()
+es.add_named("PAPI_NO_SUCH", "PAPI_ALSO_NOT")
+"""
+
+STOP_ON_SOME_PATH = """\
+def main(papi, c):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    es.start()
+    if c:
+        es.stop()
+"""
+
+THREE_STATES = """\
+def main(papi, c0, c1):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    if c0:
+        es.start()
+    if c1:
+        es.stop()
+    es.start()
+"""
+
+PARAMETER_THREADS = """\
+def pin(os_, t1, t2):
+    os_.bind_counter(t1, 0)
+    os_.bind_counter(t2, 0)
+"""
+
+HELPER_HANDS_OFF = """\
+def wrapper(es):
+    mystery(es)
+
+def main(papi):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    wrapper(es)
+    es.read()
+"""
+
+PARAMETER_THREAD_ON_SOME_PATH = """\
+def pin(os_, t1, t2, c):
+    if c:
+        os_.bind_counter(t1, 0)
+    os_.bind_counter(t2, 0)
+"""
+
+LOOP_START = """\
+def main(papi):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    for _ in range(2):
+        es.start()
+"""
+
+CASES = [
+    # a definite double start through a helper: a summary finding
+    pytest.param(DOUBLE_ARM, [("PL302", 8)], id="double-arm"),
+    pytest.param(START_ON_BOTH_BRANCHES, [], id="start-on-both-branches"),
+    pytest.param(HELPER_STOPS, [("PL001", 9)], id="helper-stops"),
+    pytest.param(
+        TWO_UNKNOWN_NAMES, [("PL010", 4), ("PL010", 4)],
+        id="two-unknown-names",
+    ),
+    pytest.param(STOP_ON_SOME_PATH, [("PL008", 4)], id="stop-on-some-path"),
+    # created, running and stopped reach the last start(): the set's
+    # state is fully known, and running on one of the paths
+    pytest.param(
+        THREE_STATES, [("PL301", 7), ("PL008", 8), ("PL302", 8)],
+        id="three-states",
+    ),
+    # a helper that hands the set to an unknown callee leaves it
+    # unknown in the caller: nothing to report
+    pytest.param(HELPER_HANDS_OFF, [], id="helper-hands-off"),
+    pytest.param(
+        PARAMETER_THREAD_ON_SOME_PATH, [("PL401", 4)],
+        id="parameter-thread-on-some-path",
+    ),
+    # the two cases below held before the AST walk's copy of the
+    # lifecycle rules went; they pin that nothing was lost with it
+    pytest.param(PARAMETER_THREADS, [("PL016", 3)], id="parameter-threads"),
+    pytest.param(
+        LOOP_START, [("PL008", 5), ("PL302", 5)], id="loop-start",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, expected", CASES)
+def test_flow_findings(source, expected):
+    diags = lint_source(source, "t.py", flow=True)
+    assert [(d.code, d.line) for d in diags] == expected
+
+
+def _mode_inputs():
+    for param in CASES:
+        yield pytest.param(param.values[0], id=param.id)
+    for path in sorted((REPO / "examples").glob("*.py")):
+        yield pytest.param(path.read_text(), id=path.name)
+
+
+@pytest.mark.parametrize("source", _mode_inputs())
+def test_plain_mode_is_flow_mode_without_pl3xx_pl4xx(source):
+    flow = lint_source(source, "t.py", flow=True)
+    assert lint_source(source, "t.py") == [
+        d for d in flow if d.code[2] not in "34"
+    ]

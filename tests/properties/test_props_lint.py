@@ -1,20 +1,36 @@
-"""Property test: static feasibility agrees with the runtime allocator.
+"""Property tests: lint verdicts agree with the runtime.
 
-papi-lint's whole value rests on one claim: the verdict computed from
-the platform tables *without executing* (``repro.lint.check_events``)
-is the verdict the runtime would reach -- ``EventSet.add_event`` calls
-in sequence either all succeed (set allocatable) or raise
-``ConflictError`` at some prefix (set not allocatable).  Hypothesis
-drives random event subsets on every platform and pins the agreement
-in both directions, including the multiplexed variant.
+papi-lint's whole value rests on one claim: the verdict computed
+*without executing* is the verdict the runtime would reach.  Two
+halves of the linter are pinned here:
+
+- **feasibility** (``repro.lint.check_events``): ``EventSet.add_event``
+  calls in sequence either all succeed (set allocatable) or raise
+  ``ConflictError`` at some prefix (set not allocatable).  Hypothesis
+  drives random event subsets on every platform and pins the agreement
+  in both directions, including the multiplexed variant;
+- **lifecycle** (the typestate pass): random branching EventSet
+  programs are run under every assignment of their conditions.  A line
+  where every run that reaches it raises ``IsRunningError`` or
+  ``NotRunningError`` must get PL001/PL002/PL007 in both modes; a line
+  where only some do must get PL301/PL302 with ``flow=True``.
 """
+
+import itertools
+import sys
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import ConflictError, PapiError
+from repro.core.constants import PAPI_DOM_USER
+from repro.core.errors import (
+    ConflictError,
+    IsRunningError,
+    NotRunningError,
+    PapiError,
+)
 from repro.core.library import Papi
 from repro.core.presets import PLATFORM_PRESET_TABLES
-from repro.lint import check_events
+from repro.lint import check_events, lint_source
 from repro.platforms import PLATFORM_NAMES, create
 
 #: per-platform pool of preset symbols that resolve (availability is
@@ -96,3 +112,104 @@ def test_conflict_witness_is_infeasible_and_minimal(case):
                 f"witness {witness} is not minimal: still infeasible "
                 f"without {name}"
             )
+
+
+# -- lifecycle verdicts versus the runtime ------------------------------
+
+#: the operations a drawn program is made of, one per line
+LIFECYCLE_OPS = (
+    "es.start()",
+    "es.stop()",
+    "es.read()",
+    "es.reset()",
+    'es.add_named("PAPI_TOT_CYC")',
+    'es.remove_event(papi.event_name_to_code("PAPI_TOT_CYC"))',
+    "es.set_domain(PAPI_DOM_USER)",
+    "es.cleanup()",
+)
+
+MAX_ITEMS = 6
+MAX_CONDITIONS = 4
+
+EVERY_PATH_CODES = {"PL001", "PL002", "PL007"}
+SOME_PATH_CODES = {"PL301", "PL302"}
+
+
+@st.composite
+def lifecycle_programs(draw):
+    """``(source, conditions)``: a function ``program(papi, c, hit)``
+    whose items are ``op``, ``if c[i]: op`` or ``if c[i]: op else: op``,
+    each ``if`` on a fresh condition.  Every op line starts with
+    ``hit()`` so a run records the lines it reaches."""
+    op = st.sampled_from(LIFECYCLE_OPS)
+    lines = [
+        "def program(papi, c, hit):",
+        "    es = papi.create_eventset()",
+        '    es.add_named("PAPI_TOT_CYC")',
+    ]
+    conditions = 0
+    for _ in range(draw(st.integers(1, MAX_ITEMS))):
+        kinds = ["op"]
+        if conditions < MAX_CONDITIONS:
+            kinds += ["if", "if-else"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "op":
+            lines.append(f"    hit(); {draw(op)}")
+            continue
+        lines.append(f"    if c[{conditions}]:")
+        lines.append(f"        hit(); {draw(op)}")
+        if kind == "if-else":
+            lines.append("    else:")
+            lines.append(f"        hit(); {draw(op)}")
+        conditions += 1
+    return "\n".join(lines) + "\n", conditions
+
+
+def runtime_failures(source, conditions):
+    """``(must, may)`` lines of run-state errors over every assignment
+    of the conditions, or None when some run first raises another
+    PapiError."""
+    namespace = {"PAPI_DOM_USER": PAPI_DOM_USER}
+    exec(compile(source, "<program>", "exec"), namespace)
+    reached, failed = {}, {}
+    for c in itertools.product((False, True), repeat=conditions):
+        hits = []
+
+        def hit():
+            hits.append(sys._getframe(1).f_lineno)
+
+        # a pinned clean injector: the chaos job's REPRO_FAULT_PROFILE
+        # must not change which error a run raises
+        papi = Papi(create("simPOWER", inject="0:none"))
+        try:
+            namespace["program"](papi, c, hit)
+        except (IsRunningError, NotRunningError):
+            failed[hits[-1]] = failed.get(hits[-1], 0) + 1
+        except PapiError:
+            return None
+        for line in hits:
+            reached[line] = reached.get(line, 0) + 1
+    must = {line for line, n in failed.items() if n == reached[line]}
+    return must, set(failed) - must
+
+
+def _lines(diagnostics, codes):
+    return {d.line for d in diagnostics if d.code in codes}
+
+
+def check_lifecycle_verdicts(source, conditions):
+    outcome = runtime_failures(source, conditions)
+    if outcome is None:
+        return  # the draw trips a non-lifecycle error first
+    must, may_only = outcome
+    plain = lint_source(source, "program.py")
+    flow = lint_source(source, "program.py", flow=True)
+    assert _lines(plain, EVERY_PATH_CODES) == must, (source, plain)
+    assert _lines(flow, EVERY_PATH_CODES) == must, (source, flow)
+    assert _lines(flow, SOME_PATH_CODES) == may_only, (source, flow)
+
+
+@given(lifecycle_programs())
+@settings(max_examples=200, deadline=None)
+def test_lifecycle_verdicts_match_runtime(case):
+    check_lifecycle_verdicts(*case)
