@@ -15,11 +15,12 @@ experiments affordable.  Four workload shapes stress the engine paths:
 The headline metrics are *speedup ratios* (engine time vs interpreter
 time on the same host), which are stable across machines; absolute
 instructions/second are reported for context only.  Every run also
-re-asserts bit-exactness across all three engine tiers (off / block /
-trace).  The committed baseline in ``BENCH_p1_interp_throughput.json``
-stores the expected ratios; ``--check`` fails when a ratio regresses by
-more than 20%, ``--update-baseline`` rewrites it and appends a snapshot
-to the ``trajectory`` history list.
+re-asserts that the two engine tiers (off / trace) retire the same
+instructions with the same counts.  The committed baseline in
+``BENCH_p1_interp_throughput.json`` stores the expected ratios;
+``--check`` fails when a ratio regresses by more than 20%,
+``--update-baseline`` rewrites it and appends a snapshot to the
+``trajectory`` history list.
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ def call_heavy(n=40_000):
 
     The trace tier's region compiler inlines the CALL, the leaf body
     and the matched RET into one compiled dispatch loop (a handful of
-    ns per transfer); the block tier stops at every control transfer
-    and the interpreter additionally simulates the call stack per step.
+    ns per transfer); compiled blocks alone stop at every control
+    transfer, and the interpreter additionally simulates the call stack
+    per step.
     """
     asm = Assembler(name="call_heavy")
     asm.func("main")
@@ -189,9 +191,7 @@ def run_experiment():
     for name, build in WORKLOADS:
         prog = build()
         t_interp, n_interp, c_interp = _time_run(prog, engine="off")
-        _t_blk, n_blk, c_blk = _time_run(prog, engine="block")
         t_engine, n_engine, c_engine = _time_run(prog, engine="trace")
-        assert n_interp == n_blk and c_interp == c_blk, name
         assert n_interp == n_engine and c_interp == c_engine, name
         rows.append({
             "workload": name,
@@ -209,7 +209,7 @@ def render(rows) -> str:
     table = Table(
         ["workload", "instructions", "interp ins/s", "engine ins/s",
          "speedup"],
-        title="P1: interpreter vs block-engine throughput (bit-exact paths)",
+        title="P1: interpreter vs trace-engine throughput (bit-exact paths)",
     )
     for r in rows:
         table.add_row(

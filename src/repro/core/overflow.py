@@ -14,14 +14,15 @@ marked) because the reproduction's E5 experiment needs ground truth to
 *measure* the attribution error the paper describes.  Portable tools
 must only use ``address``.
 
-Interaction with the block execution engine: overflow thresholds are
+Interaction with the execution engine: overflow thresholds are
 *deadlines* for the engine (:mod:`repro.hw.blockcache`).  Before each
-bulk step the engine queries ``PMU.watch_constraints`` for the headroom
-below every armed ``next_trigger`` and declines any block that could
-cross it, so the threshold-crossing instruction, the skid draw and the
-delivery all happen on the precise interpreter path -- overflow handlers
-observe identical ``OverflowInfo`` records (addresses, cycles, counts)
-whether the engine is on or off.
+block, region or replay step it queries ``PMU.watch_constraints`` for
+the headroom below every armed ``next_trigger`` and runs only steps
+that stay strictly below it (none while a watch is due), so the
+threshold-crossing instruction, the skid draw and the delivery all
+happen on the precise interpreter path -- overflow handlers observe
+identical ``OverflowInfo`` records (addresses, cycles, counts) whether
+the engine is on or off.
 """
 
 from __future__ import annotations

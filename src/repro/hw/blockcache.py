@@ -23,10 +23,10 @@ adds a *block cache* in front of it:
   single bulk update of the counts array, cache hit statistics and the
   affine registers.
 
-On top of the block layer sits the **trace tier** (engine tier
-``"trace"``, the default): hot multi-block loop heads -- detected by
+On top of the block layer, hot multi-block loop heads -- detected by
 back-edge counters on block exits -- are promoted to one of two region
-forms:
+forms (the engine is the ``"trace"`` tier, the default; the only other
+tier, ``"off"``, builds no engine):
 
 - a **superblock trace**: when the cycle through the head is a unique
   static path (fall-throughs, JMP/CALL with matched RET) closed by a
@@ -46,14 +46,15 @@ forms:
 Correctness contract: a run with the engine enabled is **bit-exact**
 with the interpreter -- identical ``counts[]``, cache/TLB state and
 statistics, RNG stream, architectural state, fault behaviour and
-interrupt delivery points.  The engine guarantees this by computing a
-*deadline* before every fast step: the number of instructions/cycles
-until the next PMU overflow threshold, ProfileMe sample, cycle-timer
-tick, or instruction/cycle budget boundary.  If the block (or region
-fuel) could cross any deadline, the engine declines and the interpreter
-executes one instruction at a time, so interrupts and samples fire at
-exactly the same instruction boundary (and draw from the RNG at exactly
-the same point) as an engine-off run.  PROBE instructions are never
+interrupt delivery points.  One *deadline* rule (:meth:`BlockEngine._fuel`)
+counts the whole steps of a given cost that fit before the next
+instruction/cycle budget boundary, ProfileMe sample, overflow threshold
+or cycle-timer tick: a block runs one step, a region takes the steps
+that fit as fuel, and replay commits the iterations that fit.  When no
+step fits, the engine declines and the interpreter executes one
+instruction at a time, so interrupts and samples fire at exactly the
+same instruction boundary (and draw from the RNG at exactly the same
+point) as an engine-off run.  PROBE instructions are never
 compiled into plain blocks; inside regions they run only while the PMU
 is completely quiet, so deadline/flush crossings always take the
 precise path.
@@ -115,7 +116,7 @@ REPLAY_CHUNK = 1 << 20
 REPLAY_FAIL_LIMIT = 12
 
 #: back-edge arrivals at a loop head before it is promoted to a
-#: superblock trace or compiled region (trace tier only).
+#: superblock trace or compiled region.
 REGION_HOT = 16
 
 #: most member blocks stitched into one compiled region.
@@ -189,9 +190,8 @@ class BasicBlock:
     n_ins: int
     #: compiled executor; returns ``(next_pc, cur_iline)``.
     fn: object
-    #: worst-case cycles one execution can add (every access missing).
-    max_cyc: int
-    #: worst-case per-signal deltas of one execution (deadline headroom).
+    #: worst-case per-signal deltas of one execution (every access
+    #: missing; ``max_deltas[TOT_CYC]`` is its worst-case cycles).
     max_deltas: List[int]
     loop: Optional[LoopInfo] = None
     #: ends without a control transfer (next block starts at start+n_ins).
@@ -203,7 +203,7 @@ class BasicBlock:
 
 @dataclass
 class Region:
-    """One compiled multi-block region (trace tier).
+    """One compiled multi-block region.
 
     The generated function is a pc state machine over the member blocks:
     control transfers between members stay inside the function, and it
@@ -216,8 +216,6 @@ class Region:
     members: Tuple[int, ...]
     #: worst-case instructions one block step retires.
     max_nb: int
-    #: worst-case cycles one block step can add.
-    max_cyc: int
     #: worst-case per-signal deltas of one block step.
     max_deltas: List[int]
     #: contains *active* dynaprof probe segments (entry requires a quiet
@@ -264,7 +262,7 @@ class _CodeTable:
     leaders: Set[int]
     blocks: Dict[int, BasicBlock] = field(default_factory=dict)
     denied: Set[int] = field(default_factory=set)
-    #: trace tier: compiled regions / superblock traces keyed by head pc.
+    #: compiled regions / superblock traces keyed by head pc.
     regions: Dict[int, Region] = field(default_factory=dict)
     traces: Dict[int, BasicBlock] = field(default_factory=dict)
     #: back-edge arrival counters feeding the REGION_HOT promotion.
@@ -353,6 +351,31 @@ def _count_consecutive_takens(kind: str, c: int, s: int, bound: int, cap: int) -
     return cap
 
 
+def steps_before_deadline(
+    limit: int, rem_ins: int, n_ins: int, deadlines: List[Tuple[int, int]]
+) -> int:
+    """Whole steps, at most *limit*, that fit before the next deadline.
+
+    Each step retires *n_ins* (>= 1) instructions and may end exactly on
+    the instruction budget *rem_ins* (-1 = none).  Every other deadline
+    is a ``(headroom, cost)`` pair that must stay strictly ahead: after
+    ``j`` steps, ``j * cost < headroom``.  A zero-cost deadline caps
+    nothing unless it is already due (``headroom <= 0``), and then no
+    step fits.
+    """
+    k = limit
+    if rem_ins >= 0 and rem_ins // n_ins < k:
+        k = rem_ins // n_ins
+    for headroom, cost in deadlines:
+        if cost > 0:
+            cap = (headroom - 1) // cost
+            if cap < k:
+                k = cap
+        elif headroom <= 0:
+            return 0
+    return k if k > 0 else 0
+
+
 class _EmitUnsupported(Exception):
     """An opcode the shared emitter cannot compile (SYSCALL/HALT)."""
 
@@ -402,7 +425,6 @@ class _Emitter:
         #: merged into the generated function's namespace by the caller.
         self.fetch_globals: Dict[str, object] = {}
         self.md = [0] * Signal.N_SIGNALS
-        self.max_cyc = 0
         self.n_fetches = 0
         self.il_prev: Optional[int] = None
         self.il_first: Optional[int] = None
@@ -541,7 +563,6 @@ class _Emitter:
         md[_S.L2_MISS] += 1
         md[_S.TOT_CYC] += c._fetch_worst
         md[_S.STL_CYC] += c._fetch_worst
-        self.max_cyc += c._fetch_worst
 
     def emit_ins(self, pc: int, ins: tuple, first: bool) -> None:
         """Emit one instruction's effects (control transfer excluded).
@@ -569,7 +590,6 @@ class _Emitter:
         md = self.md
         md[_S.TOT_INS] += 1
         md[_S.TOT_CYC] += lat[op]
-        self.max_cyc += lat[op]
         self.add_pending(_S.TOT_INS)
         self.add_pending(_S.TOT_CYC, lat[op])
 
@@ -594,7 +614,6 @@ class _Emitter:
             md[_S.TOT_CYC] += c._mem_worst
             md[_S.STL_CYC] += c._mem_worst
             md[_S.MEM_RCY] += c._mem_worst
-            self.max_cyc += c._mem_worst
         elif op == Op.DIV:
             self.add_pending(_S.INT_INS)
             md[_S.INT_INS] += 1
@@ -632,7 +651,6 @@ class _Emitter:
             md[_S.BR_MSP] += 1
             md[_S.TOT_CYC] += c._branch_penalty
             md[_S.STL_CYC] += c._branch_penalty
-            self.max_cyc += c._branch_penalty
         elif op == Op.JMP:
             self.add_pending(_S.BR_INS)
             md[_S.BR_INS] += 1
@@ -851,7 +869,6 @@ class BlockCompiler:
             start=start,
             n_ins=len(path),
             fn=ns[f"_{kind}"],
-            max_cyc=e.max_cyc,
             max_deltas=e.md,
             falls_through=falls_through,
         )
@@ -1369,7 +1386,6 @@ class BlockCompiler:
 
         lines: List[str] = []
         max_nb = 0
-        max_cyc = 0
         max_deltas = [0] * Signal.N_SIGNALS
         for idx, (s, em) in enumerate(units):
             body = em.lines
@@ -1389,7 +1405,6 @@ class BlockCompiler:
             lines.append("            while True:")
             lines.extend(body)
             max_nb = max(max_nb, em.unit_nb)
-            max_cyc = max(max_cyc, em.max_cyc)
             for i in range(Signal.N_SIGNALS):
                 if em.md[i] > max_deltas[i]:
                     max_deltas[i] = em.md[i]
@@ -1445,7 +1460,6 @@ class BlockCompiler:
             fn=ns["_region"],
             members=tuple(member_set),
             max_nb=max_nb,
-            max_cyc=max_cyc,
             max_deltas=max_deltas,
             has_probe=bool(active_probes),
             predictor=predictor if spec is not None else None,
@@ -1657,7 +1671,7 @@ class BlockEngine:
     management, deadline math, replay -- lives here.
     """
 
-    def __init__(self, cpu, tier: str) -> None:
+    def __init__(self, cpu) -> None:
         self.cpu = cpu
         self.compiler = BlockCompiler(cpu)
         self.stats = EngineStats()
@@ -1665,9 +1679,6 @@ class BlockEngine:
         self._table: Optional[_CodeTable] = None
         self._epoch = 0
         self._ctx: Optional[tuple] = None
-        #: trace tier: region/trace promotion enabled.  *tier* is "block"
-        #: or "trace": ``CPU`` validates it and builds no engine at "off".
-        self._trace_tier = tier == "trace"
         #: pc of a probe that side-exited a region because its handler
         #: perturbed the machine; CPU.run runs the probe's post-retire
         #: PMU hooks (and resyncs on a program rewrite), then clears it.
@@ -1747,6 +1758,39 @@ class BlockEngine:
 
     # -- execution ------------------------------------------------------
 
+    def _fuel(self, limit: int, n_ins: int, deltas: List[int],
+              rem_ins: int, cyc_budget: int) -> int:
+        """Steps (at most *limit*) of one cost that fit before a deadline.
+
+        A step retires *n_ins* instructions and adds at most ``deltas[s]``
+        of each signal, cycles included: a block's or region's worst
+        case, or a replay trial's exact deltas.  Deadlines: the budgets,
+        the sample countdown, every running overflow watch and the cycle
+        timer (:func:`steps_before_deadline`); no step fits while an
+        overflow delivery is in its skid window.
+        """
+        cpu = self.cpu
+        now = cpu.counts[_S.TOT_CYC]
+        cyc = deltas[_S.TOT_CYC]
+        deadlines = []
+        if cyc_budget >= 0:
+            deadlines.append((cyc_budget - now, cyc))
+        pmu = cpu.pmu
+        if pmu is not None:
+            if pmu.sampler is not None:
+                deadlines.append((pmu.sample_countdown, n_ins))
+            if pmu.watch_active:
+                if pmu.has_pending():
+                    return 0
+                for headroom, signals in pmu.watch_constraints():
+                    worst = 0
+                    for s in signals:
+                        worst += deltas[s]
+                    deadlines.append((headroom, worst))
+            if pmu.timer_active:
+                deadlines.append((pmu.cycles_to_timer(now), cyc))
+        return steps_before_deadline(limit, rem_ins, n_ins, deadlines)
+
     def execute(
         self, pc: int, cur_iline: int, rem_ins: int, cyc_budget: int
     ) -> Optional[Tuple[int, int, int]]:
@@ -1764,20 +1808,19 @@ class BlockEngine:
             # updated registry on their next heat promotion.
             self.begin()
             table = self._table
-        if self._trace_tier:
-            region = table.regions.get(pc)
-            if region is not None:
-                res = self._run_region(region, cur_iline, rem_ins, cyc_budget)
+        region = table.regions.get(pc)
+        if region is not None:
+            res = self._run_region(region, cur_iline, rem_ins, cyc_budget)
+            if res is not None:
+                return res
+        else:
+            trace = table.traces.get(pc)
+            if trace is not None:
+                res = self._run_block(trace, cur_iline, rem_ins, cyc_budget)
                 if res is not None:
+                    if res[2] > trace.n_ins:
+                        self.stats.trace_replays += 1
                     return res
-            else:
-                trace = table.traces.get(pc)
-                if trace is not None:
-                    res = self._run_block(trace, cur_iline, rem_ins, cyc_budget)
-                    if res is not None:
-                        if res[2] > trace.n_ins:
-                            self.stats.trace_replays += 1
-                        return res
         block = table.blocks.get(pc)
         if block is None:
             if pc in table.nocompile:
@@ -1799,7 +1842,7 @@ class BlockEngine:
                 table.denied.discard(nxt)
 
         res = self._run_block(block, cur_iline, rem_ins, cyc_budget)
-        if res is not None and self._trace_tier and res[0] < pc:
+        if res is not None and res[0] < pc:
             # back edge: count arrivals at the loop head and promote hot
             # heads to a superblock trace or compiled region.
             self._heat(table, res[0])
@@ -1812,33 +1855,11 @@ class BlockEngine:
         it looped back steadily; None declines (a deadline is in reach).
         """
         n_ins = block.n_ins
-        if 0 <= rem_ins < n_ins:
+        if not self._fuel(1, n_ins, block.max_deltas, rem_ins, cyc_budget):
             return None
         cpu = self.cpu
-        counts = cpu.counts
-        if cyc_budget >= 0 and counts[_S.TOT_CYC] + block.max_cyc >= cyc_budget:
-            return None
-
-        # -- PMU deadlines: decline if the block could cross one --------
         pmu = cpu.pmu
-        sampler_on = False
-        if pmu is not None:
-            if pmu.sampler is not None:
-                if pmu.sample_countdown <= n_ins:
-                    return None
-                sampler_on = True
-            if pmu.watch_active:
-                if pmu.has_pending():
-                    return None
-                md = block.max_deltas
-                for headroom, signals in pmu.watch_constraints():
-                    worst = 0
-                    for s in signals:
-                        worst += md[s]
-                    if headroom <= worst:
-                        return None
-            if pmu.timer_active and pmu.cycles_to_timer(counts[_S.TOT_CYC]) <= block.max_cyc:
-                return None
+        sampler_on = pmu is not None and pmu.sampler is not None
 
         loop = block.loop
         if (
@@ -1847,26 +1868,26 @@ class BlockEngine:
             and block.fails >= REPLAY_FAIL_LIMIT
         ):
             loop = None
-
-        total = n_ins
-        if loop is None:
-            next_pc, cur_iline = block.fn(*self._ctx, cur_iline)
-        else:
-            snap = counts.copy()
+        if loop is not None:
+            snap = cpu.counts.copy()
             hsnap = cpu.hierarchy.hit_snapshot()
-            next_pc, cur_iline = block.fn(*self._ctx, cur_iline)
-            if next_pc == block.start:
-                k = self._try_replay(
-                    block, loop, snap, hsnap, rem_ins, cyc_budget, sampler_on
-                )
-                total += k * n_ins
+        next_pc, cur_iline = block.fn(*self._ctx, cur_iline)
         if sampler_on:
-            pmu.sample_countdown -= total
+            pmu.sample_countdown -= n_ins
+        total = n_ins
+        if loop is not None and next_pc == block.start:
+            k = self._try_replay(
+                block, loop, snap, hsnap,
+                rem_ins - n_ins if rem_ins >= 0 else -1, cyc_budget,
+            )
+            total += k * n_ins
+            if sampler_on:
+                pmu.sample_countdown -= k * n_ins
         self.stats.blocks_executed += 1
         self.stats.fast_instructions += total
         return next_pc, cur_iline, total
 
-    # -- trace-tier execution -------------------------------------------
+    # -- traces and regions ---------------------------------------------
 
     def _deny(self, table: _CodeTable, pc: int) -> None:
         """Stop offering *pc* to compile_block.
@@ -1921,24 +1942,15 @@ class BlockEngine:
         """Enter a compiled region with deadline-derived fuel, or decline.
 
         Fuel is the number of whole block steps that provably cannot
-        cross any instruction/cycle budget, overflow-watch threshold,
-        sample tick or timer tick; the precise path finishes the tail.
+        cross any deadline (:meth:`_fuel`); the precise path finishes
+        the tail.
         """
         cpu = self.cpu
         if region.predictor is not None and region.predictor is not cpu.predictor:
             # the inlined predictor state is stale; rebuild via heat.
             self._table.regions.pop(region.head, None)
             return None
-        counts = cpu.counts
-        fuel = REGION_FUEL_MAX
-        if rem_ins >= 0:
-            fuel = rem_ins // region.max_nb
-        if cyc_budget >= 0:
-            fuel = min(
-                fuel, (cyc_budget - counts[_S.TOT_CYC] - 1) // region.max_cyc
-            )
         pmu = cpu.pmu
-        sampler_on = False
         if pmu is not None:
             if region.has_probe and not pmu.quiet():
                 # probe handlers run inline only while no PMU machinery
@@ -1950,27 +1962,12 @@ class BlockEngine:
                 # EAR records on miss events; the precise path (and the
                 # per-block engine) keep them exact while an EAR is armed.
                 return None
-            if pmu.sampler is not None:
-                fuel = min(fuel, (pmu.sample_countdown - 1) // region.max_nb)
-                sampler_on = True
-            if pmu.watch_active:
-                if pmu.has_pending():
-                    return None
-                md = region.max_deltas
-                for headroom, signals in pmu.watch_constraints():
-                    worst = 0
-                    for s in signals:
-                        worst += md[s]
-                    if worst:
-                        fuel = min(fuel, (headroom - 1) // worst)
-            if pmu.timer_active:
-                fuel = min(
-                    fuel,
-                    (pmu.cycles_to_timer(counts[_S.TOT_CYC]) - 1)
-                    // region.max_cyc,
-                )
-        if fuel <= 0:
+        fuel = self._fuel(REGION_FUEL_MAX, region.max_nb, region.max_deltas,
+                          rem_ins, cyc_budget)
+        if not fuel:
             return None
+        # read before entry: an inline probe handler may arm a sampler.
+        sampler_on = pmu is not None and pmu.sampler is not None
         next_pc, cur_iline, n = region.fn(
             *self._ctx, cpu, cpu.probe_dispatch, cur_iline, fuel
         )
@@ -1990,7 +1987,6 @@ class BlockEngine:
         hsnap: Tuple[int, int, int, int],
         rem_ins: int,
         cyc_budget: int,
-        sampler_on: bool,
     ) -> int:
         """After a taken trial iteration, bulk-apply up to *n* more."""
         cpu = self.cpu
@@ -2028,29 +2024,10 @@ class BlockEngine:
         if n <= 0:
             return 0
 
-        # deadline caps: never cross a budget, sample tick, overflow
-        # threshold or timer inside the bulk step.
+        # every further iteration costs exactly the trial's deltas.
         n_ins = block.n_ins
-        k = n
-        if rem_ins >= 0:
-            k = min(k, rem_ins // n_ins - 1)
-        d_cyc = d[_S.TOT_CYC]
-        if cyc_budget >= 0 and d_cyc > 0:
-            k = min(k, (cyc_budget - counts[_S.TOT_CYC] - 1) // d_cyc)
-        pmu = cpu.pmu
-        if pmu is not None:
-            if sampler_on:
-                k = min(k, (pmu.sample_countdown - n_ins - 1) // n_ins)
-            if pmu.watch_active:
-                for headroom, signals in pmu.watch_constraints():
-                    dw = 0
-                    for s in signals:
-                        dw += d[s]
-                    if dw > 0:
-                        k = min(k, (headroom - 1) // dw)
-            if pmu.timer_active and d_cyc > 0:
-                k = min(k, (pmu.cycles_to_timer(counts[_S.TOT_CYC]) - 1) // d_cyc)
-        if k <= 0:
+        k = self._fuel(n, n_ins, d, rem_ins, cyc_budget)
+        if not k:
             return 0
 
         # -- commit: k identical iterations as one bulk update ----------

@@ -36,11 +36,11 @@ class MachineFault(Exception):
     """Raised for runtime faults: bad memory access, divide by zero, ..."""
 
 
-#: execution-engine tiers: the pure interpreter, per-block compilation
-#: with steady-loop replay, and the block tier plus superblock traces and
-#: compiled regions (see :mod:`repro.hw.blockcache`).  Every tier is
-#: bit-exact with every other; they differ only in simulation speed.
-ENGINE_TIERS = ("off", "block", "trace")
+#: execution-engine tiers: the pure interpreter, and the engine of
+#: :mod:`repro.hw.blockcache` (compiled blocks with steady-loop replay,
+#: superblock traces and compiled regions).  The tiers are bit-exact
+#: with each other; they differ only in simulation speed.
+ENGINE_TIERS = ("off", "trace")
 
 
 def check_tier(tier: object) -> None:
@@ -182,7 +182,7 @@ class CPU:
         if engine != "off":
             from repro.hw.blockcache import BlockEngine
 
-            self.engine = BlockEngine(self, engine)
+            self.engine = BlockEngine(self)
             if self.pmu is not None:
                 self.pmu.set_flush_hook(self.engine.flush)
                 self.pmu.unquiet_hook = self.engine.unbind

@@ -40,11 +40,11 @@ class MachineConfig:
     mhz: int = 500
     seed: int = 12345
     #: execution-engine tier (see repro/hw/blockcache.py): "off" (pure
-    #: interpreter), "block" (per-block compilation + steady-loop replay)
-    #: or "trace" (block tier plus superblock traces and compiled
-    #: multi-block regions).  Every tier is bit-exact with the
-    #: interpreter -- identical counts, cache state and interrupt
-    #: delivery -- so this only trades simulation speed.
+    #: interpreter) or "trace" (compiled blocks with steady-loop replay,
+    #: superblock traces and compiled multi-block regions).  The engine
+    #: is bit-exact with the interpreter -- identical counts, cache
+    #: state and interrupt delivery -- so this only trades simulation
+    #: speed.
     engine: str = "trace"
     #: number of CPUs.  Each CPU gets its own signal-counts array, PMU
     #: and block engine (private decode caches); the memory hierarchy is

@@ -1192,7 +1192,7 @@ def trace_certificates(code: List[tuple]) -> Dict[int, TraceCertificate]:
             # pure fall-through closed by the branch: one basic block
             out[head] = TraceCertificate(
                 head, "skipped",
-                reason="self-loop block: the block tier already "
+                reason="self-loop block: block replay already "
                        "certifies and replays it",
             )
             continue

@@ -59,10 +59,10 @@ def create(name: str, seed: int = 12345, ncpus: int = 1,
 
     ``engine`` selects the execution-engine tier (see
     :class:`repro.hw.machine.MachineConfig`): ``"off"`` (the
-    pure-interpreter reference path), ``"block"`` (per-block compilation
-    + steady-loop replay) or ``"trace"`` (blocks plus superblock traces
-    and compiled multi-block regions, the default).  Results are
-    bit-identical at every tier; only simulation speed differs.
+    pure-interpreter reference path) or ``"trace"`` (compiled blocks,
+    superblock traces and compiled multi-block regions, the default).
+    Results are bit-identical at both tiers; only simulation speed
+    differs.
 
     ``ncpus`` builds an SMP machine: that many CPUs, each with a private
     PMU and block engine, behind one shared memory hierarchy.  The OS

@@ -89,7 +89,7 @@ class RefuteConfig:
     budget: int = 3_000
     platforms: Tuple[str, ...] = tuple(PLATFORM_NAMES)
     #: engine tiers exercised; the first is the canonical combo's tier.
-    tiers: Tuple[str, ...] = ("trace", "block", "off")
+    tiers: Tuple[str, ...] = ("trace", "off")
     ncpus_list: Tuple[int, ...] = (1, 4)
     #: run every (tier, ncpus) combo for every program (nightly); the
     #: quick default round-robins the alternates across programs.

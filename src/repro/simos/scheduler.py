@@ -47,7 +47,7 @@ class SchedulerStats:
     engine_instructions: int = 0
     engine_replayed: int = 0
     #: the subset of engine_instructions retired inside compiled
-    #: multi-block regions (trace tier only; 0 at lower tiers).
+    #: multi-block regions.
     engine_region_instructions: int = 0
     #: dispatches that moved a thread to a different CPU than its last.
     migrations: int = 0

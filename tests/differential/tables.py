@@ -6,14 +6,14 @@ become lists, dict keys become strings.  The committed goldens in
 ``goldens_seed.json`` were captured from the single-CPU seed tree with
 ``capture_goldens.py`` *before* the SMP refactor landed; the
 differential suite re-derives the tables on the current tree with
-``ncpus=1`` at every engine tier (off / block / trace) and asserts
-bit-exact equality against the same goldens: a tier that changes any
-observable is a correctness bug, not a new baseline.
+``ncpus=1`` at every engine tier (``repro.hw.cpu.ENGINE_TIERS``) and
+asserts bit-exact equality against the same goldens: a tier that
+changes any observable is a correctness bug, not a new baseline.
 
 The bench modules bind ``create`` at import time (``from
-repro.platforms import create``), so the block-engine mode is forced by
+repro.platforms import create``), so the engine tier is forced by
 patching each imported bench module's ``create`` attribute -- not the
-global -- which keeps both modes runnable in a single process.
+global -- which keeps every tier runnable in a single process.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import dataclasses
 import importlib
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict
+from typing import Any, Callable
+
+from repro.hw.cpu import check_tier
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH_DIR = REPO_ROOT / "benchmarks"
@@ -96,15 +98,6 @@ def _forced_create(engine: str) -> Callable:
     return wrapped
 
 
-def _tier(engine) -> str:
-    """Accept a tier name or the legacy block-engine boolean."""
-    if isinstance(engine, bool):
-        return "trace" if engine else "off"
-    if engine not in ("off", "block", "trace"):
-        raise ValueError(f"unknown engine tier {engine!r}")
-    return engine
-
-
 def _patch_targets(mod):
     """Modules whose import-time ``create`` binding must be overridden."""
     import repro.tools.profiler as profiler_mod
@@ -115,17 +108,14 @@ def _patch_targets(mod):
     return targets
 
 
-def build_table(key: str, engine) -> Any:
-    """Run one experiment at the given engine tier; canonical output.
-
-    *engine* is a tier name (``"off"``/``"block"``/``"trace"``); the
-    legacy boolean still works (True -> "trace", False -> "off").
-    """
+def build_table(key: str, engine: str) -> Any:
+    """Run one experiment at the engine tier *engine*; canonical output."""
+    check_tier(engine)
     mod = _load_bench(key)
     targets = _patch_targets(mod)
     saved = [t.create for t in targets]
     for t in targets:
-        t.create = _forced_create(_tier(engine))
+        t.create = _forced_create(engine)
     try:
         if key == "a3":
             raw = {
@@ -148,7 +138,3 @@ def build_table(key: str, engine) -> Any:
         for t, orig in zip(targets, saved):
             t.create = orig
     return canonical(raw)
-
-
-def build_all(engine) -> Dict[str, Any]:
-    return {key: build_table(key, engine) for key in EXPERIMENTS}

@@ -24,10 +24,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.library import Papi
+from repro.hw.cpu import ENGINE_TIERS as TIERS
 from repro.platforms import PLATFORM_NAMES, create
 from repro.workloads import conformance_mix
-
-TIERS = ("off", "block", "trace")
 
 #: CPU members used by the invariance clause; single-native presets
 #: that exist on every platform (they fit even simSPARC's two PICs).

@@ -4,10 +4,10 @@ Every experiment table (E1--E10, A1--A4) is re-derived on the current
 tree -- which routes *all* scheduling, counter virtualization and
 multiplexing through the SMP code paths -- and compared bit-exactly
 against ``goldens_seed.json``, captured from the single-CPU seed tree
-before the SMP layer existed.  All three engine tiers are locked down:
-"off" compares against the seed's interpreter capture, while "block"
-and "trace" must match the seed's engine capture (the tiers are
-bit-exact by contract, so one golden serves both).
+before the SMP layer existed.  Both engine tiers are locked down: "off"
+compares against the seed's interpreter capture, "trace" against the
+seed's engine capture (the tiers are bit-exact by contract, and the
+two captures are equal).
 
 A mismatch here means the refactor changed observable behaviour of the
 classic single-CPU configuration; fix the regression, do not recapture
@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.hw.cpu import ENGINE_TIERS
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -42,7 +44,7 @@ def goldens():
            "contract is determinism, not golden equality",
 )
 @pytest.mark.parametrize("key", EXPERIMENTS)
-@pytest.mark.parametrize("mode", ["engine_off", "engine_block", "engine_trace"])
+@pytest.mark.parametrize("mode", [f"engine_{tier}" for tier in ENGINE_TIERS])
 def test_table_matches_seed(goldens, key, mode):
     tier = mode.split("_", 1)[1]
     golden_key = "engine_off" if tier == "off" else "engine_on"
@@ -52,7 +54,7 @@ def test_table_matches_seed(goldens, key, mode):
     )
 
 
-@pytest.mark.parametrize("mode", ["off", "block", "trace"])
+@pytest.mark.parametrize("mode", ENGINE_TIERS)
 def test_tables_deterministic_under_faults(monkeypatch, mode):
     """Under a fixed fault profile an experiment table is still a pure
     function of its inputs: two derivations must agree bit-exactly,

@@ -25,7 +25,7 @@ from repro.hw.blockcache import (
 )
 from repro.hw.branch import GsharePredictor, StaticTakenPredictor, TwoBitPredictor
 from repro.hw.cache import default_hierarchy
-from repro.hw.cpu import ENGINE_TIERS, MachineFault
+from repro.hw.cpu import ENGINE_TIERS, CPUConfig, MachineFault
 from repro.hw.isa import INS_BYTES, Instruction, Op
 from repro.hw.pmu import PMUConfig
 from repro.platforms import create
@@ -231,11 +231,17 @@ def test_instruction_budget_boundary(budget):
     )
 
 
+#: every opcode free and no branch penalty: a steady replay trial costs
+#: zero cycles, so no cycle deadline can cap the replay.
+ZERO_LATENCY = CPUConfig(latencies=(0,) * Op.N_OPS, branch_penalty=0)
+
+
 @pytest.mark.parametrize("budget", [1, 13, 100, 997, 4001])
 def test_cycle_budget_boundary(budget):
-    assert_equivalent(
-        counting_loop(300), lambda m: m.run(max_cycles=budget)
-    )
+    for cpu in (CPUConfig(), ZERO_LATENCY):
+        assert_equivalent(
+            counting_loop(300), lambda m: m.run(max_cycles=budget), cpu=cpu
+        )
 
 
 def test_resume_after_budget_is_equivalent():
@@ -253,21 +259,38 @@ def test_resume_after_budget_is_equivalent():
 # ----------------------------------------------------------------------
 
 
-def test_overflow_records_identical_mid_loop():
-    prog = counting_loop(3000)
+def watched_run(prog, watches):
+    """Run *prog* on both paths, counter *i* raising an overflow each
+    ``watches[i] = (signal, threshold)``; records and state must match.
+    Returns the engine-on machine."""
     records = {}
     for label, m in zip(("off", "on"), machine_pair()):
         m.load(prog)
         got = []
-        m.pmu.program(0, [Signal.TOT_INS])
-        m.pmu.set_overflow(0, 700, lambda rec, got=got: got.append(
-            (rec.trigger_pc, rec.reported_pc, rec.cycle, rec.overflow_count)
-        ))
-        m.pmu.start(0)
+        for i, (signal, threshold) in enumerate(watches):
+            m.pmu.program(i, [signal])
+            m.pmu.set_overflow(i, threshold, lambda rec, got=got: got.append(
+                (rec.counter, rec.trigger_pc, rec.reported_pc, rec.cycle,
+                 rec.overflow_count)
+            ))
+            m.pmu.start(i)
         m.run_to_completion()
-        records[label] = got
+        records[label] = got, full_state(m)
     assert records["on"] == records["off"]
-    assert len(records["on"]) >= 10
+    assert len(records["on"][0]) >= 10
+    return m
+
+
+def test_overflow_records_identical_mid_loop():
+    watched_run(counting_loop(3000), [(Signal.TOT_INS, 700)])
+    # HW_INT advances after the overflow check, so a watch on it is due
+    # (headroom 0) from each delivery until the next retire delivers
+    # again; no compiled step advances HW_INT, and none may start then.
+    on = watched_run(
+        random_branches(400).program,
+        [(Signal.TOT_CYC, 1000), (Signal.HW_INT, 1)],
+    )
+    assert on.engine_stats().regions_compiled >= 1
 
 
 def test_cycle_timer_ticks_identical():
@@ -362,7 +385,7 @@ def compiled_units(m):
     return st.blocks_compiled, st.regions_compiled, st.traces_compiled
 
 
-@pytest.mark.parametrize("tier", ["block", "trace"])
+@pytest.mark.parametrize("tier", ENGINE_TIERS[1:])
 def test_reload_of_same_program_keeps_table(tier):
     off = Machine(MachineConfig(engine="off"))
     on = Machine(MachineConfig(engine=tier))
@@ -372,8 +395,7 @@ def test_reload_of_same_program_keeps_table(tier):
         m.run_to_completion()
     first = compiled_units(on)
     assert first[0] > 0
-    if tier == "trace":
-        assert first[1] + first[2] > 0
+    assert first[1] + first[2] > 0
     for m in (off, on):
         m.load(prog)
         m.run_to_completion()
@@ -478,7 +500,6 @@ def test_probe_handler_reload_of_same_program_restarts_it():
     fired, state = logs["off"]
     assert len(fired) == 25 + 30
     assert state["iregs"][1] == 30
-    assert logs["block"] == logs["off"]
     assert logs["trace"] == logs["off"]
     assert machines["trace"].engine_stats().regions_compiled > 0
 
@@ -508,8 +529,7 @@ def test_pmu_read_mid_run_flushes_engine():
 # Bit-exactness alone cannot catch an engine that declines too often: an
 # over-cautious worst-case delta or steady-fetch count keeps every count
 # exact while blocks stop compiling, regions stop entering and loops stop
-# replaying.  These runs pin every EngineStats field at the block and
-# trace tiers.
+# replaying.  These runs pin every EngineStats field.
 
 
 def steady_self_loop(n=3000):
@@ -603,19 +623,12 @@ def pinned_run(scenario, tier):
 #: traces_compiled, trace_replays.  A change that moves any of them
 #: changes what the engine decides, and must say why.
 PINNED_STATS = {
-    ("self_loop", "block"): (3, 60002, 1, 59940, 2, 0, 0, 0, 0, 0, 0),
     ("self_loop", "trace"): (3, 60002, 1, 59940, 2, 0, 0, 0, 0, 0, 0),
-    ("call_trace", "block"): (6000, 12002, 0, 0, 4, 0, 0, 0, 0, 0, 0),
     ("call_trace", "trace"): (50, 12002, 1, 11892, 4, 0, 0, 0, 0, 1, 1),
-    ("region", "block"): (1201, 2602, 0, 0, 5, 0, 0, 0, 0, 0, 0),
     ("region", "trace"): (48, 2602, 0, 0, 5, 0, 1, 1, 2494, 0, 0),
-    ("probed", "block"): (1501, 6002, 0, 0, 2, 0, 0, 0, 0, 0, 0),
     ("probed", "trace"): (17, 7486, 0, 0, 2, 0, 1, 1, 7420, 0, 0),
-    ("profileme", "block"): (740, 2851, 0, 0, 3, 0, 0, 0, 0, 0, 0),
     ("profileme", "trace"): (91, 2851, 0, 0, 3, 0, 1, 60, 2593, 0, 0),
-    ("watch_loop", "block"): (18, 59702, 16, 59340, 2, 1, 0, 0, 0, 0, 0),
     ("watch_loop", "trace"): (18, 59702, 16, 59340, 2, 1, 0, 0, 0, 0, 0),
-    ("watch_region", "block"): (1186, 2571, 0, 0, 5, 1, 0, 0, 0, 0, 0),
     ("watch_region", "trace"): (109, 2571, 0, 0, 5, 1, 1, 97, 2331, 0, 0),
 }
 
@@ -693,13 +706,13 @@ def test_block_warm_fetch_follows_mru_changes(order):
     # entry a miss.
     prog = aliasing_calls(order)
     states = {}
-    for tier in ("off", "block"):
+    for tier in ENGINE_TIERS:
         m = Machine(MachineConfig(engine=tier))
         m.load(prog)
         m.run_to_completion()
         states[tier] = l1i_state(m)
     assert m.engine_stats().blocks_executed > 0
-    assert states["block"] == states["off"]
+    assert states["trace"] == states["off"]
 
 
 def test_block_warm_fetch_sees_other_cpu_fetches():
@@ -708,7 +721,7 @@ def test_block_warm_fetch_sees_other_cpu_fetches():
     # between executions of each CPU's blocks.
     progs = (aliasing_calls((0, 1)), aliasing_calls((0, 2)))
     states = {}
-    for tier in ("off", "block"):
+    for tier in ENGINE_TIERS:
         m = Machine(MachineConfig(engine=tier, ncpus=2))
         for cpu, prog in zip(m.cpus, progs):
             cpu.load(prog)
@@ -717,7 +730,7 @@ def test_block_warm_fetch_sees_other_cpu_fetches():
                 cpu.run(max_instructions=budget)
         states[tier] = l1i_state(m)
     assert all(cpu.engine.stats.blocks_executed > 0 for cpu in m.cpus)
-    assert states["block"] == states["off"]
+    assert states["trace"] == states["off"]
 
 
 # ----------------------------------------------------------------------
@@ -807,7 +820,7 @@ def run_typed(prog, engine):
     (Op.LI, (1, True, 1.0, 1)),
 ])
 def test_code_cache_keeps_literals_that_compare_equal_apart(op, values):
-    for tier in ("block", "trace"):
+    for tier in ENGINE_TIERS[1:]:
         for value in values:
             prog = const_program(op, value)
             ref = run_typed(prog, "off")

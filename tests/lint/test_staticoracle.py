@@ -323,7 +323,7 @@ class TestTraceCertificates:
         asm.endfunc()
         report = verify_block_affine(asm.build())
         (cert,) = report.skipped_traces.values()
-        assert "block tier" in cert.reason
+        assert "self-loop block" in cert.reason
 
     def test_report_keeps_dict_interface(self):
         report = verify_block_affine(_superblock_loop())

@@ -1,13 +1,16 @@
 """Property-based tests: the block engine is bit-exact with the interpreter.
 
 Random structured programs (nested-loop-free but loop-heavy, branchy,
-with memory traffic, calls and probes), random PMU instrumentation
-(overflow watches, ProfileMe sampling, cycle timers) and random budgets:
-every observable -- the counts array, architectural state, cache
-statistics, overflow records, sample streams -- must be *identical* with
-the engine off and at the block and trace tiers.  The block tier is the
-only one where compiled blocks run on their own, without traces or
-regions taking over the hot loops.
+with memory traffic, calls and probes), random PMU instrumentation (up
+to two overflow watches, ProfileMe sampling, cycle timers) and random
+instruction and cycle budgets: every observable -- the counts array,
+architectural state, cache statistics, overflow records, sample streams
+-- must be *identical* at every engine tier.  Each budget, sample tick,
+threshold and timer tick is a deadline no fast step may cross, so the
+draws include watches on HW_INT (which the interpreter advances after
+its overflow check, leaving the watch due) and on BR_MSP (which replay
+trials never move).  A separate property holds the one deadline rule,
+``steps_before_deadline``, to a brute-force scan.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.sampling import sample_signature
 from repro.hw import Assembler, Machine, MachineConfig, Signal
+from repro.hw.blockcache import steps_before_deadline
+from repro.hw.cpu import ENGINE_TIERS
 from repro.hw.pmu import PMUConfig
 
 # -- program generator -------------------------------------------------
@@ -77,12 +82,24 @@ def build_program(segs) -> "object":
     return asm.build()
 
 
+#: signals an overflow watch may count.
+WATCH_SIGNALS = [
+    Signal.TOT_INS, Signal.TOT_CYC, Signal.FP_FMA, Signal.L1D_ACC,
+    Signal.HW_INT, Signal.BR_MSP,
+]
+
 instrumentation = st.fixed_dictionaries({
-    "overflow_threshold": st.one_of(
-        st.none(), st.integers(min_value=5, max_value=400)
-    ),
-    "overflow_signal": st.sampled_from(
-        [Signal.TOT_INS, Signal.TOT_CYC, Signal.FP_FMA, Signal.L1D_ACC]
+    #: (signal, threshold) per watch; watch i runs on counter i.  Small
+    #: thresholds let rare signals (HW_INT, BR_MSP, FP_FMA) overflow.
+    "watches": st.lists(
+        st.tuples(
+            st.sampled_from(WATCH_SIGNALS),
+            st.one_of(
+                st.integers(min_value=1, max_value=8),
+                st.integers(min_value=9, max_value=1000),
+            ),
+        ),
+        max_size=2,
     ),
     "skid_max": st.integers(min_value=0, max_value=6),
     "sample_period": st.one_of(
@@ -93,6 +110,9 @@ instrumentation = st.fixed_dictionaries({
     ),
     "max_instructions": st.one_of(
         st.none(), st.integers(min_value=1, max_value=2000)
+    ),
+    "max_cycles": st.one_of(
+        st.none(), st.integers(min_value=1, max_value=20000)
     ),
     "seed": st.integers(min_value=1, max_value=2**31),
 })
@@ -115,13 +135,13 @@ def run_one(prog, inst, engine: str):
             pid, lambda p, cpu, log=probe_log: log.append((p, cpu.pc))
         )
     overflows = []
-    if inst["overflow_threshold"] is not None:
-        m.pmu.program(0, [inst["overflow_signal"]])
+    for i, (signal, threshold) in enumerate(inst["watches"]):
+        m.pmu.program(i, [signal])
         m.pmu.set_overflow(
-            0, inst["overflow_threshold"],
+            i, threshold,
             lambda rec: overflows.append(dataclasses.astuple(rec)),
         )
-        m.pmu.start(0)
+        m.pmu.start(i)
     sampler = None
     if inst["sample_period"] is not None:
         sampler = m.pmu.enable_profileme(inst["sample_period"])
@@ -130,7 +150,10 @@ def run_one(prog, inst, engine: str):
         m.pmu.set_cycle_timer(
             inst["timer_period"], lambda cycle: ticks.append(cycle)
         )
-    result = m.run(max_instructions=inst["max_instructions"])
+    result = m.run(
+        max_instructions=inst["max_instructions"],
+        max_cycles=inst["max_cycles"],
+    )
     return {
         "counts": list(m.counts),
         "real_cycles": m.real_cycles,
@@ -147,9 +170,7 @@ def run_one(prog, inst, engine: str):
         "overflows": overflows,
         "samples": sample_signature(sampler.samples) if sampler else (),
         "ticks": ticks,
-        "counter0": (
-            m.pmu.read(0) if inst["overflow_threshold"] is not None else None
-        ),
+        "counters": [m.pmu.read(i) for i in range(len(inst["watches"]))],
     }
 
 
@@ -159,7 +180,42 @@ class TestEngineEquivalence:
     def test_engine_on_off_identical(self, segs, inst):
         prog = build_program(segs)
         off = run_one(prog, inst, "off")
-        for tier in ("block", "trace"):
+        for tier in ENGINE_TIERS[1:]:
             on = run_one(prog, inst, tier)
             for key in off:
                 assert off[key] == on[key], (tier, key)
+
+
+# -- the deadline rule alone -------------------------------------------
+
+#: (headroom, cost per step) pairs; half the headrooms are already due
+#: (<= 0) and half the costs are zero.
+deadlines = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(min_value=-5, max_value=0),
+            st.integers(min_value=1, max_value=300),
+        ),
+        st.one_of(st.just(0), st.integers(min_value=1, max_value=40)),
+    ),
+    max_size=5,
+)
+
+
+class TestDeadlineRule:
+    @given(
+        st.integers(min_value=0, max_value=200),
+        st.one_of(st.just(-1), st.integers(min_value=0, max_value=500)),
+        st.integers(min_value=1, max_value=30),
+        deadlines,
+    )
+    def test_rule_matches_bruteforce_scan(self, limit, rem_ins, n_ins, dls):
+        def fits(j):
+            return (rem_ins < 0 or j * n_ins <= rem_ins) and all(
+                j * cost < headroom for headroom, cost in dls
+            )
+
+        k = 0
+        while k < limit and fits(k + 1):
+            k += 1
+        assert steps_before_deadline(limit, rem_ins, n_ins, dls) == k

@@ -22,12 +22,11 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.library import Papi
+from repro.hw.cpu import ENGINE_TIERS as TIERS
 from repro.hw.events import Signal
 from repro.platforms import DIRECT_PLATFORMS, PLATFORM_NAMES, create
 from repro.validate.oracle import expected_signal_counts
 from repro.workloads import conformance_mix, decoy_spin
-
-TIERS = ("off", "block", "trace")
 
 #: never more than two uncore picks: two is the narrowest uncore bank
 #: in the fleet, so every drawn set adds cleanly on every platform.

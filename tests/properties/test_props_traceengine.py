@@ -1,15 +1,16 @@
 """Property-based tests: the trace tier is bit-exact on branchy code.
 
 The block-engine property suite covers straight counted loops; this one
-attacks the trace tier's new machinery specifically: random
-*multi-block* programs whose loops contain data-dependent diamonds
-(if/else arms joining before the back edge -- the shape tail
-duplication compiles into regions), optional calls to a shared leaf and
-optional probes.  Every program must produce identical counts,
-architectural state and cache statistics at all three engine tiers
-("off" / "block" / "trace"), single-CPU and through the SMP scheduler
-at ncpus=4, with a seeded fault injector perturbing the counter
-substrate, and run in fixed-size steps that reload the program whenever
+attacks traces and compiled regions specifically: random *multi-block*
+programs whose loops contain data-dependent diamonds (if/else arms
+joining before the back edge -- the shape tail duplication compiles
+into regions), optional calls to a shared leaf and optional probes.
+Every program must produce identical counts, architectural state and
+cache statistics at every engine tier (``ENGINE_TIERS``), single-CPU
+and through the SMP scheduler at ncpus=4, with a seeded fault injector
+perturbing the counter substrate, under the block-engine suite's drawn
+PMU instrumentation and budgets (so region fuel meets every kind of
+deadline), and run in fixed-size steps that reload the program whenever
 it halts (the papid session pattern, which keeps the code table across
 reloads).  The single-CPU property also draws the branch predictor, so
 regions open-code each of the static, two-bit and gshare predictors.
@@ -24,11 +25,10 @@ from repro.core.errors import PapiError
 from repro.core.library import Papi
 from repro.hw import Assembler, Machine, MachineConfig
 from repro.hw.blockcache import REGION_HOT
-from repro.hw.cpu import CPUConfig
+from repro.hw.cpu import ENGINE_TIERS as TIERS, CPUConfig
 from repro.platforms import create
 from repro.simos.scheduler import OS
-
-TIERS = ["off", "block", "trace"]
+from test_props_blockengine import instrumentation, run_one
 
 PREDICTORS = ["static-taken", "two-bit", "gshare"]
 
@@ -241,6 +241,16 @@ class TestTraceTierEquivalence:
             # a loop that takes more than REGION_HOT back edges gets hot
             # and compiles: the gshare draws run open-coded regions.
             assert m.engine_stats().regions_compiled > 0
+
+    @given(segments, instrumentation)
+    @settings(max_examples=40, deadline=None)
+    def test_all_tiers_identical_under_deadlines(self, segs, inst):
+        prog = build_program(segs)
+        ref = run_one(prog, inst, "off")
+        for tier in TIERS[1:]:
+            got = run_one(prog, inst, tier)
+            for key in ref:
+                assert got[key] == ref[key], (tier, key)
 
     @given(segments)
     @settings(max_examples=10, deadline=None)

@@ -4,17 +4,16 @@ Compiled regions specialize on the probe registry (handlers are
 pre-resolved into the generated code), so instrumenting, removing
 probes, or mutating the registry from inside a probe handler mid-run
 must all invalidate the engines' compiled code.  Every scenario is
-checked for bit-exactness across the three engine tiers.
+checked for bit-exactness across the engine tiers.
 """
 
 import pytest
 
 from repro.hw import Assembler, Machine, MachineConfig
+from repro.hw.cpu import ENGINE_TIERS as TIERS
 from repro.platforms import create
 from repro.tools.dynaprof import Dynaprof, UserProbe
 from repro.workloads import demo_app
-
-TIERS = ["off", "block", "trace"]
 
 
 def _midrun_instrument(engine):
