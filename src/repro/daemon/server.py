@@ -8,6 +8,14 @@ lives on the same shard across restarts), an append-only journal
 only through :meth:`submit` — batched ops with a deadline — and the
 lifecycle pair :meth:`drain`/context-manager exit.
 
+:meth:`submit` serves every shard of a batch from the calling thread:
+it takes the shard locks in ascending id (then ``_lock``, never the
+other way round), sends each shard its part, and awaits the answers in
+shard order under one cap.  The workers run their parts concurrently;
+the server starts no thread per RPC, and the journal's record order is
+a function of the op stream.  All pipe traffic goes through
+:meth:`Shard.send` and :meth:`Shard.reply`.
+
 Robustness invariants (proved by ``tests/daemon`` and the chaos soak):
 
 - **Monotonicity.**  The journal records a snapshot only after a worker
@@ -19,9 +27,9 @@ Robustness invariants (proved by ``tests/daemon`` and the chaos soak):
   double-advances a session.
 - **No silent loss.**  A crash appends an explicit lost-interval entry
   (PR 4's :class:`~repro.core.resilience.LostInterval` shape) to every
-  re-homed session — zero-length when nothing was in flight — and
-  sessions that cannot be re-homed are reported ``unrecovered``, never
-  dropped.
+  re-homed session — zero-length when no op sent to the dead worker
+  went unanswered — and sessions that cannot be re-homed are reported
+  ``unrecovered``, never dropped.
 - **Bounded admission.**  Beyond ``high_water`` ops in flight per
   shard, reads are shed lowest-priority-first or served from the
   registry snapshot cache within ``staleness_ops`` ticks, instead of
@@ -37,12 +45,13 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.daemon.crash import CrashPlan
 from repro.daemon.health import DaemonHealth
-from repro.daemon.journal import Journal, recover_sessions
+from repro.daemon.journal import Journal, SessionImage, recover_sessions
 from repro.daemon.protocol import (
     PAPID_EAGAIN,
     PAPID_EDRAIN,
@@ -51,7 +60,6 @@ from repro.daemon.protocol import (
     PAPID_OK,
     Op,
     OpResult,
-    SessionSpec,
     shard_of,
 )
 from repro.daemon.shards import Shard, make_transport
@@ -72,27 +80,20 @@ class DaemonConfig:
     heartbeat_interval: float = 0.25
     #: no pong within this window => the worker is wedged (seconds).
     wedge_timeout: float = 2.0
-    #: server-side cap on waiting for one shard batch (seconds); a
-    #: shard that blows it is treated as wedged and recycled, so this
-    #: bounds how long a wedge can hold a shard lock hostage.
+    #: server-side cap on waiting for the shards of one RPC (seconds);
+    #: a shard that blows it is treated as wedged and recycled, so this
+    #: bounds how long a wedge can hold shard locks hostage.
     batch_timeout: float = 10.0
     #: worker sabotage + per-session fault spec ("seed:profile").
     inject: Optional[str] = None
     journal_path: Optional[str] = None
 
 
-@dataclass
-class SessionRecord:
+@dataclass(kw_only=True)
+class SessionRecord(SessionImage):
     """Registry entry: authoritative last-acked state of one session."""
 
-    spec: SessionSpec
     shard_id: int
-    state: str = "created"          # created | running | stopped
-    values: Dict[str, int] = field(default_factory=dict)
-    cycle: int = 0
-    advanced: int = 0
-    recovered: bool = False
-    lost: List[dict] = field(default_factory=list)
     #: server op tick of the last acked snapshot (staleness age).
     tick: int = 0
     #: True when recovery failed: the session's last-acked state and
@@ -157,30 +158,40 @@ class PapidServer:
                 routed = self._route(idx, op, results)
                 if routed is not None:
                     by_shard.setdefault(routed, []).append((idx, op))
-            admitted = {
-                shard_id: self._admit(shard_id, idx_ops, results)
-                for shard_id, idx_ops in by_shard.items()
-            }
-        threads = []
-        for shard_id, idx_ops in admitted.items():
-            if not idx_ops:
-                continue
-            t = threading.Thread(
-                target=self._dispatch,
-                args=(shard_id, idx_ops, deadline_at, results),
-                name=f"papid-dispatch-{shard_id}",
-            )
-            t.start()
-            threads.append(t)
-        for t in threads:
-            t.join()
-        out = []
-        for idx, op in enumerate(ops):
-            res = results.get(idx)
-            if res is None:  # defensive: dispatch always fills its ops
-                res = OpResult(sid=op.sid, kind=op.kind, seq=op.seq,
-                               status=PAPID_EAGAIN, err="op was not run")
-            out.append(res)
+            admitted = []
+            for shard_id, idx_ops in sorted(by_shard.items()):
+                idx_ops = self._admit(shard_id, idx_ops, results)
+                if idx_ops:
+                    admitted.append((self.shards[shard_id], idx_ops))
+        with ExitStack() as held:
+            for shard, _ in admitted:  # ascending id: the lock order
+                held.enter_context(shard.lock)
+            sent = []
+            for shard, idx_ops in admitted:
+                if not shard.alive:
+                    self._fail(shard, idx_ops, results, "shard is down")
+                    continue
+                try:
+                    msg_id = shard.send(
+                        "batch", [op.to_wire() for _, op in idx_ops])
+                except OSError:
+                    self._fail(shard, idx_ops, results,
+                               "worker died before send")
+                    continue
+                sent.append((shard, idx_ops, msg_id))
+            # one cap for the whole RPC, whatever the client deadline: a
+            # wedged worker must not hold shard locks hostage past the
+            # point supervision could act.
+            until = min(deadline_at,
+                        time.monotonic() + self.config.batch_timeout)
+            self._count_inflight(sent, +1)
+            try:
+                for shard, idx_ops, msg_id in sent:
+                    self._dispatch(shard.id, idx_ops, msg_id, until,
+                                   results)
+            finally:
+                self._count_inflight(sent, -1)
+        out = [results[idx] for idx in range(len(ops))]
         with self._lock:
             for res in out:
                 if res.transient:
@@ -381,68 +392,33 @@ class PapidServer:
     # ------------------------------------------------------------------
 
     def _dispatch(self, shard_id: int, idx_ops: List[Tuple[int, Op]],
-                  deadline_at: float, results: Dict[int, OpResult]) -> None:
-        shard = self.shards[shard_id]
-        with shard.lock:
-            if not shard.alive:
-                self._fill_eagain(idx_ops, results, "shard is down")
-                self._note_inflight_loss(idx_ops)
-                self.supervisor.request_check()
-                return
-            bid = shard.next_batch_id()
-            wire = [op.to_wire() for _, op in idx_ops]
-            with self._lock:
-                shard.inflight += len(idx_ops)
-            try:
-                self._exchange(shard, bid, wire, idx_ops, deadline_at,
-                               results)
-            finally:
-                with self._lock:
-                    shard.inflight -= len(idx_ops)
-
-    def _exchange(self, shard: Shard, bid: int, wire: List[dict],
-                  idx_ops: List[Tuple[int, Op]], deadline_at: float,
+                  msg_id: int, until: float,
                   results: Dict[int, OpResult]) -> None:
+        """Await shard *shard_id*'s answer to batch *msg_id*; record it.
+
+        The caller holds the shard's lock, so ``self.shards[shard_id]``
+        is still the shard the batch went to.
+        """
+        shard = self.shards[shard_id]
         try:
-            shard.conn.send(("batch", bid, wire))
-        except (BrokenPipeError, OSError):
-            self._fill_eagain(idx_ops, results, "worker died before send")
-            self._note_inflight_loss(idx_ops)
-            shard.suspect = True
-            self.supervisor.request_check()
+            wires = shard.reply("results", msg_id, until)
+        except (EOFError, OSError):
+            self._fail(shard, idx_ops, results, "worker died mid-batch",
+                       sent=True)
             return
-        # the server never waits on one shard longer than batch_timeout,
-        # whatever the client deadline: a wedged worker must not hold
-        # the shard lock hostage past the point supervision could act.
-        cap_at = min(deadline_at,
-                     time.monotonic() + self.config.batch_timeout)
-        while True:
-            remaining = cap_at - time.monotonic()
-            if remaining <= 0:
-                with self._lock:
-                    self.health_counters.deadline_expiries += len(idx_ops)
-                shard.discard_floor = bid
-                shard.suspect = True
-                self._fill_eagain(idx_ops, results, "RPC deadline expired")
-                self._note_inflight_loss(idx_ops)
-                self.supervisor.request_check()
-                return
-            if not shard.conn.poll(min(remaining, 0.05)):
-                continue
-            try:
-                msg = shard.conn.recv()
-            except (EOFError, OSError):
-                self._fill_eagain(idx_ops, results,
-                                  "worker died mid-batch")
-                self._note_inflight_loss(idx_ops)
-                shard.suspect = True
-                self.supervisor.request_check()
-                return
-            if msg[0] == "results" and msg[1] == bid:
-                self._record_results(shard, idx_ops, msg[2], results)
-                return
-            # anything else is a late answer from a batch whose deadline
-            # already expired (<= discard floor) or a stray pong: drop it.
+        if wires is None:
+            with self._lock:
+                self.health_counters.deadline_expiries += len(idx_ops)
+            self._fail(shard, idx_ops, results, "RPC deadline expired",
+                       sent=True)
+            return
+        self._record_results(shard, idx_ops, wires, results)
+
+    def _count_inflight(self, sent: List[Tuple[Shard, list, int]],
+                        sign: int) -> None:
+        with self._lock:
+            for shard, idx_ops, _ in sent:
+                shard.inflight += sign * len(idx_ops)
 
     def _record_results(self, shard: Shard, idx_ops: List[Tuple[int, Op]],
                         wires: List[dict],
@@ -494,20 +470,26 @@ class PapidServer:
             "state": rec.state,
         })
 
-    def _fill_eagain(self, idx_ops: List[Tuple[int, Op]],
-                     results: Dict[int, OpResult], why: str) -> None:
-        for idx, op in idx_ops:
-            results[idx] = OpResult(sid=op.sid, kind=op.kind, seq=op.seq,
-                                    status=PAPID_EAGAIN, err=why)
+    def _fail(self, shard: Shard, idx_ops: List[Tuple[int, Op]],
+              results: Dict[int, OpResult], why: str,
+              sent: bool = False) -> None:
+        """EAGAIN a shard's part of an RPC and wake the supervisor.
 
-    def _note_inflight_loss(self, idx_ops: List[Tuple[int, Op]]) -> None:
-        """Remember how many state-bearing ops died with the shard."""
+        Only a *sent* batch can have been run, in part, by a worker that
+        then died: its state-bearing ops lengthen the lost interval of
+        the recovery that follows.  Ops no worker received lose nothing.
+        """
         with self._lock:
-            for _idx, op in idx_ops:
-                if op.kind in ("start", "read", "stop"):
+            for idx, op in idx_ops:
+                results[idx] = OpResult(sid=op.sid, kind=op.kind,
+                                        seq=op.seq, status=PAPID_EAGAIN,
+                                        err=why)
+                if sent and op.kind in ("start", "read", "stop"):
                     self._pending_loss[op.sid] = (
                         self._pending_loss.get(op.sid, 0) + 1
                     )
+        shard.suspect = True
+        self.supervisor.request_check()
 
     # ------------------------------------------------------------------
     # supervision & recovery (called from the supervisor thread)
@@ -527,22 +509,10 @@ class PapidServer:
         try:
             if not shard.alive:
                 return False
-            ping_id = shard.next_batch_id()
-            try:
-                shard.conn.send(("ping", ping_id))
-            except (BrokenPipeError, OSError):
-                return False
-            deadline_at = time.monotonic() + timeout
-            while time.monotonic() < deadline_at:
-                if not shard.conn.poll(0.02):
-                    continue
-                try:
-                    msg = shard.conn.recv()
-                except (EOFError, OSError):
-                    return False
-                if msg[0] == "pong" and msg[1] == ping_id:
-                    return True
-                # stale batch replies under the discard floor: drop.
+            ping_id = shard.send("ping")
+            return shard.reply("pong", ping_id,
+                               time.monotonic() + timeout) is not None
+        except (EOFError, OSError):
             return False
         finally:
             shard.lock.release()
@@ -595,40 +565,25 @@ class PapidServer:
             rec.lost.append(entry)
             rec.recovered = True
             self.journal.append({"t": "recover", "sid": sid, "lost": entry})
-            restore = {
-                "state": rec.state,
-                "values": dict(rec.values),
-                "cycle": rec.cycle,
-                "advanced": rec.advanced,
-                "recovered": True,
-                "lost": [dict(iv) for iv in rec.lost],
-            }
             ops.append(Op(kind="adopt", sid=sid, spec=rec.spec,
-                          restore=restore))
+                          restore=rec.restore_wire()))
         return ops
 
     def _adopt_into(self, fresh: Shard, sids: List[str],
                     ops: List[Op]) -> None:
         if not ops:
             return
-        ok_sids = set()
+        wires = None
         with fresh.lock:
-            bid = fresh.next_batch_id()
             try:
-                fresh.conn.send(("batch", bid,
-                                 [op.to_wire() for op in ops]))
-                deadline_at = time.monotonic() + self.config.batch_timeout
-                while time.monotonic() < deadline_at:
-                    if not fresh.conn.poll(0.05):
-                        continue
-                    msg = fresh.conn.recv()
-                    if msg[0] == "results" and msg[1] == bid:
-                        for op, wire in zip(ops, msg[2]):
-                            if OpResult.from_wire(wire).ok:
-                                ok_sids.add(op.sid)
-                        break
-            except (BrokenPipeError, OSError, EOFError):
+                msg_id = fresh.send("batch", [op.to_wire() for op in ops])
+                wires = fresh.reply(
+                    "results", msg_id,
+                    time.monotonic() + self.config.batch_timeout)
+            except (EOFError, OSError):
                 pass
+        ok_sids = {op.sid for op, wire in zip(ops, wires or ())
+                   if OpResult.from_wire(wire).ok}
         with self._lock:
             for sid in sids:
                 rec = self.registry.get(sid)
@@ -667,18 +622,13 @@ class PapidServer:
     def _drain_shard(self, shard: Shard, timeout: float) -> None:
         with shard.lock:
             if shard.alive:
-                bid = shard.next_batch_id()
                 try:
-                    shard.conn.send(("drain", bid))
-                    deadline_at = time.monotonic() + timeout
-                    while time.monotonic() < deadline_at:
-                        if not shard.conn.poll(0.05):
-                            continue
-                        msg = shard.conn.recv()
-                        if msg[0] == "drained" and msg[1] == bid:
-                            self._record_drain_acks(msg[2])
-                            break
-                except (BrokenPipeError, OSError, EOFError):
+                    msg_id = shard.send("drain")
+                    acks = shard.reply("drained", msg_id,
+                                       time.monotonic() + timeout)
+                    if acks is not None:
+                        self._record_drain_acks(acks)
+                except (EOFError, OSError):
                     pass  # died during drain: last acked state stands
             shard.terminate()
 

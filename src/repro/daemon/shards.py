@@ -2,9 +2,11 @@
 
 A :class:`Shard` is the server-side handle for one worker: its pipe,
 its liveness surface, a lock serializing pipe access between the
-submit path and the supervisor, and bookkeeping (generation, batch
-sequence, sessions homed here, a discard floor for answers that arrive
-after their deadline already expired).
+submit path and the supervisor, and bookkeeping (generation, sessions
+homed here, ops in flight).  It is also the only code that talks over
+a worker pipe: :meth:`Shard.send` numbers and sends one message and
+:meth:`Shard.reply` awaits the answer to it, dropping late answers to
+earlier messages whose wait already gave up.
 
 Two transports expose the same surface:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
+import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.daemon.crash import CrashPlan, WorkerCrashed
@@ -73,7 +76,12 @@ class InlineConn:
 
 
 class Shard:
-    """Server-side handle for one worker (any transport)."""
+    """Server-side handle for one worker (any transport).
+
+    Callers hold :attr:`lock` around a :meth:`send` and its
+    :meth:`reply`, so each message is answered, or given up on, before
+    the next is sent.
+    """
 
     def __init__(self, shard_id: int, conn, proc=None, generation: int = 0
                  ) -> None:
@@ -87,10 +95,7 @@ class Shard:
         self.inflight = 0
         #: set when a batch/ping timed out; cleared by recovery.
         self.suspect = False
-        self.batch_seq = 0
-        #: replies with batch ids at or below this are stale: their
-        #: deadline expired and their ops were already EAGAIN'ed.
-        self.discard_floor = -1
+        self._last_id = 0
 
     @property
     def alive(self) -> bool:
@@ -100,15 +105,33 @@ class Shard:
             return self.proc.is_alive()
         return not self.conn.dead
 
-    @property
-    def exitcode(self) -> Optional[int]:
-        if self.proc is not None:
-            return self.proc.exitcode
-        return 3 if self.conn.dead else None
+    def send(self, kind: str, *payload: Any) -> int:
+        """Send ``(kind, id, *payload)`` to the worker; returns the id.
 
-    def next_batch_id(self) -> int:
-        self.batch_seq += 1
-        return self.batch_seq
+        Raises ``OSError`` (``BrokenPipeError``) when the worker is gone.
+        """
+        self._last_id += 1
+        self.conn.send((kind, self._last_id, *payload))
+        return self._last_id
+
+    def reply(self, kind: str, msg_id: int, until: float) -> Any:
+        """The payload of the worker's *kind* answer to message *msg_id*.
+
+        Answers to earlier messages are dropped: their wait gave up.
+        Returns None when no answer came by *until* (a ``time.monotonic``
+        instant), but an answer already on the pipe then is still taken,
+        so a caller that spent the time waiting on another shard does
+        not lose this one's.  Raises ``EOFError`` or ``OSError`` when the
+        worker dies.
+        """
+        while True:
+            wait = until - time.monotonic()
+            if self.conn.poll(max(wait, 0.0)):
+                msg = self.conn.recv()
+                if msg[0] == kind and msg[1] == msg_id:
+                    return msg[2]
+            elif wait <= 0:
+                return None
 
     def terminate(self) -> None:
         """Hard-kill the worker (wedge recovery / final cleanup)."""

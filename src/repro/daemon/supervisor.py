@@ -11,12 +11,15 @@ Detection has two signals:
 - **wedge** — the process is alive but stopped answering.  Between
   batches the supervisor sends a ping and allows ``wedge_timeout`` for
   the pong; a shard busy with a batch is skipped (traffic is its own
-  heartbeat, and a *wedged* batch is caught by the submit deadline,
-  which marks the shard suspect — also a wake-up).
+  heartbeat, and a *wedged* batch is caught by its RPC's cap, one
+  ``min(deadline, now + batch_timeout)`` shared by every shard of the
+  RPC, which marks the shard suspect — also a wake-up).
 
 Worst-case detection latency is therefore ``interval + wedge_timeout``
-for an idle wedge and one deadline for a mid-batch one; the unit tests
-in ``tests/daemon`` pin both bounds with shrunken timeouts.
+for an idle wedge and one ``batch_timeout`` for a mid-batch one; the
+unit tests in ``tests/daemon`` pin both bounds with shrunken timeouts.
+Pings and RPCs use the same :meth:`Shard.send`/:meth:`Shard.reply`
+pair under the shard lock, so neither can take the other's answer.
 """
 
 from __future__ import annotations

@@ -166,9 +166,6 @@ class WorkerState:
             acks = self._drain_all()
             self.finished = True
             return [("drained", msg[1], acks)]
-        if kind == "exit":
-            self.finished = True
-            return []
         raise ValueError(f"unknown worker message {kind!r}")
 
     def _handle_op(self, op: Op) -> OpResult:
@@ -262,7 +259,7 @@ class WorkerState:
 
 def worker_main(conn, worker_id: int, generation: int,
                 crash_wire: Optional[Dict[str, Any]] = None) -> None:
-    """Process entry point: serve one pipe until drain/exit/EOF."""
+    """Process entry point: serve one pipe until drain or EOF."""
     plan = CrashPlan.from_wire(crash_wire)
     saboteur = plan.saboteur(worker_id, generation) if plan else None
     state = WorkerState(worker_id, generation, saboteur=saboteur)

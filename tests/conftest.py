@@ -8,8 +8,11 @@ Hypothesis profiles (select with ``HYPOTHESIS_PROFILE=<name>`` or the
   run reproduces identically on every re-run and on every machine;
 - ``thorough``: the same determinism at ``REPRO_PROPERTY_EXAMPLES``
   examples per property (default 500) -- the separate CI property job
-  runs this; suites tag their own per-test ``max_examples`` lower
-  bounds via ``@settings`` as usual.
+  runs this.  A per-test ``@settings(max_examples=N)`` replaces the
+  profile's count rather than bounding it from below, so a suite that
+  pins N and should still scale passes ``examples(N)`` from
+  ``tests/property_examples.py``: N by default, the knob's value when
+  that is larger (the engine and papid property suites do).
 
 Fault injection (``REPRO_FAULT_PROFILE=<seed>:<profile>``): every
 substrate built through :func:`repro.platforms.create` gets a
@@ -37,8 +40,7 @@ from hypothesis import settings
 from repro.hw import Assembler, Machine
 from repro.hw.machine import MachineConfig
 from repro.platforms import PLATFORM_NAMES, create
-
-_EXAMPLES = int(os.environ.get("REPRO_PROPERTY_EXAMPLES", "0") or 0)
+from tests.property_examples import EXAMPLES as _EXAMPLES
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.register_profile(

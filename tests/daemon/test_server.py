@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 from repro.daemon import (
+    PAPID_EAGAIN,
     PAPID_EDRAIN,
     PAPID_ESHED,
     PAPID_OK,
@@ -236,6 +237,25 @@ class TestCrashRecovery:
             assert entry["start_cycle"] == entry["end_cycle"] == acked.cycle
             res = server.submit([Op(kind="read", sid=sid, seq=seq(sid))])[0]
             assert all(res.values[k] >= acked.values[k] for k in res.values)
+
+    def test_retries_refused_before_recovery_lose_nothing(self, seq):
+        with PapidServer(inline_config(nshards=1)) as server:
+            server.supervisor.stop()  # recover only at check_shards()
+            (sid,) = make_fleet(server, 1, seq)
+            acked = server.submit([Op(kind="read", sid=sid, seq=seq(sid))])[0]
+            self._kill_shard(server, 0)
+            retry = Op(kind="read", sid=sid, seq=seq(sid))
+            for _ in range(2):
+                res = server.submit([retry])[0]
+                assert res.status == PAPID_EAGAIN
+                assert res.err == "shard is down"
+            server.check_shards()
+            # no worker received the retries: the crash lost nothing
+            (entry,) = server.registry[sid].lost
+            assert entry["start_cycle"] == entry["end_cycle"] == acked.cycle
+            assert "crash: 0 in-flight op(s)" in entry["reason"]
+            res = server.submit([retry])[0]
+            assert res.ok and res.advanced == acked.advanced + 400
 
     def test_stopped_session_survives_crash_stopped(self, seq):
         with PapidServer(inline_config(nshards=1)) as server:

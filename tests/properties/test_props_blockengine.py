@@ -24,6 +24,7 @@ from repro.hw import Assembler, Machine, MachineConfig, Signal
 from repro.hw.blockcache import steps_before_deadline
 from repro.hw.cpu import ENGINE_TIERS
 from repro.hw.pmu import PMUConfig
+from tests.property_examples import examples
 
 # -- program generator -------------------------------------------------
 
@@ -176,7 +177,7 @@ def run_one(prog, inst, engine: str):
 
 class TestEngineEquivalence:
     @given(segments, instrumentation)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_engine_on_off_identical(self, segs, inst):
         prog = build_program(segs)
         off = run_one(prog, inst, "off")

@@ -1,8 +1,9 @@
 """Stateful property test: the papid daemon under random drives + crashes.
 
 Hypothesis interleaves client operations (create/start/read/stop/
-destroy), forced worker crashes, and recovery scans over a small
-session pool on the inline transport, with substrate-level chaos
+destroy, one session per RPC or one RPC over the whole pool, which
+spans both shards), forced worker crashes, and recovery scans over a
+small session pool on the inline transport, with substrate-level chaos
 injected into every worker.  After every step the daemon must uphold
 its two core promises:
 
@@ -22,7 +23,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 import hypothesis.strategies as st
 
 from repro.daemon import DaemonConfig, Op, PapidServer, SessionSpec
+from tests.property_examples import examples
 
+#: prop-d lives on shard 0, the others on shard 1.
 SIDS = ["prop-a", "prop-b", "prop-c", "prop-d"]
 
 
@@ -46,7 +49,19 @@ class PapidMachine(RuleBasedStateMachine):
         return nxt
 
     def _submit(self, op):
-        return self.server.submit([op])[0]
+        res = self.server.submit([op])[0]
+        self._apply(op, res)
+        return res
+
+    def _apply(self, op, res):
+        """Check a start/read/stop result and track the session state."""
+        if not res.ok or op.kind not in ("start", "read", "stop"):
+            return
+        assert self.state.get(op.sid) is not None
+        if op.kind != "start":
+            self._check_monotone(op.sid, res)
+        if op.kind != "read":
+            self.state[op.sid] = "running" if op.kind == "start" else "stopped"
 
     # -- client operations ---------------------------------------------
 
@@ -64,27 +79,24 @@ class PapidMachine(RuleBasedStateMachine):
 
     @rule(sid=st.sampled_from(SIDS))
     def start(self, sid):
-        res = self._submit(Op(kind="start", sid=sid,
-                              seq=self._next_seq(sid)))
-        if res.ok:
-            assert self.state.get(sid) is not None
-            self.state[sid] = "running"
+        self._submit(Op(kind="start", sid=sid, seq=self._next_seq(sid)))
 
     @rule(sid=st.sampled_from(SIDS))
     def read(self, sid):
-        res = self._submit(Op(kind="read", sid=sid,
-                              seq=self._next_seq(sid)))
-        if not res.ok:
-            return
-        self._check_monotone(sid, res)
+        self._submit(Op(kind="read", sid=sid, seq=self._next_seq(sid)))
 
     @rule(sid=st.sampled_from(SIDS))
     def stop(self, sid):
-        res = self._submit(Op(kind="stop", sid=sid,
-                              seq=self._next_seq(sid)))
-        if res.ok:
-            self._check_monotone(sid, res)
-            self.state[sid] = "stopped"
+        self._submit(Op(kind="stop", sid=sid, seq=self._next_seq(sid)))
+
+    @rule(kinds=st.lists(st.sampled_from(["start", "read", "stop"]),
+                         min_size=len(SIDS), max_size=len(SIDS)))
+    def batch_all(self, kinds):
+        """One RPC with an op for every session id: it spans both shards."""
+        ops = [Op(kind=kind, sid=sid, seq=self._next_seq(sid))
+               for sid, kind in zip(SIDS, kinds)]
+        for op, res in zip(ops, self.server.submit(ops)):
+            self._apply(op, res)
 
     @rule(sid=st.sampled_from(SIDS))
     def destroy(self, sid):
@@ -140,5 +152,5 @@ class PapidMachine(RuleBasedStateMachine):
 
 TestPapidMachine = PapidMachine.TestCase
 TestPapidMachine.settings = settings(
-    max_examples=20, stateful_step_count=25, deadline=None
+    max_examples=examples(20), stateful_step_count=25, deadline=None
 )

@@ -29,6 +29,7 @@ from repro.hw.cpu import ENGINE_TIERS as TIERS, CPUConfig
 from repro.platforms import create
 from repro.simos.scheduler import OS
 from test_props_blockengine import instrumentation, run_one
+from tests.property_examples import examples
 
 PREDICTORS = ["static-taken", "two-bit", "gshare"]
 
@@ -228,7 +229,7 @@ def run_stepped(prog, engine, step, nsteps, inject=None):
 
 class TestTraceTierEquivalence:
     @given(segments, st.sampled_from(PREDICTORS))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_all_tiers_identical_single_cpu(self, segs, predictor):
         prog = build_program(segs)
         ref, _ = run_single(prog, "off", predictor)
@@ -243,7 +244,7 @@ class TestTraceTierEquivalence:
             assert m.engine_stats().regions_compiled > 0
 
     @given(segments, instrumentation)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_all_tiers_identical_under_deadlines(self, segs, inst):
         prog = build_program(segs)
         ref = run_one(prog, inst, "off")
@@ -253,7 +254,7 @@ class TestTraceTierEquivalence:
                 assert got[key] == ref[key], (tier, key)
 
     @given(segments)
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_all_tiers_identical_smp(self, segs):
         prog = build_program(segs)
         ref = run_smp(prog, "off")
@@ -263,7 +264,7 @@ class TestTraceTierEquivalence:
                 assert got[key] == ref[key], (tier, key)
 
     @given(segments, st.integers(min_value=1, max_value=2**16))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_all_tiers_identical_under_faults(self, segs, seed):
         prog = build_program(segs)
         ref = run_faulted(prog, "off", seed)
@@ -276,7 +277,7 @@ class TestTraceTierEquivalence:
         st.integers(min_value=7, max_value=400),
         st.integers(min_value=1, max_value=2**16),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_all_tiers_identical_stepped_with_reload(self, segs, step, seed):
         prog = build_program(segs)
         for inject in (None, f"{seed}:transient"):
