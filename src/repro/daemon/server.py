@@ -175,6 +175,7 @@ class PapidServer:
                     msg_id = shard.send(
                         "batch", [op.to_wire() for _, op in idx_ops])
                 except OSError:
+                    shard.note_fault("crash")
                     self._fail(shard, idx_ops, results,
                                "worker died before send")
                     continue
@@ -403,12 +404,14 @@ class PapidServer:
         try:
             wires = shard.reply("results", msg_id, until)
         except (EOFError, OSError):
+            shard.note_fault("crash")
             self._fail(shard, idx_ops, results, "worker died mid-batch",
                        sent=True)
             return
         if wires is None:
             with self._lock:
                 self.health_counters.deadline_expiries += len(idx_ops)
+            shard.note_fault("wedge")
             self._fail(shard, idx_ops, results, "RPC deadline expired",
                        sent=True)
             return
@@ -478,6 +481,7 @@ class PapidServer:
         Only a *sent* batch can have been run, in part, by a worker that
         then died: its state-bearing ops lengthen the lost interval of
         the recovery that follows.  Ops no worker received lose nothing.
+        The caller has noted the shard's fault, or found it down.
         """
         with self._lock:
             for idx, op in idx_ops:
@@ -488,7 +492,6 @@ class PapidServer:
                     self._pending_loss[op.sid] = (
                         self._pending_loss.get(op.sid, 0) + 1
                     )
-        shard.suspect = True
         self.supervisor.request_check()
 
     # ------------------------------------------------------------------
@@ -503,16 +506,21 @@ class PapidServer:
                 self.recover_shard(shard)
 
     def ping_shard(self, shard: Shard, timeout: float) -> bool:
-        """Heartbeat one shard; False means wedged (no pong in time)."""
+        """Heartbeat one shard; False means it is down (a crash when the
+        pipe broke, a wedge when no pong came in time)."""
         if not shard.lock.acquire(blocking=False):
             return True  # busy with a batch: traffic is its own heartbeat
         try:
             if not shard.alive:
                 return False
             ping_id = shard.send("ping")
-            return shard.reply("pong", ping_id,
-                               time.monotonic() + timeout) is not None
+            if shard.reply("pong", ping_id,
+                           time.monotonic() + timeout) is None:
+                shard.note_fault("wedge")
+                return False
+            return True
         except (EOFError, OSError):
+            shard.note_fault("crash")
             return False
         finally:
             shard.lock.release()
@@ -522,10 +530,12 @@ class PapidServer:
         with shard.lock:
             if self.shards[shard.id] is not shard:
                 return  # somebody else already recovered this slot
-            was_wedge = (
-                shard.proc is not None and shard.proc.is_alive()
-            ) or (shard.proc is None
-                  and getattr(shard.conn, "crash_mode", None) == "wedge")
+            # what the pipe showed, not whether the process is reaped
+            # yet: a worker that exits closes its pipe before it is
+            # reaped.  No sighting means the process was found dead.
+            was_wedge = shard.fault == "wedge" or (
+                shard.proc is None
+                and getattr(shard.conn, "crash_mode", None) == "wedge")
             shard.terminate()
             sids = sorted(shard.sessions)
             with self._lock:

@@ -93,13 +93,20 @@ class Shard:
         self.sessions: Set[str] = set()
         #: ops currently admitted but not yet answered (backpressure).
         self.inflight = 0
-        #: set when a batch/ping timed out; cleared by recovery.
-        self.suspect = False
+        #: what the server saw go wrong on the pipe, first sighting
+        #: wins: ``"crash"`` (EOF or a broken pipe) or ``"wedge"`` (no
+        #: answer by the RPC cap, or no pong); None while healthy.
+        self.fault: Optional[str] = None
         self._last_id = 0
+
+    def note_fault(self, fault: str) -> None:
+        """Record a ``"crash"`` or ``"wedge"`` unless one is recorded."""
+        if self.fault is None:
+            self.fault = fault
 
     @property
     def alive(self) -> bool:
-        if self.suspect:
+        if self.fault is not None:
             return False
         if self.proc is not None:
             return self.proc.is_alive()

@@ -6,14 +6,19 @@ Detection has two signals:
 
 - **death** — the worker process exited (or the inline conn is marked
   dead).  Visible immediately through ``Shard.alive``; the submit path
-  also trips it mid-batch (EOF on the pipe) and wakes the supervisor
-  with :meth:`request_check` rather than waiting for the next period.
+  and the ping also trip it on the pipe (EOF, or a broken pipe on
+  send), and the submit path wakes the supervisor with
+  :meth:`request_check` rather than waiting for the next period.
 - **wedge** — the process is alive but stopped answering.  Between
   batches the supervisor sends a ping and allows ``wedge_timeout`` for
   the pong; a shard busy with a batch is skipped (traffic is its own
   heartbeat, and a *wedged* batch is caught by its RPC's cap, one
   ``min(deadline, now + batch_timeout)`` shared by every shard of the
-  RPC, which marks the shard suspect — also a wake-up).
+  RPC — also a wake-up).
+
+Recovery counts a fault by what the pipe showed (``Shard.fault``), not
+by whether the process is still alive: a worker that exits closes its
+pipe before it can be reaped.
 
 Worst-case detection latency is therefore ``interval + wedge_timeout``
 for an idle wedge and one ``batch_timeout`` for a mid-batch one; the
@@ -68,7 +73,7 @@ class Supervisor(threading.Thread):
             if not shard.alive:
                 server.recover_shard(shard)
                 continue
-            if shard.suspect or not server.ping_shard(
+            if shard.fault is not None or not server.ping_shard(
                 shard, self.wedge_timeout
             ):
                 server.recover_shard(shard)

@@ -2,28 +2,34 @@
 
 The framework is deliberately tiny: a client supplies three callables
 (initial fact, join, transfer) and gets back the fixed-point IN fact of
-every node.  The typestate analysis, the interprocedural summary
-computation and the SMP/thread rules are all instances of this solver
-with different fact types; the solver itself knows nothing about PAPI.
+every node.  Its one client is the typestate analysis, for a scope's
+own findings and for a function's summary; the solver itself knows
+nothing about PAPI.
 
-Facts must be *value-comparable* (``==``) and the transfer/join pair
-must be monotone over a finite lattice, or the worklist will not
-terminate.  The typestate domain satisfies this by construction: facts
-are finite sets over a finite universe of (object, state) pairs and all
-transfers are elementwise filter/map.
+Facts must be *value-comparable* (``==``) over a finite lattice.  The
+transfers need not be monotone: the typestate transfers are not in a
+name's alias set (a strong update or a ``.running`` refinement applies
+only while the set names one object, so a larger set can yield a
+smaller fact), and a loop whose alias set grows between iterations
+would otherwise oscillate.  The solver makes every *loop head* -- the
+target of a back edge of a depth-first search from the entry -- keep
+growing: its new IN fact is joined with its previous one.  Every cycle
+passes a loop head, so on a finite lattice the loop heads stop
+changing and the worklist drains.
 
 Exception edges carry ``join(IN, OUT)`` of their source rather than just
 OUT: an exception can surface before or after the source statement's
 effect took place (``es.start()`` can raise before the set is running,
 ``work(); es.stop()`` can raise after it already was), and joining both
 sides is sound for either ordering without modelling sub-statement
-program points.
+program points.  So a change of a source's IN fact alone re-queues its
+exception successors (``es.stop()`` maps every IN to the same OUT).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Generic, Tuple, TypeVar
+from typing import Dict, Generic, Set, Tuple, TypeVar
 
 from repro.lint.cfg import CFG, EXC
 
@@ -63,11 +69,16 @@ def solve(
 ) -> Tuple[Dict[int, Fact], Dict[int, Fact]]:
     """Run *analysis* to fixpoint; returns (IN, OUT) facts per node id.
 
-    ``max_iterations`` is a safety valve against a non-monotone client:
-    hitting it raises rather than spinning, because a linter that hangs
-    is worse than one that crashes.
+    ``max_iterations`` is a safety valve against a client whose lattice
+    is not finite: hitting it raises rather than spinning, because a
+    linter that hangs is worse than one that crashes.
     """
     preds = cfg.preds()
+    heads = loop_heads(cfg)
+    raisers = {
+        src for src, edges in cfg.succs.items()
+        if any(kind == EXC for _dst, kind in edges)
+    }
     ins: Dict[int, Fact] = {n.id: analysis.bottom() for n in cfg.nodes}
     outs: Dict[int, Fact] = {n.id: analysis.bottom() for n in cfg.nodes}
     ins[cfg.entry] = analysis.initial()
@@ -94,21 +105,42 @@ def solve(
                         analysis.join(ins[src], outs[src])
                     )
                 fact = analysis.join(fact, contrib)
+            if node_id in heads:
+                fact = analysis.join(ins[node_id], fact)
+            in_changed = node_id in raisers and fact != ins[node_id]
             ins[node_id] = fact
+        else:
+            in_changed = False
 
         new_out = analysis.transfer(node, ins[node_id])
-        if new_out != outs[node_id]:
-            outs[node_id] = new_out
-            for dst, _kind in cfg.succs[node_id]:
-                if dst not in queued:
-                    work.append(dst)
-                    queued.add(dst)
+        out_changed = new_out != outs[node_id]
+        outs[node_id] = new_out
+        for dst, kind in cfg.succs[node_id]:
+            # an exception edge carries IN as well as OUT
+            changed = out_changed or (in_changed and kind == EXC)
+            if changed and dst not in queued:
+                work.append(dst)
+                queued.add(dst)
     return ins, outs
 
 
-def solve_ins(cfg: CFG, analysis: Analysis[Fact]) -> Dict[int, Fact]:
-    """Convenience wrapper returning only the IN facts."""
-    return solve(cfg, analysis)[0]
-
-
-TransferFn = Callable[[object, Fact], Fact]
+def loop_heads(cfg: CFG) -> Set[int]:
+    """Targets of the back edges of a depth-first search from the entry."""
+    heads: Set[int] = set()
+    on_path = {cfg.entry}
+    seen = {cfg.entry}
+    stack = [(cfg.entry, iter(cfg.succs[cfg.entry]))]
+    while stack:
+        node_id, edges = stack[-1]
+        for dst, _kind in edges:
+            if dst in on_path:
+                heads.add(dst)
+            elif dst not in seen:
+                seen.add(dst)
+                on_path.add(dst)
+                stack.append((dst, iter(cfg.succs[dst])))
+                break
+        else:
+            stack.pop()
+            on_path.discard(node_id)
+    return heads

@@ -79,10 +79,7 @@ def _analyze_scope(
 ) -> List[Diagnostic]:
     cfg = build_cfg(body)
     analysis = TypestateAnalysis(summaries, params)
-    try:
-        ins, outs = solve(cfg, analysis)
-    except RuntimeError:  # pragma: no cover - non-convergence safety valve
-        return []
+    ins, outs = solve(cfg, analysis)
 
     found: List[Diagnostic] = []
 

@@ -12,12 +12,32 @@ Instrumentation scripts routinely wrap counter control in helpers::
 An intraprocedural analysis sees nothing wrong with either the helpers
 (the parameter's state is unknown) or the call sites (the calls are
 opaque).  This module closes the gap with per-function **summaries**:
-for every module-level function and every parameter, the typestate
-analysis is re-run three times with the parameter seeded to each
-concrete lifecycle state, recording
+for every module-level function, every parameter and every concrete
+lifecycle state it may enter in, a summary records
 
 - which misuse rules fire for that entry state, and
-- the set of lifecycle states the parameter can be in on exit.
+- the set of lifecycle states the parameter can be in on exit,
+
+plus the lifecycle states of any EventSet the function returns, so
+factory helpers (``def make(): es = papi.create_eventset(); ... ;
+return es``) hand the caller a tracked object (a ``ret@`` id) instead
+of an untyped value.
+
+All of it comes from one typestate solve and one replay per function,
+after IFDS (Reps, Horwitz and Sagiv, POPL 1995): every parameter's name
+is bound to its unknown self (``param:i``) and to one *world* per entry
+state (``param:i#created``, ``#running``, ``#stopped``).  A world is the
+parameter as a solve seeded to that state sees it, because strong
+updates and ``.running`` refinements count base objects, not worlds.
+The worlds of one parameter share the environment, though: a refinement
+that empties a world drops only the world, where the seeded solve drops
+the whole path, and that path's assignments can then alias into the
+other worlds at a join (``x = other; if es.running: x = es; x.stop()``
+would report a stop() on the created world).  So a parameter that the
+receiver of a ``.running`` test may be, at any test the replay meets --
+refined or not, since a seeded solve can lack the paths that alias the
+receiver to a second object -- takes its three effects from solves
+seeded to each entry state instead (the guard).
 
 The caller-side transfer (:mod:`repro.lint.typestate`) then plays a
 call as a table lookup: violations become diagnostics at the call site
@@ -28,11 +48,6 @@ Functions whose summary cannot be computed (recursion, too many
 parameters) degrade soundly: calls to them set the argument's
 ``unknown`` bit, which silences downstream reports instead of
 inventing them.
-
-A second, standalone run per function records the lifecycle states of
-any EventSet the function returns, so factory helpers
-(``def make(): es = papi.create_eventset(); ... ; return es``) hand the
-caller a tracked object (a ``ret@`` id) instead of an untyped value.
 """
 
 from __future__ import annotations
@@ -40,18 +55,22 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lint.cfg import build_cfg
+from repro.lint.cfg import CFG, build_cfg
 from repro.lint.dataflow import solve
 from repro.lint.typestate import (
     ALL_STATES,
+    FlowFact,
     FunctionSummary,
     ParamEffect,
     TypestateAnalysis,
     eval_expr_values,
     param_id,
+    world_id,
 )
 
-#: summaries are skipped above this arity (3 analysis runs per param)
+#: summaries are skipped above this arity.  It bounds the objects of a
+#: summary's solve (four per parameter: its unknown self and three
+#: worlds); raising it changes which helpers get summaries.
 MAX_SUMMARY_PARAMS = 6
 
 
@@ -110,16 +129,66 @@ def _param_names(fn: ast.FunctionDef) -> List[str]:
     return [a.arg for a in fn.args.args]
 
 
-def _returns_states(
-    fn: ast.FunctionDef,
-    cfg,
+def _replay(
+    cfg: CFG, analysis: TypestateAnalysis, ins: Dict[int, FlowFact]
+) -> Dict[str, List[Tuple[str, str]]]:
+    """Re-run every node's transfer against its fixpoint IN fact; returns
+    the ``(rule, method)`` violations reported, per object id."""
+    found: Dict[str, List[Tuple[str, str]]] = {}
+
+    def sink(rule, node, objid, message, hint, method):
+        seen = found.setdefault(objid, [])
+        if (rule, method) not in seen:
+            seen.append((rule, method))
+
+    analysis.sink = sink
+    for node in cfg.stmt_nodes():
+        analysis.transfer(node, ins[node.id])
+    analysis.sink = None
+    return found
+
+
+def _effect(
+    exit_in: FlowFact, oid: str, violations: List[Tuple[str, str]]
+) -> ParamEffect:
+    """One entry state's effect, from the object *oid* at the exit."""
+    exit_fact = exit_in.objs_dict().get(oid)
+    if exit_fact is not None and exit_fact.states:
+        exit_states = exit_fact.state_names
+    else:
+        # no normal exit keeps the object for this entry state (the
+        # function raises or loops on it): the caller's continuation
+        # never sees it, so there is nothing to propagate.
+        exit_states = frozenset()
+    return ParamEffect(
+        exit_states=exit_states,
+        violations=tuple(violations),
+        exit_unknown=exit_fact is not None and exit_fact.unknown,
+    )
+
+
+def _seeded_effect(
+    cfg: CFG,
     summaries: Dict[str, FunctionSummary],
     params: List[str],
-) -> Optional[FrozenSet[str]]:
-    """Lifecycle states of an EventSet *fn* creates, or gets from a
-    helper, and returns."""
-    analysis = TypestateAnalysis(summaries, params)
+    index: int,
+    entry_state: str,
+) -> ParamEffect:
+    """Solve with one parameter seeded to *entry_state* (the guard)."""
+    oid = param_id(index)
+    analysis = TypestateAnalysis(
+        summaries, params, seed_param=(index, entry_state)
+    )
     ins, _outs = solve(cfg, analysis)
+    violations = _replay(cfg, analysis, ins).get(oid, [])
+    return _effect(ins[cfg.exit], oid, violations)
+
+
+def _returned_states(
+    cfg: CFG, analysis: TypestateAnalysis, ins: Dict[int, FlowFact]
+) -> Optional[FrozenSet[str]]:
+    """Lifecycle states of an EventSet the function creates, or gets
+    from a helper, and returns."""
     states: Set[str] = set()
     for node in cfg.stmt_nodes():
         stmt = node.stmt
@@ -135,45 +204,43 @@ def _returns_states(
     return frozenset(states) if states else None
 
 
-def _param_effect(
-    fn: ast.FunctionDef,
-    cfg,
+def _summarize(
+    name: str,
+    cfg: CFG,
     summaries: Dict[str, FunctionSummary],
     params: List[str],
-    index: int,
-    entry_state: str,
-) -> ParamEffect:
-    """Run the analysis with one parameter seeded to *entry_state*."""
-    oid = param_id(index)
-    analysis = TypestateAnalysis(
-        summaries, params, seed_param=(index, entry_state)
-    )
+) -> FunctionSummary:
+    """One solve with every parameter in every entry state at once."""
+    analysis = TypestateAnalysis(summaries, params, worlds=True)
     ins, _outs = solve(cfg, analysis)
-
-    violations: List[Tuple[str, str]] = []
-
-    def sink(rule, node, objid, message, hint, method):
-        if objid == oid and (rule, method) not in violations:
-            violations.append((rule, method))
-
-    analysis.sink = sink
-    for node in cfg.stmt_nodes():
-        analysis.transfer(node, ins[node.id])
-    analysis.sink = None
-
-    exit_fact = ins[cfg.exit].objs_dict().get(oid)
-    if exit_fact is not None and exit_fact.states:
-        exit_states = exit_fact.state_names
-    else:
-        # no normal exit keeps the object for this entry state (the
-        # function raises or loops on it): the caller's continuation
-        # never sees it, so there is nothing to propagate.
-        exit_states = frozenset()
-    return ParamEffect(
-        exit_states=exit_states,
-        violations=tuple(violations),
-        exit_unknown=exit_fact is not None and exit_fact.unknown,
+    analysis.world_tests.clear()
+    violations = _replay(cfg, analysis, ins)
+    summary = FunctionSummary(
+        name=name, params=params,
+        returns_states=_returned_states(cfg, analysis, ins),
     )
+    for i in range(len(params)):
+        if param_id(i) in analysis.world_tests:
+            effects = {
+                state: _seeded_effect(cfg, summaries, params, i, state)
+                for state in sorted(ALL_STATES)
+            }
+        else:
+            effects = {
+                state: _effect(
+                    ins[cfg.exit], world_id(i, state),
+                    violations.get(world_id(i, state), []),
+                )
+                for state in sorted(ALL_STATES)
+            }
+        # only keep effects that actually constrain the caller:
+        # identity transfers with no violations are noise.
+        if any(
+            e.violations or e.exit_states != frozenset({s})
+            for s, e in effects.items()
+        ):
+            summary.effects[i] = effects
+    return summary
 
 
 def compute_summaries(
@@ -193,24 +260,7 @@ def compute_summaries(
             cfg = build_cfg(fn.body)
         except RecursionError:  # pragma: no cover - pathological nesting
             continue
-        summary = FunctionSummary(name=name, params=params)
-        summary.returns_states = _returns_states(
-            fn, cfg, summaries, params
-        )
-        interesting = False
-        for i in range(len(params)):
-            effects = {
-                state: _param_effect(fn, cfg, summaries, params, i, state)
-                for state in sorted(ALL_STATES)
-            }
-            # only keep effects that actually constrain the caller:
-            # identity transfers with no violations are noise.
-            if any(
-                e.violations or e.exit_states != frozenset({s})
-                for s, e in effects.items()
-            ):
-                summary.effects[i] = effects
-                interesting = True
-        if interesting or summary.returns_states is not None:
+        summary = _summarize(name, cfg, summaries, params)
+        if summary.effects or summary.returns_states is not None:
             summaries[name] = summary
     return summaries

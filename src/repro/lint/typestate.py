@@ -11,11 +11,18 @@ point:
   through an exception edge -- an explicit ``unknown`` bit, plus
   thread-attachment, ``bind_cpu`` and OS-level counter-binding facts.
 
-Everything is a finite powerset, joins are elementwise unions (except
-``must_attached`` and ``must_bound``, which are intersections, and
-``unknown``, which is an or), and all transfers are elementwise
-filter/map -- so the worklist solver terminates and the analysis is
-monotone by construction.
+Everything is a finite powerset, and joins are elementwise unions
+(except ``must_attached`` and ``must_bound``, which are intersections,
+and ``unknown``, which is an or).  The transfers are not monotone in a
+name's alias set: a strong update and a ``.running`` refinement apply
+only while the name may denote one object.  The solver's loop-head rule
+(:mod:`repro.lint.dataflow`) is what makes the worklist terminate.
+
+A summary's solve (:mod:`repro.lint.summaries`) also binds every
+parameter's name to one *world* per entry state, ``param:i#<state>``:
+the parameter as a solve seeded to that state sees it.  Strong updates
+and refinements count base objects (a parameter and its worlds are one),
+and a refinement that empties a world drops it instead of the path.
 
 Rule logic lives here too: after the fixpoint, a report pass re-runs
 every node's transfer against its final IN fact with a diagnostic sink
@@ -126,6 +133,16 @@ def returned_id(line: int, col: int) -> str:
 
 def param_id(index: int) -> str:
     return f"param:{index}"
+
+
+def world_id(index: int, state: str) -> str:
+    """Parameter *index* as it is when it entered in *state*."""
+    return f"param:{index}#{state}"
+
+
+def base_object(val: str) -> str:
+    """The object a world stands for; any other value is its own."""
+    return val.partition("#")[0]
 
 
 def is_eventset(val: str) -> bool:
@@ -286,10 +303,15 @@ class TypestateAnalysis(Analysis[FlowFact]):
         summaries: Optional[Dict[str, FunctionSummary]] = None,
         param_names: Optional[List[str]] = None,
         seed_param: Optional[Tuple[int, str]] = None,
+        worlds: bool = False,
     ) -> None:
         self.summaries = summaries or {}
         self.param_names = param_names or []
         self.seed_param = seed_param
+        self.worlds = worlds
+        #: parameters (``param:i``) whose worlds the receiver of a
+        #: ``.running`` test may be (the summaries' guard)
+        self.world_tests: Set[str] = set()
         self.sink: Optional[Sink] = None
         self._node: Optional[Node] = None
 
@@ -307,6 +329,11 @@ class TypestateAnalysis(Analysis[FlowFact]):
                 )
             else:
                 objs[oid] = ObjFact(states=UNKNOWN_ELEMENTS, unknown=True)
+            if self.worlds:
+                for state in ALL_STATES:
+                    wid = world_id(i, state)
+                    env[name] |= {wid}
+                    objs[wid] = ObjFact(states=frozenset({(state, False)}))
         return FlowFact.make(env, objs)
 
     def bottom(self) -> FlowFact:
@@ -342,7 +369,8 @@ class TypestateAnalysis(Analysis[FlowFact]):
         Only the ``<expr>.running`` idiom (optionally negated) refines;
         any other condition leaves the fact unchanged.  A refinement
         that empties an object's state set proves the branch infeasible
-        and returns bottom, so the join ignores it.
+        and returns bottom, so the join ignores it; one that empties a
+        world only drops that world.
         """
         test = node.stmt.test  # type: ignore[union-attr]
         truth = node.kind == "assume_true"
@@ -353,21 +381,28 @@ class TypestateAnalysis(Analysis[FlowFact]):
         if not (isinstance(test, ast.Attribute) and test.attr == "running"):
             return fact
         interp = _StmtInterpreter(self, fact)
-        receivers = [
-            v for v in interp.eval(test.value)
-            if is_eventset(v) and v in interp.objs
-        ]
-        if len(receivers) != 1:
-            return fact  # aliased or untracked: refinement unsound
-        oid = receivers[0]
-        old = interp.objs[oid]
-        kept = frozenset(
-            (s, via) for s, via in old.states
-            if (s == RUNNING) == truth
+        values = interp.eval(test.value)
+        self.world_tests.update(
+            base_object(v) for v in values if v != base_object(v)
         )
-        if not kept:
-            return BOTTOM  # contradiction: this branch cannot be taken
-        interp.objs[oid] = replace(old, states=kept, unknown=False)
+        receivers = [
+            v for v in values if is_eventset(v) and v in interp.objs
+        ]
+        bases = {base_object(v) for v in receivers}
+        if len(bases) != 1:
+            return fact  # aliased or untracked: refinement unsound
+        for oid in receivers:
+            old = interp.objs[oid]
+            kept = frozenset(
+                (s, via) for s, via in old.states
+                if (s == RUNNING) == truth
+            )
+            if kept:
+                interp.objs[oid] = replace(old, states=kept, unknown=False)
+            elif oid in bases:
+                return BOTTOM  # contradiction: this branch cannot be taken
+            else:
+                del interp.objs[oid]  # this entry state cannot take it
         return interp.result()
 
     # -- reporting -----------------------------------------------------
@@ -552,7 +587,7 @@ class _StmtInterpreter:
 
         es_ids = [v for v in basevals if is_eventset(v) and v in self.objs]
         if es_ids:
-            strong = len(es_ids) == 1
+            strong = len({base_object(v) for v in es_ids}) == 1
             for oid in es_ids:
                 old = self.objs[oid]
                 new = self._apply_eventset_method(oid, old, method, node)

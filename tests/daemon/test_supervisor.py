@@ -96,6 +96,27 @@ class TestSupervision:
             assert all(r.ok for r in results)
             assert server.health().sessions_unrecovered == 0
 
+    def test_saboteur_death_mid_batch_counts_as_a_crash(self):
+        # seed 0 draws "die" after 42 fresh ops for worker 0: it exits
+        # mid-batch, and its pipe closes before the process is reaped
+        config = DaemonConfig(
+            nshards=1, transport="process", inject="0:daemon-chaos",
+            heartbeat_interval=0.05, wedge_timeout=0.5, batch_timeout=2.0,
+        )
+        with PapidServer(config) as server:
+            with PapidClient(server, seed=0) as client:
+                sids = [f"die-{i}" for i in range(4)]
+                client.create_fleet(
+                    [SessionSpec(sid=sid, seed=i) for i, sid in enumerate(sids)]
+                )
+                client.start_many(sids)
+                for _ in range(15):
+                    client.read_many(sids)
+            assert wait_until(lambda: server.health().recoveries >= 1)
+            health = server.health()
+            assert health.crashes_detected == 1
+            assert health.wedges_detected == 0
+
     def test_mid_batch_kill_rolls_back_to_last_ack(self, server):
         with PapidClient(server, seed=0) as client:
             spec = SessionSpec(sid="roll-0")

@@ -112,6 +112,27 @@ def main(papi):
         es.start()
 """
 
+# the alias set of ``es`` grows from nothing to the created set between
+# iterations, so the ``.running`` refinement flips with it; the solver
+# must still converge (the function form used to raise, the module form
+# used to drop every finding of its scope)
+LOOP_UNTIL_RUNNING = """\
+def f(papi):
+    es = None
+    while not es.running:
+        es = papi.create_eventset()
+        es.start()
+"""
+
+MODULE_LOOP_UNTIL_RUNNING = """\
+bad = papi.create_eventset()
+bad.read()
+es = None
+while not es.running:
+    es = papi.create_eventset()
+    es.start()
+"""
+
 CASES = [
     # a definite double start through a helper: a summary finding
     pytest.param(DOUBLE_ARM, [("PL302", 8)], id="double-arm"),
@@ -140,6 +161,13 @@ CASES = [
     pytest.param(PARAMETER_THREADS, [("PL016", 3)], id="parameter-threads"),
     pytest.param(
         LOOP_START, [("PL008", 5), ("PL302", 5)], id="loop-start",
+    ),
+    pytest.param(
+        LOOP_UNTIL_RUNNING, [("PL008", 5)], id="loop-until-running",
+    ),
+    pytest.param(
+        MODULE_LOOP_UNTIL_RUNNING, [("PL001", 2), ("PL008", 6)],
+        id="module-loop-until-running",
     ),
 ]
 

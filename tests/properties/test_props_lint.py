@@ -2,7 +2,8 @@
 
 papi-lint's whole value rests on one claim: the verdict computed
 *without executing* is the verdict the runtime would reach.  Two
-halves of the linter are pinned here:
+halves of the linter are pinned to the runtime here, and the summaries
+to a slower reference:
 
 - **feasibility** (``repro.lint.check_events``): ``EventSet.add_event``
   calls in sequence either all succeed (set allocatable) or raise
@@ -13,13 +14,18 @@ halves of the linter are pinned here:
   programs are run under every assignment of their conditions.  A line
   where every run that reaches it raises ``IsRunningError`` or
   ``NotRunningError`` must get PL001/PL002/PL007 in both modes; a line
-  where only some do must get PL301/PL302 with ``flow=True``.
+  where only some do must get PL301/PL302 with ``flow=True``;
+- **summaries** (``compute_summaries``): one solve per helper, with
+  each parameter in every entry state at once, must equal a reference
+  built from one solve per parameter and entry state.
 """
 
+import ast
 import itertools
 import sys
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro.core.constants import PAPI_DOM_USER
 from repro.core.errors import (
@@ -30,8 +36,19 @@ from repro.core.errors import (
 )
 from repro.core.library import Papi
 from repro.core.presets import PLATFORM_PRESET_TABLES
-from repro.lint import check_events, lint_source
+from repro.lint import check_events, lint_source, summaries
+from repro.lint.cfg import build_cfg
+from repro.lint.dataflow import solve
+from repro.lint.typestate import (
+    ALL_STATES,
+    FunctionSummary,
+    ParamEffect,
+    TypestateAnalysis,
+    eval_expr_values,
+    param_id,
+)
 from repro.platforms import PLATFORM_NAMES, create
+from tests.property_examples import examples
 
 #: per-platform pool of preset symbols that resolve (availability is
 #: not what this test is about -- allocation is).
@@ -70,7 +87,7 @@ def runtime_adds_succeed(platform, events, multiplex=False):
 
 
 @given(platform_and_events())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_static_verdict_matches_runtime(case):
     platform, events = case
     report = check_events(events, platform)
@@ -81,7 +98,7 @@ def test_static_verdict_matches_runtime(case):
 
 
 @given(platform_and_events())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_static_mpx_verdict_matches_runtime(case):
     platform, events = case
     report = check_events(events, platform)
@@ -95,7 +112,7 @@ def test_static_mpx_verdict_matches_runtime(case):
 
 
 @given(platform_and_events())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_conflict_witness_is_infeasible_and_minimal(case):
     platform, events = case
     report = check_events(events, platform)
@@ -210,6 +227,168 @@ def check_lifecycle_verdicts(source, conditions):
 
 
 @given(lifecycle_programs())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_lifecycle_verdicts_match_runtime(case):
     check_lifecycle_verdicts(*case)
+
+
+# -- summaries versus one seeded solve per entry state --------------------
+
+#: a summarized helper every drawn function may call
+SUMMARY_PRELUDE = "def arm(es):\n    es.start()\n\n\n"
+
+SUMMARY_PARAMS = ("a", "b", "c")
+SUMMARY_ALIASES = ("x", "y")
+SUMMARY_OPS = ("start()", "stop()", "read()", "attach(t)", "cleanup()")
+
+#: ``x`` aliases ``a`` only on the branch where ``a`` is running; a
+#: solve that shares one environment among ``a``'s entry states would
+#: see ``x.stop()`` stop ``a`` when it entered created or stopped
+ALIAS_THROUGH_RUNNING_TEST = SUMMARY_PRELUDE + """\
+def helper(a, b):
+    x = b
+    if a.running:
+        x = a
+    x.stop()
+"""
+
+
+def _indent(lines):
+    return ["    " + line for line in lines]
+
+
+def _summary_block(draw, params, created, depth):
+    """One statement list of a drawn helper's body."""
+    names = params + SUMMARY_ALIASES + (("s",) if created else ())
+    receiver = st.sampled_from(names)
+    kinds = ["op", "op", "alias", "either", "arm", "unknown"]
+    if created:
+        kinds.append("return")
+    if depth < 2:
+        kinds += ["if", "while", "try"]
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "op":
+            lines.append(f"{draw(receiver)}.{draw(st.sampled_from(SUMMARY_OPS))}")
+        elif kind == "alias":
+            alias = draw(st.sampled_from(SUMMARY_ALIASES))
+            lines.append(f"{alias} = {draw(st.sampled_from(params))}")
+        elif kind == "either":
+            alias = draw(st.sampled_from(SUMMARY_ALIASES))
+            one, other = draw(st.sampled_from(names)), draw(receiver)
+            lines.append(f"{alias} = {one} if flag else {other}")
+        elif kind == "arm":
+            lines.append(f"arm({draw(receiver)})")
+        elif kind == "unknown":
+            lines.append(f"mystery({draw(receiver)})")
+        elif kind == "return":
+            lines.append("return s")
+        elif kind == "try":
+            lines.append("try:")
+            lines += _indent(_summary_block(draw, params, created, depth + 1))
+            lines.append("except PapiError:")
+            lines += _indent(_summary_block(draw, params, created, depth + 1))
+        else:
+            name = draw(receiver)
+            test = draw(st.sampled_from(
+                ("flag", f"{name}.running", f"not {name}.running")
+            ))
+            lines.append(f"{kind} {test}:")
+            lines += _indent(_summary_block(draw, params, created, depth + 1))
+            if kind == "if" and draw(st.booleans()):
+                lines.append("else:")
+                lines += _indent(
+                    _summary_block(draw, params, created, depth + 1)
+                )
+    return lines
+
+
+@st.composite
+def summary_helpers(draw):
+    """A module: ``arm`` plus one drawn ``helper`` of 1-3 parameters."""
+    params = SUMMARY_PARAMS[:draw(st.integers(1, 3))]
+    created = draw(st.booleans())
+    body = ["s = papi.create_eventset()"] if created else []
+    body += _summary_block(draw, params, created, 0)
+    if created and draw(st.booleans()):
+        body.append("return s")
+    header = f"def helper({', '.join(params)}):"
+    return SUMMARY_PRELUDE + "\n".join([header] + _indent(body)) + "\n"
+
+
+def _seeded_effect(cfg, done, params, index, state):
+    """The reference: one solve with parameter *index* seeded."""
+    oid = param_id(index)
+    analysis = TypestateAnalysis(done, params, seed_param=(index, state))
+    ins, _outs = solve(cfg, analysis)
+    violations = []
+
+    def sink(rule, node, objid, message, hint, method):
+        if objid == oid and (rule, method) not in violations:
+            violations.append((rule, method))
+
+    analysis.sink = sink
+    for node in cfg.stmt_nodes():
+        analysis.transfer(node, ins[node.id])
+    exit_fact = ins[cfg.exit].objs_dict().get(oid)
+    return ParamEffect(
+        exit_states=exit_fact.state_names if exit_fact else frozenset(),
+        violations=tuple(violations),
+        exit_unknown=exit_fact is not None and exit_fact.unknown,
+    )
+
+
+def _returned_states(cfg, done, params):
+    """The reference: one solve with every parameter unknown."""
+    analysis = TypestateAnalysis(done, params)
+    ins, _outs = solve(cfg, analysis)
+    states = set()
+    for node in cfg.stmt_nodes():
+        if not isinstance(node.stmt, ast.Return) or node.stmt.value is None:
+            continue
+        vals, objs = eval_expr_values(analysis, ins[node.id], node.stmt.value)
+        for val in vals:
+            if val.startswith(("es@", "ret@")) and val in objs:
+                if objs[val].unknown:
+                    return None
+                states |= objs[val].state_names
+    return frozenset(states) if states else None
+
+
+def seeded_summaries(functions):
+    """Summaries from 1 + 3 x params solves per function, callees first
+    (a drawn module defines every callee before its caller)."""
+    done = {}
+    for name, fn in functions.items():
+        params = [arg.arg for arg in fn.args.args]
+        cfg = build_cfg(fn.body)
+        summary = FunctionSummary(
+            name=name, params=params,
+            returns_states=_returned_states(cfg, done, params),
+        )
+        for i in range(len(params)):
+            effects = {
+                state: _seeded_effect(cfg, done, params, i, state)
+                for state in sorted(ALL_STATES)
+            }
+            if any(e.violations or e.exit_states != {s}
+                   for s, e in effects.items()):
+                summary.effects[i] = effects
+        if summary.effects or summary.returns_states is not None:
+            done[name] = summary
+    return done
+
+
+@given(summary_helpers())
+@example(ALIAS_THROUGH_RUNNING_TEST)
+@settings(max_examples=examples(150), deadline=None)
+def test_summaries_match_seeded_solves(source):
+    functions = summaries.collect_functions(ast.parse(source))
+    with mock.patch.object(
+        summaries, "_seeded_effect", wraps=summaries._seeded_effect
+    ) as guarded:
+        got = summaries.compute_summaries(functions)
+    nparams = len(functions["helper"].args.args)
+    event("guarded parameters", f"{guarded.call_count // 3} of {nparams}")
+    assert got == seeded_summaries(functions), source

@@ -19,6 +19,7 @@ from repro.lint.staticoracle import (
     verify_block_affine,
 )
 from repro.validate.oracle import expected_signal_counts
+from tests.property_examples import examples
 
 _BODY_OPS = (
     "alu_addi", "alu_add", "alu_mul", "fp_add", "fp_mul", "fp_cvt",
@@ -107,7 +108,7 @@ def test_static_bounds_bracket_exact_oracle(segs):
 
 
 @given(segs=segments)
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=examples(30))
 def test_block_affine_certificate_never_fails(segs):
     # every generated program must admit the affine-block certificate
     # (it is what licenses the block engine on arbitrary programs)
@@ -116,7 +117,7 @@ def test_block_affine_certificate_never_fails(segs):
 
 
 @given(segs=segments)
-@settings(deadline=None, max_examples=15)
+@settings(deadline=None, max_examples=examples(15))
 def test_branch_free_programs_are_exact(segs):
     clean = [
         (iters, bottom, [op for op in body
