@@ -3,14 +3,16 @@
 Not a paper experiment: this guards the engine that makes the paper
 experiments affordable.  Four workload shapes stress the engine paths:
 
-- ``loop_heavy``  -- a steady counted loop, O(1) bulk replay;
+- ``loop_heavy``  -- a steady counted loop: one self-loop block, which
+  runs as a one-member compiled region;
 - ``branchy``     -- data-dependent branches; compiled multi-block
   regions with deferred (vectorized) count accumulation;
 - ``probed``      -- a dynaprof-style probe in a realistic instrumented
   loop body; the probe compiles into the region as a constant-cost
   prologue (pre-resolved handler + one specialization guard);
-- ``call_heavy``  -- a CALL/RET loop; superblock traces stitch the call
-  through the leaf and bulk-replay the whole cycle.
+- ``call_heavy``  -- a CALL/RET loop; the leaf's RET is the first back
+  edge to turn hot, so one region headed at the call's continuation
+  inlines the loop branch, the CALL and the leaf.
 
 The headline metrics are *speedup ratios* (engine time vs interpreter
 time on the same host), which are stable across machines; absolute
@@ -51,8 +53,8 @@ MIN_LOOP_HEAVY_SPEEDUP = 5.0
 def loop_heavy(n=120_000):
     """Steady counted loop: invariant FP recomputation + affine counters.
 
-    This is the replay-eligible shape (an accumulating ``f3 = f3*s + c``
-    would rightly be rejected -- its value changes every iteration)."""
+    The whole body is one block that branches back to itself; once hot
+    it runs as a one-member compiled region on deadline-derived fuel."""
     asm = Assembler(name="loop_heavy")
     asm.label("main")
     asm.li("r1", 0)
@@ -130,11 +132,12 @@ def probed(n=30_000):
 def call_heavy(n=40_000):
     """A hot loop whose body is a CALL to a small leaf function.
 
-    The trace tier's region compiler inlines the CALL, the leaf body
-    and the matched RET into one compiled dispatch loop (a handful of
-    ns per transfer); compiled blocks alone stop at every control
-    transfer, and the interpreter additionally simulates the call stack
-    per step.
+    The leaf's RET reaches the call's continuation, a back edge that
+    turns hot before the loop head does, so the region is headed there.
+    It inlines the loop branch, the CALL and the leaf body and returns
+    to its own head through a dispatch arm (a handful of ns per
+    transfer); compiled blocks alone stop at every control transfer,
+    and the interpreter additionally simulates the call stack per step.
     """
     asm = Assembler(name="call_heavy")
     asm.func("main")
@@ -264,7 +267,7 @@ def bench_p1_interp_throughput(benchmark, capsys):
     by_name = {r["workload"]: r for r in rows}
     # the tentpole acceptance: >= 5x on the loop-heavy workload
     assert by_name["loop_heavy"]["speedup"] >= MIN_LOOP_HEAVY_SPEEDUP
-    # compiled blocks beat the interpreter even without replay
+    # compiled regions beat the interpreter on branchy code too
     assert by_name["branchy"]["speedup"] > 1.0
     baseline = load_baseline()
     if baseline is not None:

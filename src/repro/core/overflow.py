@@ -16,7 +16,7 @@ must only use ``address``.
 
 Interaction with the execution engine: overflow thresholds are
 *deadlines* for the engine (:mod:`repro.hw.blockcache`).  Before each
-block, region or replay step it queries ``PMU.watch_constraints`` for
+block or region step it queries ``PMU.watch_constraints`` for
 the headroom below every armed ``next_trigger`` and runs only steps
 that stay strictly below it (none while a watch is due), so the
 threshold-crossing instruction, the skid draw and the delivery all

@@ -13,8 +13,8 @@ top of: a deterministic instruction-level machine simulator consisting of
   registers (:mod:`repro.hw.pmu`),
 - the interpreter CPU that executes programs and raises event signals
   (:mod:`repro.hw.cpu`),
-- a basic-block execution engine that caches decoded blocks and replays
-  steady-state loops in O(1), bit-exactly (:mod:`repro.hw.blockcache`),
+- a basic-block execution engine that compiles decoded blocks and hot
+  loops into Python functions, bit-exactly (:mod:`repro.hw.blockcache`),
   and
 - the :class:`~repro.hw.machine.Machine` that wires all of the above
   together (:mod:`repro.hw.machine`).

@@ -11,64 +11,50 @@ adds a *block cache* in front of it:
   interpreter's exact effect sequence -- signal counts, cache/TLB
   accesses, EAR callbacks, fault messages, register/memory writes -- with
   all per-instruction constants (latencies, signal indices, byte
-  addresses, line boundaries) baked in as literals.  Blocks, traces and
-  regions share one per-instruction generator (:class:`_Emitter`), and
-  every compiled fetch first checks whether its line is already the MRU
-  way of its (statically known) L1I set, calling ``inst_fetch`` only
-  when it is not;
-- self-loop blocks whose body is *steady* (invariant memory addresses,
-  affine loop counter, all-hit cache behaviour, saturated predictor) are
-  **replayed in O(1)**: one trial iteration through the compiled body
-  proves steadiness, then the remaining iterations are applied as a
-  single bulk update of the counts array, cache hit statistics and the
-  affine registers.
+  addresses, line boundaries) baked in as literals.  Blocks and regions
+  share one per-instruction generator (:class:`_Emitter`), and every
+  compiled fetch first checks whether its line is already the MRU way of
+  its (statically known) L1I set, calling ``inst_fetch`` only when it is
+  not.
 
-On top of the block layer, hot multi-block loop heads -- detected by
-back-edge counters on block exits -- are promoted to one of two region
-forms (the engine is the ``"trace"`` tier, the default; the only other
-tier, ``"off"``, builds no engine):
-
-- a **superblock trace**: when the cycle through the head is a unique
-  static path (fall-throughs, JMP/CALL with matched RET) closed by a
-  single conditional branch, the whole path is compiled into one
-  single-iteration function and the affine/invariant loop analysis runs
-  over the *entire trace*, so multi-block loop bodies (calls included)
-  get the same O(1) bulk replay as self-loop blocks;
-- a **compiled region**: when the cycle is multi-path (data-dependent
-  diamonds, probes), the member blocks are stitched into one generated
-  state-machine function that transfers control internally and only
-  returns on region exit or *fuel* exhaustion.  Fuel is the number of
-  whole block steps that provably cannot cross any deadline; dynaprof
-  PROBE instructions compile into regions as constant-cost prologue
-  segments that dispatch the probe handler and side-exit if the handler
-  perturbed the machine (stop flag, PMU arming, program rewrite).
+On top of the block layer, hot loop heads -- detected by back-edge
+counters on block exits, a self-loop block's branch to its own start
+included -- are promoted to a **compiled region** (the engine is the
+``"trace"`` tier, the default; the only other tier, ``"off"``, builds no
+engine).  The member blocks of the cycle through the head are stitched
+into one generated state-machine function that transfers control
+internally and only returns on region exit or *fuel* exhaustion.  Fuel
+is the number of whole block steps that provably cannot cross any
+deadline; dynaprof PROBE instructions compile into regions as
+constant-cost prologue segments that dispatch the probe handler and
+side-exit if the handler perturbed the machine (stop flag, PMU arming,
+program rewrite).
 
 Correctness contract: a run with the engine enabled is **bit-exact**
 with the interpreter -- identical ``counts[]``, cache/TLB state and
 statistics, RNG stream, architectural state, fault behaviour and
 interrupt delivery points.  One *deadline* rule (:meth:`BlockEngine._fuel`)
-counts the whole steps of a given cost that fit before the next
-instruction/cycle budget boundary, ProfileMe sample, overflow threshold
-or cycle-timer tick: a block runs one step, a region takes the steps
-that fit as fuel, and replay commits the iterations that fit.  When no
-step fits, the engine declines and the interpreter executes one
-instruction at a time, so interrupts and samples fire at exactly the
-same instruction boundary (and draw from the RNG at exactly the same
-point) as an engine-off run.  PROBE instructions are never
-compiled into plain blocks; inside regions they run only while the PMU
-is completely quiet, so deadline/flush crossings always take the
+counts the whole steps of a given worst-case cost that fit before the
+next instruction/cycle budget boundary, ProfileMe sample, overflow
+threshold or cycle-timer tick: a block runs one step and a region takes
+the steps that fit as fuel.  When no step fits, the engine declines and
+the interpreter executes one instruction at a time, so interrupts and
+samples fire at exactly the same instruction boundary (and draw from the
+RNG at exactly the same point) as an engine-off run.  PROBE instructions
+are never compiled into plain blocks; inside regions they run only while
+the PMU is completely quiet, so deadline/flush crossings always take the
 precise path.
 
 Invalidation rules (see DESIGN.md): block tables are keyed by the
 identity of the resolved code list.  ``CPU.load`` of the Program already
-loaded keeps that list, so its table -- blocks, regions, traces, heat --
-survives the reload and the engine is only unbound; loading a different
-Program or ``migrate`` (dynaprof probe insertion/removal) retires the
-old program's table, and regions and traces die with it.  Context
-restores rebind the active table; ``Machine.reset`` and probe-registry
-changes drop every table; :meth:`Machine.charge` cache pollution bumps
-the engine epoch, which re-arms replay trials for blocks and traces
-previously blacklisted as unsteady.
+loaded keeps that list, so its table -- blocks, regions, heat -- survives
+the reload and the engine is only unbound; loading a different Program
+or ``migrate`` (dynaprof probe insertion/removal) retires the old
+program's table, and its regions die with it.  Context restores rebind
+the active table; ``Machine.reset`` and probe-registry changes drop every
+table.  Compiled code never depends on cache contents (every fetch and
+access checks the live state), so :meth:`Machine.charge` cache pollution
+only flushes.
 
 Compiling is the other half of the cost of a table.  Generated source
 embeds constants only (pcs, latencies, signal indices, literals); live
@@ -108,21 +94,15 @@ MAX_TABLES = 16
 #: most compiled code objects kept in the process-wide code cache.
 MAX_CODE_OBJECTS = 256
 
-#: upper bound on iterations applied by a single bulk replay step.
-REPLAY_CHUNK = 1 << 20
-
-#: consecutive unsteady trials before a loop block stops being trialled
-#: (until the next engine epoch re-arms it).
-REPLAY_FAIL_LIMIT = 12
-
 #: back-edge arrivals at a loop head before it is promoted to a
-#: superblock trace or compiled region.
+#: compiled region.
 REGION_HOT = 16
 
 #: most member blocks stitched into one compiled region.
 MAX_REGION_BLOCKS = 16
 
-#: longest instruction path compiled into one superblock trace.
+#: longest instruction path one region unit inlines straight-line
+#: before it dispatches.
 TRACE_MAX_INS = 256
 
 #: largest join block tail-duplicated into each predecessor path during
@@ -162,27 +142,6 @@ _SIMPLE_EFFECTS: Dict[int, Tuple[Tuple[int, ...], str]] = {
 
 
 @dataclass
-class LoopInfo:
-    """Static shape of a replay-eligible self-loop block or trace."""
-
-    #: pc of the closing conditional branch.
-    branch_pc: int
-    #: normalized predicate kind on the counter value: lt/le/gt/ge/eq/ne.
-    kind: str
-    #: the affine counter register, or -1 when both operands are invariant.
-    counter: int
-    #: the invariant bound register.
-    bound: int
-    #: affine stride: ("imm", value) or ("reg", reg, sign).
-    stride: Tuple
-    #: every affine register with its stride spec (bulk update targets).
-    affine: List[Tuple[int, Tuple]]
-    #: steady-state instruction fetches per iteration (entered from the
-    #: loop's own back edge); the trial must match this exactly.
-    steady_fetches: int
-
-
-@dataclass
 class BasicBlock:
     """One compiled basic block."""
 
@@ -193,17 +152,13 @@ class BasicBlock:
     #: worst-case per-signal deltas of one execution (every access
     #: missing; ``max_deltas[TOT_CYC]`` is its worst-case cycles).
     max_deltas: List[int]
-    loop: Optional[LoopInfo] = None
     #: ends without a control transfer (next block starts at start+n_ins).
     falls_through: bool = False
-    #: consecutive unsteady trials; replay is suspended past the limit.
-    fails: int = 0
-    fail_epoch: int = -1
 
 
 @dataclass
 class Region:
-    """One compiled multi-block region.
+    """One compiled loop region (a self-loop block alone, or several).
 
     The generated function is a pc state machine over the member blocks:
     control transfers between members stay inside the function, and it
@@ -233,14 +188,10 @@ class Region:
 class EngineStats:
     """Cumulative work accounting (exposed via ``Machine.engine_stats``)."""
 
-    #: block executions through compiled code (including replay trials).
+    #: block executions through compiled code.
     blocks_executed: int = 0
-    #: instructions retired through the engine (compiled + replayed).
+    #: instructions retired through the engine (blocks + regions).
     fast_instructions: int = 0
-    #: bulk replay engagements.
-    replays: int = 0
-    #: instructions retired as bulk loop replay.
-    replayed_instructions: int = 0
     #: distinct blocks compiled.
     blocks_compiled: int = 0
     #: flush-barrier invocations (PMU reads / Machine.charge).
@@ -249,9 +200,14 @@ class EngineStats:
     regions_compiled: int = 0
     region_entries: int = 0
     region_instructions: int = 0
-    #: distinct superblock traces and replay engagements through them.
-    traces_compiled: int = 0
-    trace_replays: int = 0
+
+    # Placeholders, not fields, fixed at 0: the engine neither replays
+    # nor builds traces.  benchmarks/p3/layers.py:73 reads this one; it
+    # goes with the next change to that benchmark.
+    replayed_instructions = 0
+    # benchmarks/p3/layers.py:76 reads this one; it goes with the next
+    # change to that benchmark.
+    traces_compiled = 0
 
 
 @dataclass
@@ -262,15 +218,14 @@ class _CodeTable:
     leaders: Set[int]
     blocks: Dict[int, BasicBlock] = field(default_factory=dict)
     denied: Set[int] = field(default_factory=set)
-    #: compiled regions / superblock traces keyed by head pc.
+    #: compiled regions keyed by head pc.
     regions: Dict[int, Region] = field(default_factory=dict)
-    traces: Dict[int, BasicBlock] = field(default_factory=dict)
     #: back-edge arrival counters feeding the REGION_HOT promotion.
     heat: Dict[int, int] = field(default_factory=dict)
-    #: heads where trace/region promotion already failed.
+    #: heads where region promotion already failed.
     region_denied: Set[int] = field(default_factory=set)
     #: pcs that cannot block-compile but must stay engine-dispatchable
-    #: because a region or trace is keyed there (probe heads).
+    #: because a region is keyed there (probe heads).
     nocompile: Set[int] = field(default_factory=set)
 
 
@@ -305,52 +260,6 @@ def _compute_leaders(code: List[tuple]) -> Set[int]:
     return leaders
 
 
-def _count_consecutive_takens(kind: str, c: int, s: int, bound: int, cap: int) -> int:
-    """Future consecutive taken iterations of the loop branch.
-
-    The counter's branch-time value in future iteration ``j`` (j >= 1)
-    is ``c + j*s`` where ``c`` is its post-trial value.  Returns how many
-    leading ``j`` satisfy the (normalized) predicate, capped at *cap*.
-    """
-    v1 = c + s
-    if kind == "lt":
-        if not v1 < bound:
-            return 0
-        if s <= 0:
-            return cap
-        return min(cap, (bound - 1 - c) // s)
-    if kind == "le":
-        if not v1 <= bound:
-            return 0
-        if s <= 0:
-            return cap
-        return min(cap, (bound - c) // s)
-    if kind == "gt":
-        if not v1 > bound:
-            return 0
-        if s >= 0:
-            return cap
-        return min(cap, (c - bound - 1) // (-s))
-    if kind == "ge":
-        if not v1 >= bound:
-            return 0
-        if s >= 0:
-            return cap
-        return min(cap, (c - bound) // (-s))
-    if kind == "eq":
-        if v1 != bound:
-            return 0
-        return cap if s == 0 else 1
-    # "ne"
-    if v1 == bound:
-        return 0
-    if s != 0 and (bound - c) % s == 0:
-        j0 = (bound - c) // s
-        if j0 >= 1:
-            return min(cap, j0 - 1)
-    return cap
-
-
 def steps_before_deadline(
     limit: int, rem_ins: int, n_ins: int, deadlines: List[Tuple[int, int]]
 ) -> int:
@@ -383,7 +292,7 @@ class _EmitUnsupported(Exception):
 class _Emitter:
     """The engine's one per-instruction code generator.
 
-    Blocks, superblock traces and region members all emit through it.
+    Blocks and region members both emit through it.
     Per instruction it replicates the interpreter's effect ordering --
     fetch, retirement counts, then the op effect.  Static counts of
     consecutive instructions merge into a pending batch that is written
@@ -406,7 +315,7 @@ class _Emitter:
         #: name of the current-iline variable in the generated scope.
         self.il_var = il_var
         #: regions keep ``il`` as a live local across blocks, so fetches
-        #: must assign it; blocks and traces return literal ilines.
+        #: must assign it; blocks return literal ilines.
         self.track_il = track_il
         #: deferred-count mode: static retirement counts are not written
         #: per pass but accumulated into per-member vectors the region's
@@ -425,9 +334,7 @@ class _Emitter:
         #: merged into the generated function's namespace by the caller.
         self.fetch_globals: Dict[str, object] = {}
         self.md = [0] * Signal.N_SIGNALS
-        self.n_fetches = 0
         self.il_prev: Optional[int] = None
-        self.il_first: Optional[int] = None
 
     def emit(self, text: str, extra: int = 0) -> None:
         self.lines.append("    " * (self.depth + self.extra + extra) + text)
@@ -555,7 +462,6 @@ class _Emitter:
         self.emit(f"{pad}if _fl:")
         self.emit(f"{pad}    counts[{_S.TOT_CYC}] += _fl")
         self.emit(f"{pad}    counts[{_S.STL_CYC}] += _fl")
-        self.n_fetches += 1
         md = self.md
         md[_S.L1I_ACC] += 1
         md[_S.L1I_MISS] += 1
@@ -569,14 +475,13 @@ class _Emitter:
 
         For BRANCH/JMP/CALL/RET/PROBE this applies the fetch and the
         retirement/class counts; the caller emits the transfer and, for
-        branches, the resolution (:meth:`emit_branch_calls` in blocks and
-        traces, predictor-inlined arms in regions).
+        branches, the resolution (:meth:`emit_branch_calls` in blocks,
+        predictor-inlined arms in regions).
         """
         c = self.c
         op, a, b, cc, d = ins
         il = (pc * INS_BYTES) >> c._iline_shift
         if first:
-            self.il_first = il
             self.emit_fetch(pc, conditional=True)
         elif il != self.il_prev:
             # no flush: the fetch observes cache state, never counts[],
@@ -692,13 +597,12 @@ class _Emitter:
 
 
 class BlockCompiler:
-    """Generates the executor functions for blocks, traces and regions.
+    """Generates the executor functions for blocks and regions.
 
-    All three emit their instructions through one :class:`_Emitter`, so
-    the generated source replicates the interpreter's effect ordering
-    instruction for instruction in every unit.  Blocks and traces share
-    one straight-line path compiler (:meth:`_compile_path`); regions add
-    a dispatch loop around per-member emitters.
+    Both emit their instructions through one :class:`_Emitter`, so the
+    generated source replicates the interpreter's effect ordering
+    instruction for instruction in every unit; regions add a dispatch
+    loop around per-member emitters.
     """
 
     def __init__(self, cpu) -> None:
@@ -738,100 +642,22 @@ class BlockCompiler:
             pc += 1
         return instrs
 
-    # -- blocks and superblock traces -----------------------------------
+    # -- blocks ---------------------------------------------------------
 
     def compile_block(self, code: List[tuple], start: int) -> Optional[BasicBlock]:
-        """Compile the basic block headed at *start*, or None if empty."""
+        """Compile the basic block headed at *start*, or None if empty.
+
+        The executor returns ``(next_pc, cur_iline)``: the last
+        instruction's transfer becomes the return value.
+        """
         instrs = self.scan_block(code, start)
         if not instrs:
             return None
-        return self._compile_path(
-            "block", [(start + i, ins) for i, ins in enumerate(instrs)]
-        )
-
-
-    def trace_path(
-        self, code: List[tuple], head: int
-    ) -> Optional[List[Tuple[int, tuple]]]:
-        """The unique static path from *head* back to *head*, or None.
-
-        Follows fall-throughs, JMP, CALL (pushing the literal
-        continuation) and statically matched RETs.  Succeeds when the
-        path closes with a conditional branch targeting *head* at call
-        depth zero; aborts on probes/syscalls/halts, a mid-path
-        conditional branch, a revisited pc, an unmatched RET, or length
-        past TRACE_MAX_INS.
-        """
-        path: List[Tuple[int, tuple]] = []
-        seen: Set[int] = set()
-        stack: List[int] = []
-        end = len(code)
-        pc = head
-        while len(path) < TRACE_MAX_INS:
-            if not 0 <= pc < end or pc in seen:
-                return None
-            ins = code[pc]
-            op = ins[0]
-            if op in BLOCK_BREAK_OPS:
-                return None
-            seen.add(pc)
-            path.append((pc, ins))
-            if op in BRANCH_OPS:
-                if ins[3] == head and not stack:
-                    return path
-                return None
-            if op == Op.JMP:
-                pc = ins[1]
-            elif op == Op.CALL:
-                stack.append(pc + 1)
-                pc = ins[1]
-            elif op == Op.RET:
-                if not stack:
-                    return None
-                pc = stack.pop()
-            else:
-                pc += 1
-        return None
-
-    def compile_trace(self, code: List[tuple], head: int) -> Optional[BasicBlock]:
-        """Compile the unique loop path through *head* as one superblock.
-
-        The result is a :class:`BasicBlock` with the block-fn calling
-        convention, so the engine runs it exactly like a self-loop block
-        -- including the trial + O(1) bulk-replay machinery, now over the
-        whole multi-block trace.
-        """
-        path = self.trace_path(code, head)
-        if path is None or len(path) < 2:
-            return None
-        return self._compile_path("trace", path)
-
-    def _compile_path(
-        self, kind: str, path: List[Tuple[int, tuple]]
-    ) -> BasicBlock:
-        """Compile a straight-line path into a ``(next_pc, cur_iline)``
-        executor: a block's run of pcs, or a trace through CALL/RET.
-
-        Transfers inside the path only maintain the call stack (a trace's
-        RETs are statically matched to its CALLs); the last instruction's
-        transfer becomes the return value.  A path closed by a branch
-        back to its first pc is classified for O(1) replay.
-        """
         e = _Emitter(self)
-        start = path[0][0]
-        last = len(path) - 1
-        for i, (pc, ins) in enumerate(path):
-            e.emit_ins(pc, ins, first=(i == 0))
-            if i == last:
-                break
-            if ins[0] == Op.CALL:
-                e.emit(f"call_stack.append({pc + 1})")
-            elif ins[0] == Op.RET:
-                # statically matched to a CALL earlier on this path, so
-                # the stack top is that call's continuation: pop only.
-                e.emit("call_stack.pop()")
-        tpc, term = path[last]
-        op, a, b, c, _d = term
+        for i, ins in enumerate(instrs):
+            e.emit_ins(start + i, ins, first=(i == 0))
+        tpc = start + len(instrs) - 1
+        op, a, b, c, _d = instrs[-1]
         falls_through = op not in BRANCH_OPS and op not in (
             Op.JMP, Op.CALL, Op.RET
         )
@@ -855,7 +681,7 @@ class BlockCompiler:
         e.emit(f"return {nxt}, {il_last}")
 
         src = (
-            f"def _{kind}(counts, iregs, fregs, memory, mem_len, call_stack,\n"
+            "def _block(counts, iregs, fregs, memory, mem_len, call_stack,\n"
             "           data_access, inst_fetch, predict, pred_update, pmu,\n"
             "           touched, data_base, cur_iline):\n"
             + "\n".join(e.lines)
@@ -864,20 +690,20 @@ class BlockCompiler:
         ns: Dict[str, object] = {}
         g = dict(self._globals)
         g.update(e.fetch_globals)
-        exec(compile_cached(src, f"<{kind}@{start}>"), g, ns)
-        block = BasicBlock(
+        exec(compile_cached(src, f"<block@{start}>"), g, ns)
+        return BasicBlock(
             start=start,
-            n_ins=len(path),
-            fn=ns[f"_{kind}"],
+            n_ins=len(instrs),
+            fn=ns["_block"],
             max_deltas=e.md,
             falls_through=falls_through,
         )
-        if op in BRANCH_OPS and c == start:
-            steady = (e.n_fetches - 1) + (1 if e.il_first != il_last else 0)
-            block.loop = self._analyze_cycle(
-                [ins for _pc, ins in path[:last]], term, tpc, steady
-            )
-        return block
+
+    # Placeholder that compiles nothing and that the engine never calls:
+    # benchmarks/p3/layers.py:153 wraps this name.  It goes with the next
+    # change to that benchmark.
+    def compile_trace(self, code: List[tuple], head: int) -> None:
+        return None
 
     # -- compiled regions -----------------------------------------------
 
@@ -889,7 +715,7 @@ class BlockCompiler:
         BFS over the static CFG from *head*, capped at
         MAX_REGION_BLOCKS, pruned to blocks that can reach *head* again
         (anything else exits the region on first touch anyway); requires
-        a cycle through *head* and at least two members.
+        a cycle through *head*, which may be a self-loop block alone.
         """
         end = len(code)
         info: Dict[int, Tuple[str, List[tuple], List[int]]] = {}
@@ -953,10 +779,7 @@ class BlockCompiler:
                     changed = True
         if not any(head in outs(info[s]) for s in info if s in reach):
             return None  # no cycle back through the head
-        members = [(s, info[s]) for s in order if s in reach]
-        if len(members) < 2:
-            return None
-        return members
+        return [(s, info[s]) for s in order if s in reach]
 
     def compile_region(
         self, code: List[tuple], head: int, predictor, engine
@@ -1466,190 +1289,6 @@ class BlockCompiler:
             has_mem=has_mem,
         )
 
-    # -- static loop analysis -------------------------------------------
-
-    def _analyze_cycle(
-        self,
-        body: List[tuple],
-        term: tuple,
-        branch_pc: int,
-        steady_fetches: int,
-    ) -> Optional[LoopInfo]:
-        """Classify a cycle (self-loop block or trace) for O(1) replay.
-
-        Eligibility: the closing branch targets the cycle head (the
-        caller guarantees this), every written integer register is
-        either iteration-invariant or affine (a single self-increment by
-        a loop-invariant stride), every written float register is
-        iteration-invariant, memory addresses and store values are
-        invariant, fault operands are invariant, and the branch compares
-        the affine counter against an invariant bound (or two
-        invariants).  Trace bodies may contain JMP/CALL/RET: these have
-        no register effects, and CALL/RET pairs are statically matched
-        by ``trace_path`` so the call stack is iteration-invariant.
-        Under those conditions -- plus the dynamic all-hit /
-        saturated-predictor trial -- every future iteration is an exact
-        copy of the trial, so its effects can be multiplied.
-        """
-        if term[0] not in BRANCH_OPS:
-            return None
-        has_store = any(ins[0] in (Op.STORE, Op.FSTORE) for ins in body)
-        has_load = any(ins[0] in (Op.LOAD, Op.FLOAD) for ins in body)
-        if has_store and has_load:
-            # a load could observe an in-loop store; values would then
-            # depend on the iteration.  Keep the analysis simple: such
-            # loops run through the compiled path only.
-            return None
-
-        # single-write affine candidates: r op= invariant stride.
-        iwrites: Dict[int, List[tuple]] = {}
-        fwrites: Dict[int, int] = {}
-        for ins in body:
-            op, a = ins[0], ins[1]
-            if op in (Op.LI, Op.MOV, Op.ADD, Op.SUB, Op.MUL, Op.DIV,
-                      Op.ADDI, Op.MULI, Op.LOAD):
-                iwrites.setdefault(a, []).append(ins)
-            elif op in (Op.FLI, Op.FMOV, Op.FADD, Op.FSUB, Op.FMUL,
-                        Op.FDIV, Op.FSQRT, Op.FMA, Op.FCVT, Op.FLOAD):
-                fwrites[a] = fwrites.get(a, 0) + 1
-
-        affine: Dict[int, Tuple] = {}
-        for reg, writes in iwrites.items():
-            if len(writes) != 1:
-                continue
-            op, a, b, c, d = writes[0]
-            if op == Op.ADDI and b == reg:
-                affine[reg] = ("imm", d)
-            elif op == Op.ADD and b == reg and c not in iwrites:
-                affine[reg] = ("reg", c, 1)
-            elif op == Op.ADD and c == reg and b not in iwrites:
-                affine[reg] = ("reg", b, 1)
-            elif op == Op.SUB and b == reg and c not in iwrites:
-                affine[reg] = ("reg", c, -1)
-
-        # abstract interpretation over one iteration.  Start state is
-        # pessimistic for written registers (VAR, or AFF for the matched
-        # affine updates): a value carried across the back edge through a
-        # written register cannot be assumed invariant, or self-increment
-        # chains and write cycles (swaps) would wrongly classify as
-        # invariant.  A written register only becomes INV flow-sensitively,
-        # at a write that recomputes it from invariant inputs (LI, LOAD
-        # from invariant memory, ALU over INV sources).
-        INV, AFF, VAR = 0, 1, 2
-        iabs = [INV] * 32
-        fabs = [INV] * 32
-        for reg in iwrites:
-            iabs[reg] = AFF if reg in affine else VAR
-        for reg in fwrites:
-            fabs[reg] = VAR
-
-        def ival(reg: int) -> int:
-            return iabs[reg]
-
-        for ins in body:
-            op, a, b, c, d = ins
-            if op in (Op.LOAD, Op.FLOAD, Op.STORE, Op.FSTORE):
-                if ival(b) != INV:
-                    return None  # striding address: lines change per iter
-                if op == Op.STORE and ival(a) != INV:
-                    return None  # stored value must be invariant
-                if op == Op.FSTORE and fabs[a] != INV:
-                    return None
-                if op == Op.LOAD:
-                    # no stores in the body (checked above), so memory is
-                    # iteration-invariant and so is the loaded value.
-                    if has_store:
-                        return None
-                    iabs[a] = INV
-                elif op == Op.FLOAD:
-                    if has_store:
-                        return None
-                    fabs[a] = INV
-                continue
-            if op == Op.DIV and ival(c) != INV:
-                return None  # divisor could hit zero in a later iteration
-            if op == Op.FDIV and fabs[c] != INV:
-                return None
-            if op == Op.FSQRT and fabs[b] != INV:
-                return None
-            if a in affine and op == affine_op(affine[a]):
-                # the affine self-update keeps the register affine.
-                continue
-            if op in (Op.MOV, Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.ADDI, Op.MULI):
-                srcs = _int_sources(op, b, c)
-                out = INV
-                for s in srcs:
-                    if ival(s) != INV:
-                        out = VAR
-                iabs[a] = out if op != Op.LI else INV
-            elif op == Op.LI:
-                iabs[a] = INV
-            elif op == Op.FLI:
-                fabs[a] = INV
-            elif op in (Op.FMOV, Op.FCVT, Op.FSQRT):
-                fabs[a] = fabs[b]
-            elif op in (Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV):
-                fabs[a] = max(fabs[b], fabs[c])
-            elif op == Op.FMA:
-                fabs[a] = max(fabs[b], fabs[c], fabs[d])
-            elif op == Op.NOP:
-                pass
-            elif op in (Op.JMP, Op.CALL, Op.RET):
-                pass  # control only: no register effects (see docstring)
-            else:  # pragma: no cover - body ops are exhaustive above
-                return None
-
-        # every written register must end reproducible: INV (no-op under
-        # replay) or AFF (bulk += stride * k).
-        for reg in iwrites:
-            if iabs[reg] == VAR:
-                return None
-        for reg in fwrites:
-            if fabs[reg] != INV:
-                return None
-
-        op, ra, rb, _tgt, _ = term
-        va, vb = iabs[ra], iabs[rb]
-        if va == AFF and vb == INV:
-            counter, bound, counter_is_a = ra, rb, True
-        elif va == INV and vb == AFF:
-            counter, bound, counter_is_a = rb, ra, False
-        elif va == INV and vb == INV:
-            counter, bound, counter_is_a = -1, rb, True
-        else:
-            return None
-        if op == Op.BLT:
-            kind = "lt" if counter_is_a else "gt"
-        elif op == Op.BGE:
-            kind = "ge" if counter_is_a else "le"
-        elif op == Op.BEQ:
-            kind = "eq"
-        else:
-            kind = "ne"
-
-        return LoopInfo(
-            branch_pc=branch_pc,
-            kind=kind,
-            counter=counter,
-            bound=bound,
-            stride=affine.get(counter, ("imm", 0)),
-            affine=sorted(affine.items()),
-            steady_fetches=steady_fetches,
-        )
-
-
-def affine_op(spec: Tuple) -> int:
-    """The opcode that realizes an affine stride spec (for write matching)."""
-    if spec[0] == "imm":
-        return Op.ADDI
-    return Op.ADD if spec[2] > 0 else Op.SUB
-
-
-def _int_sources(op: int, b: int, c: int) -> Tuple[int, ...]:
-    if op in (Op.MOV, Op.ADDI, Op.MULI):
-        return (b,)
-    return (b, c)
-
 
 def _machine_fault_class():
     from repro.hw.cpu import MachineFault
@@ -1664,11 +1303,11 @@ def _round_to_single_fn():
 
 
 class BlockEngine:
-    """The block cache + replay engine bound to one CPU.
+    """The block cache and region engine bound to one CPU.
 
     ``CPU.run`` calls :meth:`begin` once per slice and :meth:`execute`
     whenever the pc heads a (potential) block; everything else -- table
-    management, deadline math, replay -- lives here.
+    management, deadline math, region promotion -- lives here.
     """
 
     def __init__(self, cpu) -> None:
@@ -1677,7 +1316,6 @@ class BlockEngine:
         self.stats = EngineStats()
         self._tables: Dict[int, _CodeTable] = {}
         self._table: Optional[_CodeTable] = None
-        self._epoch = 0
         self._ctx: Optional[tuple] = None
         #: pc of a probe that side-exited a region because its handler
         #: perturbed the machine; CPU.run runs the probe's post-retire
@@ -1734,25 +1372,16 @@ class BlockEngine:
         self._table = None
         self._ctx = None
 
-    def barrier(self) -> None:
-        """External machine-state change (e.g. cache pollution).
-
-        Bumps the epoch so replay blacklists are re-armed: a block that
-        looked unsteady before the change may be steady after it (and
-        vice versa -- the next trial re-proves steadiness either way).
-        """
-        self._epoch += 1
-        self.flush()
-
     def flush(self) -> None:
         """Flush-before-read barrier (installed as the PMU flush hook).
 
         The engine applies all effects synchronously inside
-        :meth:`execute` -- compiled bodies write ``counts[]`` directly and
-        bulk replay commits before returning -- so there is never deferred
-        state to write back; this hook is the enforcement point that keeps
-        it that way (any future staging must drain here) and the
-        observability counter for the read-barrier tests.
+        :meth:`execute` -- compiled blocks write ``counts[]`` directly and
+        a region applies its deferred counts before it returns -- so there
+        is never deferred state to write back; this hook is the
+        enforcement point that keeps it that way (any future staging must
+        drain here) and the observability counter for the read-barrier
+        tests.
         """
         self.stats.flushes += 1
 
@@ -1764,7 +1393,7 @@ class BlockEngine:
 
         A step retires *n_ins* instructions and adds at most ``deltas[s]``
         of each signal, cycles included: a block's or region's worst
-        case, or a replay trial's exact deltas.  Deadlines: the budgets,
+        case.  Deadlines: the budgets,
         the sample countdown, every running overflow watch and the cycle
         timer (:func:`steps_before_deadline`); no step fits while an
         overflow delivery is in its skid window.
@@ -1813,14 +1442,6 @@ class BlockEngine:
             res = self._run_region(region, cur_iline, rem_ins, cyc_budget)
             if res is not None:
                 return res
-        else:
-            trace = table.traces.get(pc)
-            if trace is not None:
-                res = self._run_block(trace, cur_iline, rem_ins, cyc_budget)
-                if res is not None:
-                    if res[2] > trace.n_ins:
-                        self.stats.trace_replays += 1
-                    return res
         block = table.blocks.get(pc)
         if block is None:
             if pc in table.nocompile:
@@ -1842,71 +1463,44 @@ class BlockEngine:
                 table.denied.discard(nxt)
 
         res = self._run_block(block, cur_iline, rem_ins, cyc_budget)
-        if res is not None and res[0] < pc:
-            # back edge: count arrivals at the loop head and promote hot
-            # heads to a superblock trace or compiled region.
+        if res is not None and res[0] <= pc:
+            # back edge, a self-loop's included: count arrivals at the
+            # loop head and promote hot heads to a compiled region.
             self._heat(table, res[0])
         return res
 
     def _run_block(
         self, block: BasicBlock, cur_iline: int, rem_ins: int, cyc_budget: int
     ) -> Optional[Tuple[int, int, int]]:
-        """Run a block or superblock trace once, then bulk-replay it if
-        it looped back steadily; None declines (a deadline is in reach).
-        """
+        """Run a block once; None declines (a deadline is in reach)."""
         n_ins = block.n_ins
         if not self._fuel(1, n_ins, block.max_deltas, rem_ins, cyc_budget):
             return None
-        cpu = self.cpu
-        pmu = cpu.pmu
+        pmu = self.cpu.pmu
         sampler_on = pmu is not None and pmu.sampler is not None
-
-        loop = block.loop
-        if (
-            loop is not None
-            and block.fail_epoch == self._epoch
-            and block.fails >= REPLAY_FAIL_LIMIT
-        ):
-            loop = None
-        if loop is not None:
-            snap = cpu.counts.copy()
-            hsnap = cpu.hierarchy.hit_snapshot()
         next_pc, cur_iline = block.fn(*self._ctx, cur_iline)
         if sampler_on:
             pmu.sample_countdown -= n_ins
-        total = n_ins
-        if loop is not None and next_pc == block.start:
-            k = self._try_replay(
-                block, loop, snap, hsnap,
-                rem_ins - n_ins if rem_ins >= 0 else -1, cyc_budget,
-            )
-            total += k * n_ins
-            if sampler_on:
-                pmu.sample_countdown -= k * n_ins
         self.stats.blocks_executed += 1
-        self.stats.fast_instructions += total
-        return next_pc, cur_iline, total
+        self.stats.fast_instructions += n_ins
+        return next_pc, cur_iline, n_ins
 
-    # -- traces and regions ---------------------------------------------
+    # -- regions --------------------------------------------------------
 
     def _deny(self, table: _CodeTable, pc: int) -> None:
         """Stop offering *pc* to compile_block.
 
-        A pc that heads a region or trace (dynaprof probes, typically)
-        must stay engine-dispatchable, so it goes to ``nocompile``
-        instead of the run loop's ``denied`` set.
+        A pc that heads a region (dynaprof probes, typically) must stay
+        engine-dispatchable, so it goes to ``nocompile`` instead of the
+        run loop's ``denied`` set.
         """
-        if pc in table.regions or pc in table.traces:
+        if pc in table.regions:
             table.nocompile.add(pc)
         else:
             table.denied.add(pc)
 
     def _heat(self, table: _CodeTable, head: int) -> None:
-        if (
-            head in table.region_denied
-            or head in table.regions
-            or head in table.traces
-        ):
+        if head in table.region_denied or head in table.regions:
             return
         h = table.heat.get(head, 0) + 1
         if h < REGION_HOT:
@@ -1916,13 +1510,7 @@ class BlockEngine:
         self._build_region(table, head)
 
     def _build_region(self, table: _CodeTable, head: int) -> None:
-        """Promote a hot loop head: superblock trace first, else region."""
-        trace = self.compiler.compile_trace(table.code, head)
-        if trace is not None:
-            table.traces[head] = trace
-            table.denied.discard(head)
-            self.stats.traces_compiled += 1
-            return
+        """Promote a hot loop head to a compiled region."""
         try:
             region = self.compiler.compile_region(
                 table.code, head, self.cpu.predictor, self
@@ -1978,77 +1566,3 @@ class BlockEngine:
         st.region_instructions += n
         st.fast_instructions += n
         return next_pc, cur_iline, n
-
-    def _try_replay(
-        self,
-        block: BasicBlock,
-        loop: LoopInfo,
-        snap: List[int],
-        hsnap: Tuple[int, int, int, int],
-        rem_ins: int,
-        cyc_budget: int,
-    ) -> int:
-        """After a taken trial iteration, bulk-apply up to *n* more."""
-        cpu = self.cpu
-        counts = cpu.counts
-        iregs = cpu.iregs
-        d = [counts[i] - snap[i] for i in range(Signal.N_SIGNALS)]
-
-        # steady-state trial? all accesses hit, branch predicted, fetch
-        # footprint equal to the back-edge steady state.
-        if (
-            d[_S.L1D_MISS] or d[_S.L1I_MISS] or d[_S.L2_MISS]
-            or d[_S.TLB_DM] or d[_S.BR_MSP]
-            or d[_S.L1I_ACC] != loop.steady_fetches
-        ):
-            if block.fail_epoch != self._epoch:
-                block.fail_epoch = self._epoch
-                block.fails = 0
-            block.fails += 1
-            return 0
-        if not cpu.predictor.steady_taken(loop.branch_pc):
-            return 0
-
-        # exact remaining taken count from the affine counter.
-        if loop.counter < 0:
-            # both operands invariant: the branch repeats its trial
-            # outcome (taken) forever; replay in chunks.
-            n = REPLAY_CHUNK
-        else:
-            spec = loop.stride
-            stride = spec[1] if spec[0] == "imm" else iregs[spec[1]] * spec[2]
-            n = _count_consecutive_takens(
-                loop.kind, iregs[loop.counter], stride, iregs[loop.bound],
-                REPLAY_CHUNK,
-            )
-        if n <= 0:
-            return 0
-
-        # every further iteration costs exactly the trial's deltas.
-        n_ins = block.n_ins
-        k = self._fuel(n, n_ins, d, rem_ins, cyc_budget)
-        if not k:
-            return 0
-
-        # -- commit: k identical iterations as one bulk update ----------
-        for i in range(Signal.N_SIGNALS):
-            di = d[i]
-            if di:
-                counts[i] += di * k
-        h = cpu.hierarchy
-        cur = h.hit_snapshot()
-        h.replay_hits(
-            (cur[0] - hsnap[0]) * k,
-            (cur[1] - hsnap[1]) * k,
-            (cur[2] - hsnap[2]) * k,
-            (cur[3] - hsnap[3]) * k,
-        )
-        for reg, spec in loop.affine:
-            if spec[0] == "imm":
-                iregs[reg] += spec[1] * k
-            else:
-                iregs[reg] += iregs[spec[1]] * spec[2] * k
-        block.fails = 0
-        self.stats.replays += 1
-        self.stats.replayed_instructions += k * n_ins
-        return k

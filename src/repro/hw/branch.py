@@ -30,20 +30,8 @@ class BranchPredictor:
         """Forget all learned state."""
         raise NotImplementedError
 
-    def steady_taken(self, pc: int) -> bool:
-        """True when the branch at *pc* is in a *steady taken* state.
-
-        Steady means: ``predict(pc)`` returns True and ``update(pc, True)``
-        leaves the predictor's entire state unchanged, so an unbounded run
-        of taken outcomes is a fixed point.  The block engine's loop
-        replay requires this before multiplying a trial iteration.
-        Unknown predictors conservatively answer False (replay disabled,
-        correctness unaffected).
-        """
-        return False
-
     def inline_spec(self) -> Optional[Tuple[str, object, int]]:
-        """Codegen contract for the trace engine, or None.
+        """Codegen contract for compiled regions, or None.
 
         Returns ``(kind, state, mask)`` when predict/update for a branch
         at a *statically known* pc can be open-coded against mutable
@@ -76,9 +64,6 @@ class StaticTakenPredictor(BranchPredictor):
 
     def reset(self) -> None:
         pass
-
-    def steady_taken(self, pc: int) -> bool:
-        return True
 
     def inline_spec(self):
         return ("static", None, 0)
@@ -115,10 +100,6 @@ class TwoBitPredictor(BranchPredictor):
     def reset(self) -> None:
         for i in range(len(self._table)):
             self._table[i] = 2
-
-    def steady_taken(self, pc: int) -> bool:
-        # state 3 is saturated: a taken outcome leaves it at 3.
-        return self._table[pc & self._mask] == 3
 
     def inline_spec(self):
         return ("twobit", self._table, self._mask)
@@ -160,15 +141,6 @@ class GsharePredictor(BranchPredictor):
         for i in range(len(self._table)):
             self._table[i] = 2
         self._history = 0
-
-    def steady_taken(self, pc: int) -> bool:
-        # taken outcomes shift 1s into the history; once it saturates at
-        # all-ones AND the indexed entry saturates at 3, further taken
-        # outcomes change nothing.
-        return (
-            self._history == self._history_mask
-            and self._table[(pc ^ self._history) & self._mask] == 3
-        )
 
     def inline_spec(self):
         return ("gshare", self._table, self._mask)

@@ -319,19 +319,6 @@ class MemoryHierarchy:
                 latency += self.config.mem_latency
         return latency, l1_miss, l2_miss
 
-    # -- access summaries (block-engine replay support) ------------------
-    #
-    # A steady-state loop iteration whose every access *hits* leaves the
-    # LRU state of all levels unchanged (each touched line/page returns to
-    # the MRU position it already held), so k identical iterations are
-    # equivalent to bulk-adding k times the iteration's hit counts.  The
-    # block engine proves the all-hit property with a trial iteration and
-    # then applies the summary below.
-
-    def hit_snapshot(self) -> Tuple[int, int, int, int]:
-        """Hit counters of (l1d, l1i, l2, tlb) for delta bookkeeping."""
-        return (self.l1d.hits, self.l1i.hits, self.l2.hits, self.tlb.hits)
-
     def stats_snapshot(self) -> Tuple[int, ...]:
         """All hit/miss counters, for equivalence tests and diagnostics."""
         return (
@@ -340,17 +327,6 @@ class MemoryHierarchy:
             self.l2.hits, self.l2.misses,
             self.tlb.hits, self.tlb.misses,
         )
-
-    def replay_hits(self, l1d: int, l1i: int, l2: int, tlb: int) -> None:
-        """Bulk-apply an all-hit access summary (replayed iterations).
-
-        Only statistics move: by the fixed-point argument above, the LRU
-        state after k all-hit iterations equals the state after one.
-        """
-        self.l1d.hits += l1d
-        self.l1i.hits += l1i
-        self.l2.hits += l2
-        self.tlb.hits += tlb
 
     def pollute(self, byte_addrs) -> None:
         """Touch *byte_addrs* as data accesses without recording statistics.

@@ -37,9 +37,9 @@ class MachineFault(Exception):
 
 
 #: execution-engine tiers: the pure interpreter, and the engine of
-#: :mod:`repro.hw.blockcache` (compiled blocks with steady-loop replay,
-#: superblock traces and compiled regions).  The tiers are bit-exact
-#: with each other; they differ only in simulation speed.
+#: :mod:`repro.hw.blockcache` (compiled blocks and compiled loop
+#: regions).  The tiers are bit-exact with each other; they differ only
+#: in simulation speed.
 ENGINE_TIERS = ("off", "trace")
 
 
@@ -259,11 +259,10 @@ class CPU:
     def engine_barrier(self) -> None:
         """External machine-state change (cache pollution, reset, ...).
 
-        Flushes the engine and re-arms its replay trials; a no-op when
-        the engine is disabled.
+        Flushes the engine; a no-op when the engine is disabled.
         """
         if self.engine is not None:
-            self.engine.barrier()
+            self.engine.flush()
 
     def engine_stats(self):
         """The engine's :class:`~repro.hw.blockcache.EngineStats`, or None."""

@@ -40,11 +40,10 @@ class MachineConfig:
     mhz: int = 500
     seed: int = 12345
     #: execution-engine tier (see repro/hw/blockcache.py): "off" (pure
-    #: interpreter) or "trace" (compiled blocks with steady-loop replay,
-    #: superblock traces and compiled multi-block regions).  The engine
-    #: is bit-exact with the interpreter -- identical counts, cache
-    #: state and interrupt delivery -- so this only trades simulation
-    #: speed.
+    #: interpreter) or "trace" (compiled blocks and compiled loop
+    #: regions).  The engine is bit-exact with the interpreter --
+    #: identical counts, cache state and interrupt delivery -- so this
+    #: only trades simulation speed.
     engine: str = "trace"
     #: number of CPUs.  Each CPU gets its own signal-counts array, PMU
     #: and block engine (private decode caches); the memory hierarchy is
@@ -162,8 +161,7 @@ class Machine:
                 base + i * line for i in range(pollute_lines)
             )
         # external state changed behind the CPUs' backs (the hierarchy is
-        # shared): flush every block engine and re-arm their steady-loop
-        # trials against the new cache contents.
+        # shared): flush every block engine.
         for c in self.cpus:
             c.engine_barrier()
 

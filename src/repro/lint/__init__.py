@@ -55,18 +55,14 @@ from repro.lint.presetlint import (
 from repro.lint.rules import RULES, Rule, Severity, rule
 from repro.lint.sarif import render_sarif, to_sarif
 from repro.lint.staticoracle import (
-    AffineReport,
     Interval,
     SignalBounds,
     StaticOracleError,
-    TraceCertificate,
     static_signal_bounds,
-    trace_certificates,
     verify_block_affine,
 )
 
 __all__ = [
-    "AffineReport",
     "Diagnostic",
     "EventResolution",
     "FeasibilityReport",
@@ -77,7 +73,6 @@ __all__ = [
     "Severity",
     "SignalBounds",
     "StaticOracleError",
-    "TraceCertificate",
     "apply_suppressions",
     "check_events",
     "lint_file",
@@ -95,7 +90,6 @@ __all__ = [
     "sort_diagnostics",
     "static_signal_bounds",
     "to_sarif",
-    "trace_certificates",
     "verify_block_affine",
     "worst_severity",
 ]

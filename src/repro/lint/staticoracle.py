@@ -34,10 +34,11 @@ oracle, no execution needed.
 
 A second, independent static check lives here too:
 :func:`verify_block_affine` re-derives the block partition the block
-engine (:mod:`repro.hw.blockcache`) compiles and certifies its affine
-invariance -- each block's signal delta is one constant vector (plus a
-taken/not-taken bit on a conditional terminator), so engine-on and
-engine-off executions must agree bit-for-bit.
+engine (:mod:`repro.hw.blockcache`) compiles, and stitches its compiled
+regions from, and certifies its affine invariance -- each block's
+signal delta is one constant vector (plus a taken/not-taken bit on a
+conditional terminator), so engine-on and engine-off executions must
+agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -56,16 +57,13 @@ from repro.hw.isa import (
 )
 
 __all__ = [
-    "AffineReport",
     "Interval",
     "SignalBounds",
     "StaticOracleError",
-    "TraceCertificate",
     "static_exact_signal_counts",
     "static_signal_bounds",
     "op_signal_vector",
     "block_signal_vectors",
-    "trace_certificates",
     "verify_block_affine",
 ]
 
@@ -1037,7 +1035,7 @@ def block_signal_vectors(code) -> Dict[int, List[int]]:
     instructions' outcome-independent contributions -- the affine
     constant term.  The only outcome-dependent signals a block can
     produce are one ``BR_TKN``/``BR_NTK`` bit on a conditional
-    terminator, which the engine replays from its taken-count.
+    terminator.
     """
     from repro.hw.blockcache import _compute_leaders
 
@@ -1062,152 +1060,8 @@ def block_signal_vectors(code) -> Dict[int, List[int]]:
     return vectors
 
 
-@dataclass(frozen=True)
-class TraceCertificate:
-    """Outcome of trying to certify one loop head as a superblock trace.
-
-    ``status`` is ``"certified"`` (the loop body is a unique static
-    path; ``vector`` is its constant per-iteration signal delta) or
-    ``"skipped"``.  A skip is **never silent**: ``reason`` names the
-    exact instruction/shape that blocks the certificate, so an
-    uncertifiable trace reads as "engine falls back to compiled-region
-    or block dispatch here", not as a pass.
-    """
-
-    head: int
-    status: str
-    vector: Optional[Tuple[int, ...]] = None
-    path_len: int = 0
-    reason: str = ""
-
-    @property
-    def certified(self) -> bool:
-        return self.status == "certified"
-
-
-class AffineReport(Dict[int, List[int]]):
-    """:func:`verify_block_affine` result: a per-block-vector dict
-    (backward-compatible mapping interface) carrying the trace-level
-    certificates in ``traces``."""
-
-    def __init__(self, vectors: Dict[int, List[int]],
-                 traces: Dict[int, TraceCertificate]) -> None:
-        super().__init__(vectors)
-        self.traces = traces
-
-    @property
-    def certified_traces(self) -> Dict[int, TraceCertificate]:
-        return {h: c for h, c in self.traces.items() if c.certified}
-
-    @property
-    def skipped_traces(self) -> Dict[int, TraceCertificate]:
-        return {h: c for h, c in self.traces.items() if not c.certified}
-
-
-def _walk_trace(code: List[tuple], head: int,
-                max_ins: int) -> Tuple[Optional[List[int]], str]:
-    """Mirror of ``BlockCompiler.trace_path``: the unique static path
-    from *head* back to *head*, or ``(None, reason)``."""
-    from repro.hw.isa import OP_NAMES
-
-    path: List[int] = []
-    seen: Set[int] = set()
-    stack: List[int] = []
-    end = len(code)
-    pc = head
-    while len(path) < max_ins:
-        if not 0 <= pc < end:
-            return None, f"path leaves the program at pc {pc}"
-        if pc in seen:
-            return None, (
-                f"path revisits pc {pc} without closing at the head "
-                "(inner cycle: the engine keys its own trace there)"
-            )
-        ins = code[pc]
-        op = ins[0]
-        if op in BLOCK_BREAK_OPS:
-            return None, (
-                f"{OP_NAMES[op]} at pc {pc} re-enters the simulation "
-                "control plane; such loops compile as regions with "
-                "probe-prologue segments, not superblock traces"
-            )
-        seen.add(pc)
-        path.append(pc)
-        if op in BRANCH_OPS:
-            if ins[3] == head and not stack:
-                return path, ""
-            if ins[3] == head:
-                return None, (
-                    f"loop branch at pc {pc} closes at call depth "
-                    f"{len(stack)}: unmatched CALL on the path"
-                )
-            return None, (
-                f"data-dependent branch {OP_NAMES[op]} at pc {pc} "
-                "mid-path: multi-path cycle (compiled-region "
-                "territory, no single-trace certificate)"
-            )
-        if op == Op.JMP:
-            pc = ins[1]
-        elif op == Op.CALL:
-            stack.append(pc + 1)
-            pc = ins[1]
-        elif op == Op.RET:
-            if not stack:
-                return None, (
-                    f"RET at pc {pc} with no statically matched CALL "
-                    "on the path"
-                )
-            pc = stack.pop()
-        else:
-            pc += 1
-    return None, f"path exceeds TRACE_MAX_INS ({max_ins}) instructions"
-
-
-def trace_certificates(code: List[tuple]) -> Dict[int, TraceCertificate]:
-    """Trace-level affine certificates for every static loop head.
-
-    Loop heads are the back-edge targets of the resolved code -- the
-    pcs the trace tier's heat counters can promote.  For each, the
-    walk either certifies the unique loop path (its per-iteration
-    signal delta is one constant vector, so the superblock gets the
-    same affine bulk-replay soundness argument as a self-loop block)
-    or records a skip naming the obstruction.
-    """
-    from repro.hw.blockcache import TRACE_MAX_INS
-
-    heads: Set[int] = set()
-    for pc, ins in enumerate(code):
-        op = ins[0]
-        if op in BRANCH_OPS and ins[3] <= pc:
-            heads.add(ins[3])
-        elif op == Op.JMP and ins[1] <= pc:
-            heads.add(ins[1])
-    out: Dict[int, TraceCertificate] = {}
-    for head in sorted(heads):
-        path, reason = _walk_trace(code, head, TRACE_MAX_INS)
-        if path is None:
-            out[head] = TraceCertificate(head, "skipped", reason=reason)
-            continue
-        if path == list(range(head, head + len(path))):
-            # pure fall-through closed by the branch: one basic block
-            out[head] = TraceCertificate(
-                head, "skipped",
-                reason="self-loop block: block replay already "
-                       "certifies and replays it",
-            )
-            continue
-        vec = [0] * Signal.N_SIGNALS
-        for pc in path:
-            for sig in op_signal_vector(code[pc][0]):
-                vec[sig] += 1
-        out[head] = TraceCertificate(
-            head, "certified", vector=tuple(vec), path_len=len(path)
-        )
-    return out
-
-
-def verify_block_affine(program: Program) -> AffineReport:
-    """Statically certify the engine's affine invariance, block + trace.
+def verify_block_affine(program: Program) -> Dict[int, List[int]]:
+    """Statically certify the engine's affine invariance per block.
 
     For every block the engine would compile, checks that (a) control
     transfers only happen at block ends, so a block always retires all
@@ -1216,14 +1070,7 @@ def verify_block_affine(program: Program) -> AffineReport:
     these imply counts(engine on) == counts(engine off) on every
     program -- the property the dynamic tests then spot-check.
 
-    On top of the block partition, every static loop head gets a
-    **trace certificate** (see :func:`trace_certificates`): certified
-    loop paths carry their constant per-iteration vector, and
-    uncertifiable ones carry an explicit skip reason instead of
-    passing silently.
-
-    Returns an :class:`AffineReport` (a dict of per-block vectors with
-    the certificates on ``.traces``); raises
+    Returns the per-block vectors keyed by block start; raises
     :class:`StaticOracleError` if the partition is unsound.
     """
     code = program.resolve()
@@ -1231,4 +1078,4 @@ def verify_block_affine(program: Program) -> AffineReport:
     for start, vec in vectors.items():
         if vec[Signal.TOT_INS] == 0:
             raise StaticOracleError(f"empty block at pc {start}")
-    return AffineReport(vectors, trace_certificates(code))
+    return vectors

@@ -117,6 +117,10 @@ MUST_WORDING: Dict[str, Tuple[str, str]] = {
 
 PMU_VALUE = "pmu"
 
+#: what a name assigned an untracked value holds, so that a join with a
+#: tracked set remembers the path where the name is something else.
+UNTRACKED = frozenset({"untracked"})
+
 
 def eventset_id(line: int, col: int) -> str:
     return f"es@{line}:{col}"
@@ -389,7 +393,7 @@ class TypestateAnalysis(Analysis[FlowFact]):
             v for v in values if is_eventset(v) and v in interp.objs
         ]
         bases = {base_object(v) for v in receivers}
-        if len(bases) != 1:
+        if len(bases) != 1 or UNTRACKED <= values:
             return fact  # aliased or untracked: refinement unsound
         for oid in receivers:
             old = interp.objs[oid]
@@ -458,15 +462,12 @@ class _StmtInterpreter:
             self.eval(stmt.test)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self.eval(stmt.iter)
-            if isinstance(stmt.target, ast.Name):
-                self.env[stmt.target.id] = frozenset()
+            self._assign_target(stmt.target, frozenset())
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 vals = self.eval(item.context_expr)
-                if item.optional_vars is not None and isinstance(
-                    item.optional_vars, ast.Name
-                ):
-                    self.env[item.optional_vars.id] = vals
+                if isinstance(item.optional_vars, ast.Name):
+                    self._assign_target(item.optional_vars, vals)
         elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
                 self.eval(stmt.exc)
@@ -479,7 +480,8 @@ class _StmtInterpreter:
 
     def _assign_target(self, target: ast.expr, vals: FrozenSet[str]) -> None:
         if isinstance(target, ast.Name):
-            self.env[target.id] = vals  # strong, path-local update
+            # strong, path-local update
+            self.env[target.id] = vals or UNTRACKED
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._assign_target(elt, frozenset())

@@ -59,8 +59,8 @@ def create(name: str, seed: int = 12345, ncpus: int = 1,
 
     ``engine`` selects the execution-engine tier (see
     :class:`repro.hw.machine.MachineConfig`): ``"off"`` (the
-    pure-interpreter reference path) or ``"trace"`` (compiled blocks,
-    superblock traces and compiled multi-block regions, the default).
+    pure-interpreter reference path) or ``"trace"`` (compiled blocks
+    and compiled loop regions, the default).
     Results are bit-identical at both tiers; only simulation speed
     differs.
 

@@ -42,13 +42,8 @@ class SchedulerStats:
     slices: int = 0
     idle_dispatches: int = 0
     #: instructions retired through the CPUs' block engines across all
-    #: slices (0 when the engine is disabled); replayed_instructions is
-    #: the subset applied as bulk steady-loop replay.
+    #: slices (0 when the engine is disabled).
     engine_instructions: int = 0
-    engine_replayed: int = 0
-    #: the subset of engine_instructions retired inside compiled
-    #: multi-block regions.
-    engine_region_instructions: int = 0
     #: dispatches that moved a thread to a different CPU than its last.
     migrations: int = 0
     #: bound counters re-homed between per-CPU PMUs.
@@ -293,17 +288,11 @@ class OS:
         machine_cpu = self.machine.cpus[cpu_index]
         est = machine_cpu.engine_stats()
         fast0 = est.fast_instructions if est is not None else 0
-        replay0 = est.replayed_instructions if est is not None else 0
-        region0 = est.region_instructions if est is not None else 0
         result = machine_cpu.run(
             max_cycles=max_cycles if max_cycles is not None else self.quantum_cycles
         )
         if est is not None:
             self.stats.engine_instructions += est.fast_instructions - fast0
-            self.stats.engine_replayed += est.replayed_instructions - replay0
-            self.stats.engine_region_instructions += (
-                est.region_instructions - region0
-            )
         self._deschedule(thread, result)
         self.machine.charge(self.ctx_switch_cost, cpu=cpu_index)
         self.stats.context_switches += 1

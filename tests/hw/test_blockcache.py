@@ -1,4 +1,4 @@
-"""Block execution engine: partitioning, bit-exactness, replay, deadlines.
+"""Block execution engine: partitioning, bit-exactness, regions, deadlines.
 
 Every test here checks the engine against the same ground truth: the
 pure interpreter (``engine="off"``).  The contract under test is
@@ -20,10 +20,8 @@ from repro.hw.blockcache import (
     MAX_CODE_OBJECTS,
     EngineStats,
     _compute_leaders,
-    _count_consecutive_takens,
     compile_cached,
 )
-from repro.hw.branch import GsharePredictor, StaticTakenPredictor, TwoBitPredictor
 from repro.hw.cache import default_hierarchy
 from repro.hw.cpu import ENGINE_TIERS, CPUConfig, MachineFault
 from repro.hw.isa import INS_BYTES, Instruction, Op
@@ -138,8 +136,9 @@ def test_counting_loop_equivalence():
     )
     st = on.engine_stats()
     assert st.fast_instructions > 0
-    assert st.replays >= 1
-    assert st.replayed_instructions > 0
+    # the self-loop block is a one-member region once hot
+    assert st.regions_compiled == 1
+    assert st.region_instructions > 0
     assert off.engine_stats() is None
 
 
@@ -147,7 +146,7 @@ def test_fma_loop_equivalence(fma_loop_program):
     _, on = assert_equivalent(
         fma_loop_program, lambda m: m.run_to_completion()
     )
-    # striding store base: compiled path yes, bulk replay no.
+    # striding store base: the compiled path runs it.
     assert on.engine_stats().fast_instructions > 0
 
 
@@ -231,8 +230,9 @@ def test_instruction_budget_boundary(budget):
     )
 
 
-#: every opcode free and no branch penalty: a steady replay trial costs
-#: zero cycles, so no cycle deadline can cap the replay.
+#: every opcode free and no branch penalty: a warm loop iteration costs
+#: zero cycles, while a compiled step's worst case still counts fetch
+#: misses, so the cycle budget caps fuel the loop may never use.
 ZERO_LATENCY = CPUConfig(latencies=(0,) * Op.N_OPS, branch_penalty=0)
 
 
@@ -307,7 +307,7 @@ def test_cycle_timer_ticks_identical():
 
 
 # ----------------------------------------------------------------------
-# replay engagement and invalidation
+# region engagement and invalidation
 # ----------------------------------------------------------------------
 
 
@@ -317,11 +317,11 @@ def test_replay_reaches_steady_state_counts():
         counting_loop(n), lambda m: m.run_to_completion()
     )
     st = on.engine_stats()
-    # nearly every loop instruction retires via bulk replay
-    assert st.replayed_instructions > 0.9 * 3 * n
+    # nearly every loop instruction retires inside the compiled region
+    assert st.region_instructions > 0.9 * 3 * n
 
 
-def test_charge_barrier_rearms_replay():
+def test_charge_barrier_flushes_engine():
     off, on = machine_pair()
     prog = counting_loop(5000)
     on.load(prog)
@@ -382,7 +382,7 @@ def branchy_loop(n=60):
 
 def compiled_units(m):
     st = m.engine_stats()
-    return st.blocks_compiled, st.regions_compiled, st.traces_compiled
+    return st.blocks_compiled, st.regions_compiled
 
 
 @pytest.mark.parametrize("tier", ENGINE_TIERS[1:])
@@ -395,7 +395,7 @@ def test_reload_of_same_program_keeps_table(tier):
         m.run_to_completion()
     first = compiled_units(on)
     assert first[0] > 0
-    assert first[1] + first[2] > 0
+    assert first[1] > 0
     for m in (off, on):
         m.load(prog)
         m.run_to_completion()
@@ -527,13 +527,14 @@ def test_pmu_read_mid_run_flushes_engine():
 # ----------------------------------------------------------------------
 #
 # Bit-exactness alone cannot catch an engine that declines too often: an
-# over-cautious worst-case delta or steady-fetch count keeps every count
-# exact while blocks stop compiling, regions stop entering and loops stop
-# replaying.  These runs pin every EngineStats field.
+# over-cautious worst-case delta keeps every count exact while blocks
+# stop compiling and regions stop entering or run short of fuel.  These
+# runs pin every EngineStats field.
 
 
 def steady_self_loop(n=3000):
-    """A replay-eligible self-loop block whose body spans three L1I lines."""
+    """A self-loop block whose body spans three L1I lines: a one-member
+    region once hot."""
     asm = Assembler(name="steady")
     asm.label("main")
     asm.li("r1", 0)
@@ -548,7 +549,7 @@ def steady_self_loop(n=3000):
 
 
 def call_loop(n=2000):
-    """One static path through a CALL/RET pair: a superblock trace.
+    """One static path through a CALL/RET pair: a region.
 
     The leaf sits below ``main``, so its RET is a forward transfer and
     the loop's closing branch is the only back edge.
@@ -604,8 +605,8 @@ def pinned_run(scenario, tier):
         m.load(dot(400).program)
         m.pmu.enable_profileme(53)
     else:
-        # an overflow watch: its headroom caps block, region and replay
-        # steps by their worst-case deltas.
+        # an overflow watch: its headroom caps block and region steps by
+        # their worst-case deltas.
         m.load(
             steady_self_loop() if scenario == "watch_loop"
             else random_branches(400).program
@@ -618,18 +619,17 @@ def pinned_run(scenario, tier):
 
 
 #: every EngineStats field per run, in field order: blocks_executed,
-#: fast_instructions, replays, replayed_instructions, blocks_compiled,
-#: flushes, regions_compiled, region_entries, region_instructions,
-#: traces_compiled, trace_replays.  A change that moves any of them
+#: fast_instructions, blocks_compiled, flushes, regions_compiled,
+#: region_entries, region_instructions.  A change that moves any of them
 #: changes what the engine decides, and must say why.
 PINNED_STATS = {
-    ("self_loop", "trace"): (3, 60002, 1, 59940, 2, 0, 0, 0, 0, 0, 0),
-    ("call_trace", "trace"): (50, 12002, 1, 11892, 4, 0, 0, 0, 0, 1, 1),
-    ("region", "trace"): (48, 2602, 0, 0, 5, 0, 1, 1, 2494, 0, 0),
-    ("probed", "trace"): (17, 7486, 0, 0, 2, 0, 1, 1, 7420, 0, 0),
-    ("profileme", "trace"): (91, 2851, 0, 0, 3, 0, 1, 60, 2593, 0, 0),
-    ("watch_loop", "trace"): (18, 59702, 16, 59340, 2, 1, 0, 0, 0, 0, 0),
-    ("watch_region", "trace"): (109, 2571, 0, 0, 5, 1, 1, 97, 2331, 0, 0),
+    ("self_loop", "trace"): (17, 60002, 2, 0, 1, 1, 59660),
+    ("call_trace", "trace"): (48, 12002, 4, 0, 1, 1, 11904),
+    ("region", "trace"): (48, 2602, 5, 0, 1, 1, 2494),
+    ("probed", "trace"): (17, 7486, 2, 0, 1, 1, 7420),
+    ("profileme", "trace"): (91, 2851, 3, 0, 1, 60, 2593),
+    ("watch_loop", "trace"): (17, 56702, 2, 1, 1, 577, 56360),
+    ("watch_region", "trace"): (109, 2571, 5, 1, 1, 97, 2331),
 }
 
 
@@ -915,57 +915,3 @@ def test_machines_on_threads_each_run_their_own_code():
                 errors.append(values[i])
 
     assert run_threads(worker, range(len(values))) == []
-
-
-# ----------------------------------------------------------------------
-# predictor steady-state units
-# ----------------------------------------------------------------------
-
-
-def test_two_bit_steady_taken_requires_saturation():
-    p = TwoBitPredictor()
-    assert not p.steady_taken(5)
-    for _ in range(4):
-        p.update(5, True)
-    assert p.steady_taken(5)
-    p.update(5, False)
-    assert not p.steady_taken(5)
-
-
-def test_static_taken_is_always_steady():
-    assert StaticTakenPredictor().steady_taken(123)
-
-
-def test_gshare_steady_needs_saturated_history_and_counter():
-    p = GsharePredictor()
-    assert not p.steady_taken(5)
-    for _ in range(64):
-        p.update(5, True)
-    assert p.steady_taken(5)
-
-
-# ----------------------------------------------------------------------
-# closed-form taken counts
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind,c,s,bound", [
-    ("lt", 0, 1, 10), ("lt", 3, 2, 100), ("lt", 9, 1, 10),
-    ("le", 0, 3, 30), ("ge", 50, -7, 3), ("gt", 50, -1, 0),
-    ("ne", 0, 1, 25), ("ne", 0, 3, 10), ("eq", 5, 0, 5),
-])
-def test_count_consecutive_takens_matches_bruteforce(kind, c, s, bound):
-    pred = {
-        "lt": lambda v: v < bound, "le": lambda v: v <= bound,
-        "gt": lambda v: v > bound, "ge": lambda v: v >= bound,
-        "eq": lambda v: v == bound, "ne": lambda v: v != bound,
-    }[kind]
-    cap = 1000
-    brute = 0
-    v = c
-    while brute < cap:
-        v += s
-        if not pred(v):
-            break
-        brute += 1
-    assert _count_consecutive_takens(kind, c, s, bound, cap) == brute

@@ -133,6 +133,62 @@ while not es.running:
     es.start()
 """
 
+# a name bound to something untracked keeps that on the path it came
+# from: joined with a tracked set, it stops the ``.running`` refinement
+# from pruning the branch the untracked value takes
+UNTRACKED_LOOP_DOUBLE_START = """\
+def f(papi, make):
+    es = make()
+    while not es.running:
+        es = papi.create_eventset()
+        es.start()
+        es.start()
+"""
+
+MODULE_UNTRACKED_LOOP_DOUBLE_START = """\
+es = make()
+while not es.running:
+    es = papi.create_eventset()
+    es.start()
+    es.start()
+"""
+
+UNTRACKED_ALIAS_DOUBLE_START = """\
+def f(papi, make, c):
+    es = papi.create_eventset()
+    es.start()
+    if c:
+        x = make()
+    else:
+        x = es
+    if not x.running:
+        es.start()
+"""
+
+UNTRACKED_FOR_TARGET_DOUBLE_START = """\
+def f(papi, things, c):
+    es = papi.create_eventset()
+    es.start()
+    for x in things:
+        pass
+    if c:
+        x = es
+    if not x.running:
+        es.start()
+"""
+
+UNTRACKED_WITH_TARGET_DOUBLE_START = """\
+def f(papi, ctx, c):
+    es = papi.create_eventset()
+    es.start()
+    with ctx() as x:
+        pass
+    if c:
+        x = es
+    if not x.running:
+        es.start()
+"""
+
 CASES = [
     # a definite double start through a helper: a summary finding
     pytest.param(DOUBLE_ARM, [("PL302", 8)], id="double-arm"),
@@ -168,6 +224,26 @@ CASES = [
     pytest.param(
         MODULE_LOOP_UNTIL_RUNNING, [("PL001", 2), ("PL008", 6)],
         id="module-loop-until-running",
+    ),
+    pytest.param(
+        UNTRACKED_LOOP_DOUBLE_START, [("PL002", 6)],
+        id="untracked-loop-double-start",
+    ),
+    pytest.param(
+        MODULE_UNTRACKED_LOOP_DOUBLE_START, [("PL002", 5)],
+        id="module-untracked-loop-double-start",
+    ),
+    pytest.param(
+        UNTRACKED_ALIAS_DOUBLE_START, [("PL008", 9), ("PL002", 9)],
+        id="untracked-alias-double-start",
+    ),
+    pytest.param(
+        UNTRACKED_FOR_TARGET_DOUBLE_START, [("PL008", 9), ("PL002", 9)],
+        id="untracked-for-target-double-start",
+    ),
+    pytest.param(
+        UNTRACKED_WITH_TARGET_DOUBLE_START, [("PL008", 9), ("PL002", 9)],
+        id="untracked-with-target-double-start",
     ),
 ]
 

@@ -214,119 +214,3 @@ class TestBlockAffine:
         for sig in (Signal.TOT_INS, Signal.INT_INS,
                     Signal.FP_ADD, Signal.FP_MOV):
             assert total[sig] == exact[sig]
-
-
-# ---------------------------------------------------------------------------
-# trace-level certificates
-# ---------------------------------------------------------------------------
-
-
-def _superblock_loop(n=10):
-    """A multi-block loop whose body is a unique static path: a JMP
-    split plus a CALL to a leaf, closed by one conditional branch."""
-    asm = Assembler(name="superblock")
-    asm.func("main")
-    asm.li("r1", 0)
-    asm.li("r2", n)
-    asm.label("loop")
-    asm.addi("r4", "r4", 1)
-    asm.jmp("mid")
-    asm.label("mid")
-    asm.call("leaf")
-    asm.addi("r1", "r1", 1)
-    asm.blt("r1", "r2", "loop")
-    asm.halt()
-    asm.endfunc()
-    asm.func("leaf")
-    asm.fadd("f2", "f1", "f1")
-    asm.ret()
-    asm.endfunc()
-    return asm.build()
-
-
-def _diamond_loop(n=10):
-    """A loop with a data-dependent branch inside: no unique path."""
-    asm = Assembler(name="diamond")
-    asm.func("main")
-    asm.li("r1", 0)
-    asm.li("r2", n)
-    asm.label("loop")
-    asm.beq("r1", "r0", "else_")
-    asm.addi("r4", "r4", 1)
-    asm.jmp("join")
-    asm.label("else_")
-    asm.addi("r5", "r5", 1)
-    asm.label("join")
-    asm.addi("r1", "r1", 1)
-    asm.blt("r1", "r2", "loop")
-    asm.halt()
-    asm.endfunc()
-    return asm.build()
-
-
-def _probed_loop(n=10):
-    asm = Assembler(name="probed")
-    asm.func("main")
-    asm.li("r1", 0)
-    asm.li("r2", n)
-    asm.label("loop")
-    asm.probe(1)
-    asm.addi("r4", "r4", 1)
-    asm.addi("r1", "r1", 1)
-    asm.blt("r1", "r2", "loop")
-    asm.halt()
-    asm.endfunc()
-    return asm.build()
-
-
-class TestTraceCertificates:
-    def test_superblock_loop_certifies(self):
-        report = verify_block_affine(_superblock_loop())
-        certs = report.certified_traces
-        assert len(certs) == 1
-        (cert,) = certs.values()
-        assert cert.certified and cert.vector is not None
-        assert cert.path_len > 2  # genuinely multi-block, not a self-loop
-        assert cert.vector[Signal.TOT_INS] == cert.path_len
-        # the trace crosses a CALL/RET pair and an FP add in the leaf
-        assert cert.vector[Signal.FP_ADD] == 1
-
-    def test_diamond_loop_skips_with_reason(self):
-        report = verify_block_affine(_diamond_loop())
-        # the outer back edge cannot certify (two paths), and the skip
-        # names the branch rather than passing silently
-        skipped = report.skipped_traces
-        assert skipped, "multi-path cycle must not certify"
-        for cert in skipped.values():
-            assert cert.reason  # never silent
-        outer = [c for c in skipped.values() if "branch" in c.reason]
-        assert outer, [c.reason for c in skipped.values()]
-        assert not report.certified_traces
-
-    def test_probed_loop_skip_names_the_probe(self):
-        report = verify_block_affine(_probed_loop())
-        skipped = report.skipped_traces
-        assert len(skipped) == 1
-        (cert,) = skipped.values()
-        assert "PROBE" in cert.reason
-        assert not cert.certified
-
-    def test_self_loop_defers_to_block_tier(self):
-        asm = Assembler(name="tight")
-        asm.func("main")
-        asm.li("r1", 0)
-        asm.li("r2", 50)
-        asm.label("loop")
-        asm.addi("r1", "r1", 1)
-        asm.blt("r1", "r2", "loop")
-        asm.halt()
-        asm.endfunc()
-        report = verify_block_affine(asm.build())
-        (cert,) = report.skipped_traces.values()
-        assert "self-loop block" in cert.reason
-
-    def test_report_keeps_dict_interface(self):
-        report = verify_block_affine(_superblock_loop())
-        assert dict(report)  # block vectors still reachable as a mapping
-        for vec in report.values():
-            assert vec[Signal.TOT_INS] >= 1

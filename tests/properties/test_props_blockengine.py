@@ -8,9 +8,12 @@ architectural state, cache statistics, overflow records, sample streams
 -- must be *identical* at every engine tier.  Each budget, sample tick,
 threshold and timer tick is a deadline no fast step may cross, so the
 draws include watches on HW_INT (which the interpreter advances after
-its overflow check, leaving the watch due) and on BR_MSP (which replay
-trials never move).  A separate property holds the one deadline rule,
-``steps_before_deadline``, to a brute-force scan.
+its overflow check, leaving the watch due) and on BR_MSP (rare in a warm
+loop, yet counted at its worst case in every fuel bound).  A share of
+the loops runs 100-300 iterations, so a self-loop block runs as a
+one-member region for many fuel-bounded entries.  A separate property
+holds the one deadline rule, ``steps_before_deadline``, to a brute-force
+scan.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ _ALU = ("alu_addi", "alu_add", "alu_mul", "fp_fma", "fp_add", "mem_load",
 body_ops = st.lists(st.sampled_from(_ALU), min_size=0, max_size=6)
 segments = st.lists(
     st.tuples(
-        st.integers(min_value=1, max_value=25),   # loop iterations
+        st.one_of(                                # loop iterations
+            st.integers(min_value=1, max_value=25),
+            st.integers(min_value=100, max_value=300),
+        ),
         st.integers(min_value=1, max_value=3),    # counter stride
         body_ops,
         st.booleans(),                            # insert a probe?
