@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.calibrate import run_measured
 from repro.core.library import Papi
 from repro.platforms import create
 from repro.workloads.builder import Workload
@@ -52,14 +53,10 @@ def collect_counters(
     """
     values: Dict[str, int] = {}
     for metric in list(metrics) + ["PAPI_TOT_CYC"]:
-        substrate = create(platform_name, seed=seed)
-        papi = Papi(substrate)
-        es = papi.create_eventset()
-        es.add_event(papi.event_name_to_code(metric))
-        substrate.machine.load(workload_factory().program)
-        es.start()
-        substrate.machine.run_to_completion()
-        values[metric] = es.stop()[0]
+        papi = Papi(create(platform_name, seed=seed))
+        values[metric] = run_measured(
+            papi, workload_factory().program, [metric]
+        )[metric]
     cycles = values.pop("PAPI_TOT_CYC")
     return values, cycles
 

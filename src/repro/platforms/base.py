@@ -95,6 +95,16 @@ class AccessCosts:
     #: distinct cache lines the interface touches per call (pollution).
     pollute_lines: int = 0
 
+    def per_op(self, n_counters: int) -> Dict[str, int]:
+        """Documented wall cycles of start/read/reset/stop on an
+        EventSet of *n_counters* natives (what the cost probe times)."""
+        return {
+            "start": self.program * n_counters + self.start,
+            "read": self.read + self.read_per_counter * n_counters,
+            "reset": self.reset,
+            "stop": self.stop,
+        }
+
 
 class Substrate:
     """Base class for the five simulated platforms.

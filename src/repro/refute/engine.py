@@ -14,20 +14,37 @@ three buckets:
   micro-architectural signals, sampling substrate without attach,
   too few expected samples) -- recorded, never silently dropped.
 
-Measurements go through the same public surfaces users hold: presets
-through EventSets, virtualized counts through ``attach`` under a decoy
-thread, interface costs through wall-cycle deltas, fetch geometry and
-tier invariance through raw machine signal totals.  The ``models``
-override hook lets the sensitivity gate substitute a deliberately wrong
-model for a faithful machine; nothing on the CLI path exposes it.
+Measurements go through the same helpers the calibrate utility and the
+validate planes use (:mod:`repro.core.calibrate`): presets through
+:func:`~repro.core.calibrate.run_measured`, virtualized counts through
+:func:`~repro.core.calibrate.run_attached` under a decoy thread,
+interface costs through
+:func:`~repro.core.calibrate.measure_access_costs`; fetch geometry and
+tier invariance read raw machine signal totals.  Each per-program check
+is one *judge* of one program on one platform, and a refutation is
+shrunk by re-running that same judge on each candidate program, pinned
+to the preset or tier that disagreed.  The ``models`` override hook
+lets the sensitivity gate substitute a deliberately wrong model for a
+faithful machine; nothing on the CLI path exposes it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.calibrate import (
+    ATTACH_NCPUS,
+    COST_OPS,
+    PROBE_SYMBOL,
+    SAMPLING_PERIOD,
+    SAMPLING_TOLERANCE,
+    measure_access_costs,
+    run_attached,
+    run_measured,
+)
 from repro.core.errors import PapiError
 from repro.core.library import Papi
 from repro.core.sampling import relative_error
@@ -47,6 +64,7 @@ from repro.refute.shrink import shrink_genome
 from repro.validate.matrix import MatrixCell
 from repro.validate.oracle import ORACLE_SIGNALS
 from repro.validate.seeds import derive_seed
+from repro.workloads import decoy_spin
 
 __all__ = [
     "REFUTE_SCHEMA",
@@ -69,9 +87,16 @@ _RAW_SIGNALS: Tuple[int, ...] = tuple(sorted(ORACLE_SIGNALS)) + (
     Signal.L1I_ACC,
 )
 
-#: preset exercised on the SMP/attach rung (single-native everywhere,
-#: so it allocates even on simSPARC's two pinned PICs).
-_ATTACH_SYMBOL = "PAPI_TOT_INS"
+#: engine tiers exercised; the first is the canonical combo's tier.
+TIERS: Tuple[str, ...] = ("trace", "off")
+
+#: a sampling-substrate preset is only decidable when the model expects
+#: at least this many interrupt matches (estimate noise
+#: ~1/sqrt(matches); 32 keeps it inside the tolerance).
+SAMPLING_MIN_MATCHES = 32
+
+#: candidate programs one shrink may judge.
+MAX_SHRINK_CHECKS = 120
 
 
 @dataclass(frozen=True)
@@ -88,20 +113,9 @@ class RefuteConfig:
     #: dynamic-instruction budget per generated program.
     budget: int = 3_000
     platforms: Tuple[str, ...] = tuple(PLATFORM_NAMES)
-    #: engine tiers exercised; the first is the canonical combo's tier.
-    tiers: Tuple[str, ...] = ("trace", "off")
-    ncpus_list: Tuple[int, ...] = (1, 4)
     #: run every (tier, ncpus) combo for every program (nightly); the
     #: quick default round-robins the alternates across programs.
     full_cross: bool = False
-    shrink: bool = True
-    sampling_tolerance: float = 0.20
-    sampling_period: int = 64
-    #: a sampling-substrate preset is only decidable when the model
-    #: expects at least this many interrupt matches (estimate noise
-    #: ~1/sqrt(matches); 32 keeps it inside the tolerance).
-    sampling_min_matches: int = 32
-    max_shrink_checks: int = 120
 
     @classmethod
     def quick(cls, seed: int = 12345,
@@ -191,8 +205,8 @@ class RefuteReport:
                 "count": self.config.count,
                 "budget": self.config.budget,
                 "platforms": list(self.config.platforms),
-                "tiers": list(self.config.tiers),
-                "ncpus": list(self.config.ncpus_list),
+                "tiers": list(TIERS),
+                "ncpus": list(ATTACH_NCPUS),
                 "full_cross": self.config.full_cross,
             },
             "summary": self.summary(),
@@ -232,10 +246,6 @@ class RefuteReport:
         return "\n".join(lines)
 
 
-def _static_len(genome: Genome) -> int:
-    return len(build_program(genome).resolve())
-
-
 def _rebuild(genome: Genome) -> GeneratedProgram:
     return GeneratedProgram(
         name="shrunk",
@@ -244,6 +254,38 @@ def _rebuild(genome: Genome) -> GeneratedProgram:
         assumptions=assumptions_of(genome),
         dynamic_bound=dynamic_bound(genome),
     )
+
+
+class _Trial:
+    """One program on one platform, as the judges see it.
+
+    The model's prediction is derived once and each tier's raw signal
+    vector is measured once, however many judges read them.
+    """
+
+    def __init__(self, engine: "RefutationEngine", platform: str,
+                 gp: GeneratedProgram) -> None:
+        self.engine = engine
+        self.platform = platform
+        self.gp = gp
+        self._raw: Dict[str, Dict[int, int]] = {}
+
+    @cached_property
+    def pred(self) -> Prediction:
+        return predict(self.gp, self.engine.model(self.platform))
+
+    def raw(self, tier: str) -> Dict[int, int]:
+        if tier not in self._raw:
+            self._raw[tier] = self.engine._raw_vector(
+                self.platform, tier, self.gp.program
+            )
+        return self._raw[tier]
+
+
+#: what a judge returns: its cell, and the subject that disagreed (the
+#: preset symbol or engine tier a shrink pins; None when the check has a
+#: single subject or nothing disagreed).
+Verdict = Tuple[RefuteCell, Optional[str]]
 
 
 class RefutationEngine:
@@ -283,6 +325,13 @@ class RefutationEngine:
             )
         return self._subs[key]
 
+    def _papi(self, substrate) -> Papi:
+        """A library instance on *substrate* at the shared ProfileMe
+        period (which only the sampling substrate reads)."""
+        papi = Papi(substrate)
+        papi.sampling_period = SAMPLING_PERIOD
+        return papi
+
     # -- raw measurement ---------------------------------------------------
 
     def _raw_vector(self, platform: str, tier: str,
@@ -297,48 +346,182 @@ class RefutationEngine:
             s: machine.signal_total(s) - before[s] for s in _RAW_SIGNALS
         }
 
-    def _measure_preset(self, platform: str, tier: str, program,
-                        symbol: str) -> int:
-        substrate = self._substrate(platform, tier)
-        papi = Papi(substrate)
-        machine = substrate.machine
-        es = papi.create_eventset()
+    def _measure(self, tier: str, trial: _Trial,
+                 symbols: Sequence[str]) -> Dict[str, int]:
+        """*symbols* counted over one run of the trial's program."""
+        papi = self._papi(self._substrate(trial.platform, tier))
+        return run_measured(papi, trial.gp.program, symbols,
+                            budget=self._run_budget)
+
+    # -- judges --------------------------------------------------------------
+
+    def _judge_static(self, trial: _Trial,
+                      pin: Optional[str] = None) -> Verdict:
+        """Static-oracle bounds must bracket the reference interpreter."""
+        pred = trial.pred
+        refuted = bool(pred.static_violations)
+        return RefuteCell(
+            platform="reference", program=trial.gp.name,
+            check="static-bracket", assumption="static-bracket",
+            status="refuted" if refuted else "confirmed",
+            detail=(
+                "; ".join(pred.static_violations) if refuted else
+                ("closed form exact" if pred.static_exact
+                 else "interval bracket only (data-dependent branches)")
+            ),
+        ), None
+
+    def _judge_presets(self, tier: str, trial: _Trial,
+                       pin: Optional[str] = None) -> Verdict:
+        """Every checkable preset (or only *pin*), measured through the
+        EventSet path.
+
+        Aggregated to one cell per (program, platform, tier): the first
+        disagreeing preset refutes, and is the subject a shrink pins.
+        """
+        cell = partial(RefuteCell, platform=trial.platform,
+                       program=trial.gp.name, check=f"presets@{tier}",
+                       assumption="preset-mapping")
+        checkable = {
+            s: e for s, e in trial.pred.checkable_presets().items()
+            if pin is None or s == pin
+        }
+        if not checkable:
+            return cell(
+                status="undecidable",
+                detail="no analytically checkable presets mapped here",
+            ), None
+        if self.model(trial.platform).counting == "sampling":
+            return self._judge_sampled_presets(tier, trial, checkable, cell)
+        measured: Dict[str, int] = {}
+        uncountable: List[str] = []
+        for symbol in sorted(checkable):
+            try:
+                measured.update(self._measure(tier, trial, [symbol]))
+            except PapiError:
+                uncountable.append(symbol)
+        if not measured:
+            return cell(
+                status="undecidable",
+                detail=f"no preset countable: {', '.join(uncountable)}",
+            ), None
+        for symbol in sorted(measured):
+            expected = checkable[symbol].expected
+            actual = measured[symbol]
+            if actual != expected:
+                return cell(
+                    status="refuted", expected=expected, actual=actual,
+                    detail=f"{symbol} disagrees with the documented "
+                           f"mapping",
+                ), symbol
+        note = f"{len(measured)} presets exact"
+        if uncountable:
+            note += f"; uncountable: {', '.join(uncountable)}"
+        return cell(status="confirmed", detail=note), None
+
+    def _judge_sampled_presets(self, tier: str, trial: _Trial, checkable,
+                               cell) -> Verdict:
+        """simALPHA: one ProfileMe run, all decidable presets at once."""
+        floor = SAMPLING_MIN_MATCHES * SAMPLING_PERIOD
+        symbols = [
+            s for s in sorted(checkable)
+            if (checkable[s].expected or 0) >= floor
+        ]
+        if not symbols:
+            return cell(
+                status="undecidable",
+                detail=f"no preset expects >= {floor} events "
+                       f"({SAMPLING_MIN_MATCHES} interrupt matches); "
+                       f"estimates would be noise",
+            ), None
         try:
-            es.add_event(papi.event_name_to_code(symbol))
-            machine.load(program)
-            es.start()
-            machine.run_to_completion(budget_instructions=self._run_budget)
-            return es.stop()[0]
-        finally:
-            if es.running:
-                es.stop()
-            papi.destroy_eventset(es)
+            values = self._measure(tier, trial, symbols)
+        except PapiError as exc:
+            return cell(
+                status="undecidable",
+                detail=f"sampling session failed: {exc}",
+            ), None
+        for symbol in symbols:
+            expected = checkable[symbol].expected
+            actual = values[symbol]
+            err = relative_error(actual, expected)
+            if err > SAMPLING_TOLERANCE:
+                return cell(
+                    status="refuted", expected=expected, actual=actual,
+                    detail=f"{symbol} estimate off by {err:.0%} "
+                           f"(tolerance {SAMPLING_TOLERANCE:.0%})",
+                ), symbol
+        return cell(
+            status="confirmed",
+            detail=f"{len(symbols)} estimates within "
+                   f"{SAMPLING_TOLERANCE:.0%}",
+        ), None
 
-    def _measure_sampling(self, platform: str, tier: str, program,
-                          symbols: Sequence[str]) -> List[int]:
-        substrate = self._substrate(platform, tier)
-        papi = Papi(substrate)
-        papi.sampling_period = self.config.sampling_period
-        machine = substrate.machine
-        es = papi.create_eventset()
-        try:
-            for symbol in symbols:
-                es.add_event(papi.event_name_to_code(symbol))
-            machine.load(program)
-            es.start()
-            machine.run_to_completion(budget_instructions=self._run_budget)
-            return list(es.stop())
-        finally:
-            if es.running:
-                es.stop()
-            papi.destroy_eventset(es)
+    def _judge_fetch(self, tier: str, trial: _Trial,
+                     pin: Optional[str] = None) -> Verdict:
+        """L1I accesses vs the model's documented fetch-line width.
 
-    def _measure_attached(self, platform: str, tier: str, ncpus: int,
-                          program) -> int:
-        """PAPI_TOT_INS attached to the program's thread while a decoy
-        competes for *ncpus* CPUs (fresh machine per measurement)."""
-        from repro.workloads import decoy_spin
+        Only meaningful at ncpus=1: a migration re-colds the fetch line
+        mid-stream, which the documented model does not (and should not)
+        predict.
+        """
+        expected = trial.pred.l1i_accesses
+        actual = trial.raw(tier)[Signal.L1I_ACC]
+        line = self.model(trial.platform).l1i_line_bytes
+        return RefuteCell(
+            platform=trial.platform, program=trial.gp.name,
+            check=f"fetch-geometry@{tier}", assumption="fetch-geometry",
+            status="confirmed" if actual == expected else "refuted",
+            expected=expected, actual=actual,
+            detail=f"documented L1I line = {line}B",
+        ), None
 
+    def _judge_tiers(self, trial: _Trial,
+                     pin: Optional[str] = None) -> Verdict:
+        """Every engine tier (or only *pin*) must match the first one
+        bit for bit on raw signals."""
+        cell = partial(RefuteCell, platform=trial.platform,
+                       program=trial.gp.name, check="tier-invariance",
+                       assumption="tier-invariance")
+        base = TIERS[0]
+        for tier in TIERS[1:]:
+            if pin is not None and tier != pin:
+                continue
+            want, got = trial.raw(base), trial.raw(tier)
+            diff = [s for s in _RAW_SIGNALS if got[s] != want[s]]
+            if diff:
+                sig = diff[0]
+                return cell(
+                    status="refuted", expected=want[sig], actual=got[sig],
+                    detail=f"signal {sig} differs between engine tiers "
+                           f"{base!r} and {tier!r}",
+                ), tier
+        return cell(
+            status="confirmed",
+            detail=f"{len(TIERS)} tiers bit-identical on "
+                   f"{len(_RAW_SIGNALS)} signals",
+        ), None
+
+    def _judge_attach(self, tier: str, ncpus: int, trial: _Trial,
+                      pin: Optional[str] = None) -> Verdict:
+        """Virtualized counts across CPUs must see exactly one thread:
+        :data:`PROBE_SYMBOL` attached to the program's thread while a
+        decoy competes for *ncpus* CPUs (fresh machine per run)."""
+        platform = trial.platform
+        cell = partial(RefuteCell, platform=platform, program=trial.gp.name,
+                       check=f"attach@{tier}/ncpus={ncpus}",
+                       assumption="counter-virtualization")
+        if self.model(platform).counting == "sampling":
+            return cell(
+                status="undecidable",
+                detail="sampling substrate has no per-thread attach",
+            ), None
+        exp = trial.pred.presets.get(PROBE_SYMBOL)
+        if exp is None or not exp.checkable:
+            return cell(
+                status="undecidable",
+                detail=f"{PROBE_SYMBOL} not checkable here",
+            ), None
         substrate = create(
             platform,
             seed=derive_seed(self.config.seed,
@@ -347,388 +530,87 @@ class RefutationEngine:
             ncpus=ncpus,
             inject="",
         )
-        papi = Papi(substrate)
-        worker = substrate.os.spawn(program, name="refute-work")
-        substrate.os.spawn(decoy_spin(self.config.budget).program,
-                           name="refute-decoy")
-        es = papi.create_eventset()
         try:
-            es.add_event(papi.event_name_to_code(_ATTACH_SYMBOL))
-            es.attach(worker)
-            es.start()
-            substrate.os.run()
-            return es.stop()[0]
-        finally:
-            if es.running:
-                es.stop()
-            papi.destroy_eventset(es)
-
-    # -- shrink plumbing ---------------------------------------------------
-
-    def _shrunk(self, genome: Genome,
-                still_refutes: Callable[[Genome], bool]) -> Tuple[
-                    Dict[str, object], int]:
-        if self.config.shrink:
-            genome = shrink_genome(
-                genome, still_refutes,
-                max_checks=self.config.max_shrink_checks,
-            )
-        return genome_to_json(genome), _static_len(genome)
-
-    # -- cells -------------------------------------------------------------
-
-    def _static_cell(self, gp: GeneratedProgram,
-                     pred: Prediction) -> RefuteCell:
-        """Static-oracle bounds must bracket the reference interpreter."""
-        refuted = bool(pred.static_violations)
-        cell = RefuteCell(
-            platform="reference", program=gp.name, check="static-bracket",
-            assumption="static-bracket",
-            status="refuted" if refuted else "confirmed",
-            detail=(
-                "; ".join(pred.static_violations) if refuted else
-                ("closed form exact" if pred.static_exact
-                 else "interval bracket only (data-dependent branches)")
-            ),
-        )
-        if refuted:
-            model = self.model(self.config.platforms[0])
-
-            def still_refutes(genome: Genome) -> bool:
-                return bool(
-                    predict(_rebuild(genome), model).static_violations
-                )
-
-            cell.reproducer, cell.reproducer_len = self._shrunk(
-                gp.genome, still_refutes
-            )
-        return cell
-
-    def _preset_cell(self, platform: str, tier: str, gp: GeneratedProgram,
-                     pred: Prediction) -> RefuteCell:
-        """Every checkable preset, measured through the EventSet path.
-
-        Aggregated to one cell per (program, platform, tier): the first
-        disagreeing preset refutes, and the shrink predicate re-checks
-        that same preset so the reproducer pins one concrete claim.
-        """
-        model = self.model(platform)
-        check = f"presets@{tier}"
-        checkable = pred.checkable_presets()
-        if not checkable:
-            return RefuteCell(
-                platform=platform, program=gp.name, check=check,
-                assumption="preset-mapping", status="undecidable",
-                detail="no analytically checkable presets mapped here",
-            )
-        if model.counting == "sampling":
-            return self._preset_cell_sampling(
-                platform, tier, gp, pred, checkable
-            )
-        measured: Dict[str, int] = {}
-        uncountable: List[str] = []
-        for symbol in sorted(checkable):
-            try:
-                measured[symbol] = self._measure_preset(
-                    platform, tier, gp.program, symbol
-                )
-            except PapiError:
-                uncountable.append(symbol)
-        if not measured:
-            return RefuteCell(
-                platform=platform, program=gp.name, check=check,
-                assumption="preset-mapping", status="undecidable",
-                detail=f"no preset countable: {', '.join(uncountable)}",
-            )
-        for symbol in sorted(measured):
-            expected = checkable[symbol].expected
-            actual = measured[symbol]
-            if actual != expected:
-                cell = RefuteCell(
-                    platform=platform, program=gp.name, check=check,
-                    assumption="preset-mapping", status="refuted",
-                    expected=expected, actual=actual,
-                    detail=f"{symbol} disagrees with the documented "
-                           f"mapping",
-                )
-
-                def still_refutes(genome: Genome,
-                                  symbol: str = symbol) -> bool:
-                    gp2 = _rebuild(genome)
-                    exp = predict(gp2, model).presets.get(symbol)
-                    if exp is None or not exp.checkable:
-                        return False
-                    try:
-                        got = self._measure_preset(
-                            platform, tier, gp2.program, symbol
-                        )
-                    except PapiError:
-                        return False
-                    return got != exp.expected
-
-                cell.reproducer, cell.reproducer_len = self._shrunk(
-                    gp.genome, still_refutes
-                )
-                return cell
-        note = f"{len(measured)} presets exact"
-        if uncountable:
-            note += f"; uncountable: {', '.join(uncountable)}"
-        return RefuteCell(
-            platform=platform, program=gp.name, check=check,
-            assumption="preset-mapping", status="confirmed",
-            detail=note,
-        )
-
-    def _preset_cell_sampling(self, platform: str, tier: str,
-                              gp: GeneratedProgram, pred: Prediction,
-                              checkable) -> RefuteCell:
-        """simALPHA: one ProfileMe run, all decidable presets at once."""
-        cfg = self.config
-        check = f"presets@{tier}"
-        floor = cfg.sampling_min_matches * cfg.sampling_period
-        symbols = [
-            s for s in sorted(checkable)
-            if (checkable[s].expected or 0) >= floor
-        ]
-        if not symbols:
-            return RefuteCell(
-                platform=platform, program=gp.name, check=check,
-                assumption="preset-mapping", status="undecidable",
-                detail=f"no preset expects >= {floor} events "
-                       f"({cfg.sampling_min_matches} interrupt matches); "
-                       f"estimates would be noise",
-            )
-        try:
-            values = self._measure_sampling(
-                platform, tier, gp.program, symbols
-            )
+            actual = run_attached(self._papi(substrate), trial.gp.program,
+                                  decoy_spin(self.config.budget).program)
         except PapiError as exc:
-            return RefuteCell(
-                platform=platform, program=gp.name, check=check,
-                assumption="preset-mapping", status="undecidable",
-                detail=f"sampling session failed: {exc}",
-            )
-        for symbol, actual in zip(symbols, values):
-            expected = checkable[symbol].expected
-            err = relative_error(actual, expected)
-            if err > cfg.sampling_tolerance:
-                cell = RefuteCell(
-                    platform=platform, program=gp.name, check=check,
-                    assumption="preset-mapping", status="refuted",
-                    expected=expected, actual=actual,
-                    detail=f"{symbol} estimate off by {err:.0%} "
-                           f"(tolerance {cfg.sampling_tolerance:.0%})",
-                )
-
-                def still_refutes(genome: Genome,
-                                  symbol: str = symbol) -> bool:
-                    gp2 = _rebuild(genome)
-                    exp = predict(gp2, model=self.model(platform)).presets.get(
-                        symbol
-                    )
-                    if exp is None or not exp.checkable:
-                        return False
-                    if (exp.expected or 0) < floor:
-                        return False
-                    try:
-                        got = self._measure_sampling(
-                            platform, tier, gp2.program, [symbol]
-                        )[0]
-                    except PapiError:
-                        return False
-                    return relative_error(
-                        got, exp.expected
-                    ) > cfg.sampling_tolerance
-
-                cell.reproducer, cell.reproducer_len = self._shrunk(
-                    gp.genome, still_refutes
-                )
-                return cell
-        return RefuteCell(
-            platform=platform, program=gp.name, check=check,
-            assumption="preset-mapping", status="confirmed",
-            detail=f"{len(symbols)} estimates within "
-                   f"{cfg.sampling_tolerance:.0%}",
-        )
-
-    def _fetch_cell(self, platform: str, tier: str, gp: GeneratedProgram,
-                    pred: Prediction,
-                    raw: Dict[int, int]) -> RefuteCell:
-        """L1I accesses vs the model's documented fetch-line width.
-
-        Only meaningful at ncpus=1: a migration re-colds the fetch line
-        mid-stream, which the documented model does not (and should not)
-        predict.
-        """
-        model = self.model(platform)
-        expected = pred.l1i_accesses
-        actual = raw[Signal.L1I_ACC]
-        cell = RefuteCell(
-            platform=platform, program=gp.name,
-            check=f"fetch-geometry@{tier}", assumption="fetch-geometry",
-            status="confirmed" if actual == expected else "refuted",
-            expected=expected, actual=actual,
-            detail=f"documented L1I line = {model.l1i_line_bytes}B",
-        )
-        if cell.status == "refuted":
-
-            def still_refutes(genome: Genome) -> bool:
-                gp2 = _rebuild(genome)
-                pred2 = predict(gp2, model)
-                got = self._raw_vector(platform, tier, gp2.program)
-                return got[Signal.L1I_ACC] != pred2.l1i_accesses
-
-            cell.reproducer, cell.reproducer_len = self._shrunk(
-                gp.genome, still_refutes
-            )
-        return cell
-
-    def _tier_cell(self, platform: str, gp: GeneratedProgram,
-                   vectors: Dict[str, Dict[int, int]]) -> RefuteCell:
-        """All engine tiers must be bit-identical on raw signals."""
-        tiers = list(vectors)
-        base = tiers[0]
-        for tier in tiers[1:]:
-            diff = [
-                s for s in _RAW_SIGNALS
-                if vectors[tier][s] != vectors[base][s]
-            ]
-            if diff:
-                sig = diff[0]
-                cell = RefuteCell(
-                    platform=platform, program=gp.name,
-                    check="tier-invariance", assumption="tier-invariance",
-                    status="refuted",
-                    expected=vectors[base][sig], actual=vectors[tier][sig],
-                    detail=f"signal {sig} differs between engine tiers "
-                           f"{base!r} and {tier!r}",
-                )
-
-                def still_refutes(genome: Genome, tier: str = tier) -> bool:
-                    program = build_program(genome)
-                    a = self._raw_vector(platform, base, program)
-                    b = self._raw_vector(platform, tier, program)
-                    return any(a[s] != b[s] for s in _RAW_SIGNALS)
-
-                cell.reproducer, cell.reproducer_len = self._shrunk(
-                    gp.genome, still_refutes
-                )
-                return cell
-        return RefuteCell(
-            platform=platform, program=gp.name, check="tier-invariance",
-            assumption="tier-invariance", status="confirmed",
-            detail=f"{len(tiers)} tiers bit-identical on "
-                   f"{len(_RAW_SIGNALS)} signals",
-        )
-
-    def _attach_cell(self, platform: str, tier: str, ncpus: int,
-                     gp: GeneratedProgram,
-                     pred: Prediction) -> RefuteCell:
-        """Virtualized counts across CPUs must see exactly one thread."""
-        model = self.model(platform)
-        check = f"attach@{tier}/ncpus={ncpus}"
-        if model.counting == "sampling":
-            return RefuteCell(
-                platform=platform, program=gp.name, check=check,
-                assumption="counter-virtualization", status="undecidable",
-                detail="sampling substrate has no per-thread attach",
-            )
-        exp = pred.presets.get(_ATTACH_SYMBOL)
-        if exp is None or not exp.checkable:
-            return RefuteCell(
-                platform=platform, program=gp.name, check=check,
-                assumption="counter-virtualization", status="undecidable",
-                detail=f"{_ATTACH_SYMBOL} not checkable here",
-            )
-        try:
-            actual = self._measure_attached(
-                platform, tier, ncpus, gp.program
-            )
-        except PapiError as exc:
-            return RefuteCell(
-                platform=platform, program=gp.name, check=check,
-                assumption="counter-virtualization", status="undecidable",
+            return cell(
+                status="undecidable",
                 detail=f"attach not countable: {exc}",
-            )
-        cell = RefuteCell(
-            platform=platform, program=gp.name, check=check,
-            assumption="counter-virtualization",
+            ), None
+        return cell(
             status="confirmed" if actual == exp.expected else "refuted",
             expected=exp.expected, actual=actual,
             detail="attached thread vs decoy under round-robin",
-        )
+        ), None
+
+    def _judge(self, check: str) -> Callable[..., Verdict]:
+        """The judge of the cells named *check* (the names the sweep
+        emits: ``static-bracket``, ``tier-invariance``,
+        ``fetch-geometry@<tier>``, ``presets@<tier>``,
+        ``attach@<tier>/ncpus=<n>``)."""
+        kind, _, where = check.partition("@")
+        if check == "static-bracket":
+            return self._judge_static
+        if check == "tier-invariance":
+            return self._judge_tiers
+        if kind == "fetch-geometry" and where:
+            return partial(self._judge_fetch, where)
+        if kind == "presets" and where:
+            return partial(self._judge_presets, where)
+        if kind == "attach" and "/ncpus=" in where:
+            tier, _, n = where.partition("/ncpus=")
+            return partial(self._judge_attach, tier, int(n))
+        raise ValueError(f"unknown refute check {check!r}")
+
+    def _judged(self, check: str, trial: _Trial) -> RefuteCell:
+        """Judge *trial*; a refutation is shrunk to a minimal reproducer.
+
+        The shrink re-runs the same judge on each candidate program,
+        pinned to the subject that disagreed, so the reproducer refutes
+        the same preset or tier as the program it came from.
+        """
+        judge = self._judge(check)
+        cell, subject = judge(trial)
         if cell.status == "refuted":
 
-            def still_refutes(genome: Genome) -> bool:
-                gp2 = _rebuild(genome)
-                exp2 = predict(gp2, model).presets.get(_ATTACH_SYMBOL)
-                if exp2 is None or not exp2.checkable:
-                    return False
-                try:
-                    got = self._measure_attached(
-                        platform, tier, ncpus, gp2.program
-                    )
-                except PapiError:
-                    return False
-                return got != exp2.expected
+            def refutes(genome: Genome) -> bool:
+                candidate = _Trial(self, trial.platform, _rebuild(genome))
+                return judge(candidate, subject)[0].status == "refuted"
 
-            cell.reproducer, cell.reproducer_len = self._shrunk(
-                gp.genome, still_refutes
-            )
+            genome = shrink_genome(trial.gp.genome, refutes,
+                                   max_checks=MAX_SHRINK_CHECKS)
+            cell.reproducer = genome_to_json(genome)
+            cell.reproducer_len = len(build_program(genome).resolve())
         return cell
 
     def _cost_cell(self, platform: str) -> RefuteCell:
         """Interface wall-cycle deltas vs the model's AccessCosts."""
         model = self.model(platform)
+        cell = partial(RefuteCell, platform=platform, program="-",
+                       check="access-costs", assumption="cost-model")
         if model.counting == "sampling":
-            return RefuteCell(
-                platform=platform, program="-", check="access-costs",
-                assumption="cost-model", status="undecidable",
+            return cell(
+                status="undecidable",
                 detail="sampling interface amortizes into interrupt "
                        "delivery; no per-op cost model to refute",
             )
-        substrate = self._substrate(platform, self.config.tiers[0])
-        papi = Papi(substrate)
-        es = papi.create_eventset()
-        try:
-            es.add_event(papi.event_name_to_code(_ATTACH_SYMBOL))
-            c0 = substrate.real_cyc()
-            es.start()
-            c1 = substrate.real_cyc()
-            es.read()
-            c2 = substrate.real_cyc()
-            es.reset()
-            c3 = substrate.real_cyc()
-            es.stop()
-            c4 = substrate.real_cyc()
-            n = max(len(es.assignment), 1)
-        finally:
-            if es.running:
-                es.stop()
-            papi.destroy_eventset(es)
-        costs = model.costs
-        expected = {
-            "start": costs.program * n + costs.start,
-            "read": costs.read + costs.read_per_counter * n,
-            "reset": costs.reset,
-            "stop": costs.stop,
-        }
-        measured = {"start": c1 - c0, "read": c2 - c1,
-                    "reset": c3 - c2, "stop": c4 - c3}
-        for op in ("start", "read", "reset", "stop"):
+        measured, n = measure_access_costs(
+            self._papi(self._substrate(platform, TIERS[0]))
+        )
+        expected = model.costs.per_op(n)
+        for op in COST_OPS:
             if measured[op] != expected[op]:
-                return RefuteCell(
-                    platform=platform, program="-", check="access-costs",
-                    assumption="cost-model", status="refuted",
+                return cell(
+                    status="refuted",
                     expected=expected[op], actual=measured[op],
                     detail=f"documented {op} cost disagrees with the "
                            f"measured wall-cycle delta "
                            f"(no program reproducer: cost cells are "
                            f"program-independent)",
                 )
-        return RefuteCell(
-            platform=platform, program="-", check="access-costs",
-            assumption="cost-model", status="confirmed",
+        return cell(
+            status="confirmed",
             detail=f"start/read/reset/stop deltas match AccessCosts "
                    f"({n} counter(s))",
         )
@@ -737,65 +619,46 @@ class RefutationEngine:
 
     def replay(self, platform: str, genome: Genome,
                check: str) -> RefuteCell:
-        """Re-evaluate one named check for one genome.
+        """Re-evaluate one named check for one genome, without shrinking.
 
         This is the corpus-regression entry point: a committed minimal
         reproducer is replayed against the current tree -- confirmed
         under the real model (no drift reintroduced), refuted under the
         catalogued mutant (the harness still has teeth).  *check* uses
-        the same names the sweep emits (``presets@<tier>``,
-        ``fetch-geometry@<tier>``, ``tier-invariance``,
-        ``attach@<tier>/ncpus=<n>``, ``access-costs``,
-        ``static-bracket``).
+        the names the sweep emits (see :meth:`_judge`, plus
+        ``access-costs``).
         """
-        gp = _rebuild(genome)
-        model_platform = (self.config.platforms[0]
-                          if platform == "reference" else platform)
-        pred = predict(gp, self.model(model_platform))
-        if check == "static-bracket":
-            return self._static_cell(gp, pred)
         if check == "access-costs":
             return self._cost_cell(platform)
-        if check == "tier-invariance":
-            vectors = {
-                tier: self._raw_vector(platform, tier, gp.program)
-                for tier in self.config.tiers
-            }
-            return self._tier_cell(platform, gp, vectors)
-        if check.startswith("fetch-geometry@"):
-            tier = check.split("@", 1)[1]
-            return self._fetch_cell(
-                platform, tier, gp, pred,
-                self._raw_vector(platform, tier, gp.program),
-            )
-        if check.startswith("presets@"):
-            return self._preset_cell(platform, check.split("@", 1)[1],
-                                     gp, pred)
-        if check.startswith("attach@"):
-            tier, _, n = check.split("@", 1)[1].partition("/ncpus=")
-            return self._attach_cell(platform, tier, int(n), gp, pred)
-        raise ValueError(f"unknown refute check {check!r}")
+        judge = self._judge(check)
+        if platform == "reference":
+            platform = self.config.platforms[0]
+        return judge(_Trial(self, platform, _rebuild(genome)))[0]
 
     # -- orchestration -----------------------------------------------------
 
-    def _combos(self, index: int) -> List[Tuple[str, int]]:
-        """(tier, ncpus) combos for program *index*.
+    def _checks(self, index: int) -> List[str]:
+        """Per-(program, platform) checks for program *index*.
 
-        Quick runs measure every program at the canonical combo and
-        round-robin the alternates across programs; thorough runs take
-        the full cross so every program hits every combo.
+        Quick runs measure every program at the canonical (tier, ncpus)
+        combo and round-robin the alternates across programs; thorough
+        runs take the full cross so every program hits every combo.
         """
-        cfg = self.config
-        canonical = (cfg.tiers[0], 1)
+        canonical = (TIERS[0], 1)
         alternates = [
             (tier, n)
-            for n in cfg.ncpus_list
-            for tier in cfg.tiers
+            for n in ATTACH_NCPUS
+            for tier in TIERS
             if (tier, n) != canonical
         ]
-        if cfg.full_cross or not alternates:
-            return [canonical] + alternates
-        return [canonical, alternates[index % len(alternates)]]
+        if self.config.full_cross:
+            combos = [canonical] + alternates
+        else:
+            combos = [canonical, alternates[index % len(alternates)]]
+        return ["tier-invariance", f"fetch-geometry@{TIERS[0]}"] + [
+            f"presets@{tier}" if n == 1 else f"attach@{tier}/ncpus={n}"
+            for tier, n in combos
+        ]
 
     def run(self) -> RefuteReport:
         cfg = self.config
@@ -816,34 +679,16 @@ class RefutationEngine:
         # program-independent cells first: interface costs per platform.
         for platform in cfg.platforms:
             report.cells.append(self._cost_cell(platform))
-        # per-program cells: predictor cross-check once, then the
-        # measurement fan across platforms and combos.
+        # per-program cells: the static cross-check once (on the first
+        # platform's prediction), then every check on every platform.
         for index, gp in enumerate(programs):
-            first_pred: Optional[Prediction] = None
             for platform in cfg.platforms:
-                model = self.model(platform)
-                pred = predict(gp, model)
-                if first_pred is None:
-                    first_pred = pred
-                    report.cells.append(self._static_cell(gp, pred))
-                vectors = {
-                    tier: self._raw_vector(platform, tier, gp.program)
-                    for tier in cfg.tiers
-                }
-                report.cells.append(self._tier_cell(platform, gp, vectors))
-                report.cells.append(self._fetch_cell(
-                    platform, cfg.tiers[0], gp, pred,
-                    vectors[cfg.tiers[0]],
-                ))
-                for tier, ncpus in self._combos(index):
-                    if ncpus == 1:
-                        report.cells.append(self._preset_cell(
-                            platform, tier, gp, pred
-                        ))
-                    else:
-                        report.cells.append(self._attach_cell(
-                            platform, tier, ncpus, gp, pred
-                        ))
+                trial = _Trial(self, platform, gp)
+                checks = self._checks(index)
+                if platform == cfg.platforms[0]:
+                    checks.insert(0, "static-bracket")
+                for check in checks:
+                    report.cells.append(self._judged(check, trial))
         return report
 
 

@@ -9,16 +9,18 @@ trip counts, drop unused leaves -- rather than token-level, so every
 candidate is by construction a valid, terminating program.
 
 The predicate the engine passes in re-runs the *full* check (predict,
-measure, compare) on the candidate, so a shrink step is kept only when
-the disagreement survives.  Greedy passes repeat to a fixed point; the
-result is 1-minimal with respect to the shrink moves (no single move
-preserves the refutation), which in practice lands well under the
-30-instruction reproducer ceiling the acceptance criteria demand.
+measure, compare) on the candidate -- the same judge that refuted the
+program, pinned to the preset or engine tier that disagreed -- so a
+shrink step is kept only when that same disagreement survives.  Greedy
+passes repeat to a fixed point; the result is 1-minimal with respect to
+the shrink moves (no single move preserves the refutation), which in
+practice lands well under the 30-instruction reproducer ceiling the
+acceptance criteria demand.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.refute.generator import Genome, Segment
 

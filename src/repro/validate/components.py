@@ -31,6 +31,12 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.core.calibrate import (
+    SAMPLING_PERIOD,
+    SAMPLING_TOLERANCE,
+    run_measured,
+    scoped_eventset,
+)
 from repro.core.errors import ConflictError, PapiError
 from repro.core.library import Papi
 from repro.core.sampling import relative_error
@@ -39,10 +45,6 @@ from repro.platforms import create
 from repro.validate.matrix import MatrixCell
 from repro.validate.oracle import expected_signal_counts
 from repro.workloads import conformance_mix
-
-#: tolerance for the sample-derived CPU member on the sampling substrate
-#: (same budget as the oracle plane's sampling rung).
-MIXED_SAMPLING_TOLERANCE = 0.20
 
 #: the mixed EventSet exercised by the first four cells.
 MIXED_EVENTS = (
@@ -70,25 +72,13 @@ def _mixed_cells(platform: str, papi: Papi, workload,
                  oracle_counts) -> List[MatrixCell]:
     """Run the mixed EventSet once; score its four contract cells."""
     machine = papi.substrate.machine
-    if papi.substrate.supports_sampling_counts():
-        # fine-grained ProfileMe period, as on the oracle plane's
-        # sampling rung: enough matches for the 20% budget.
-        papi.sampling_period = 64
+    # the oracle plane's ProfileMe period; direct substrates ignore it
+    papi.sampling_period = SAMPLING_PERIOD
     # availability check first: component events are only addressable on
     # substrates that register the component.
     papi.component("uncore")
     papi.component("energy")
-    es = papi.create_eventset()
-    try:
-        es.add_named(*MIXED_EVENTS)
-        machine.load(workload.program)
-        es.start()
-        machine.run_to_completion()
-        values = dict(zip(es.event_names, es.stop()))
-    finally:
-        if es.running:  # an exception left the set running
-            es.stop()
-        papi.destroy_eventset(es)
+    values = run_measured(papi, workload.program, MIXED_EVENTS)
 
     sampling = papi.substrate.supports_sampling_counts()
     cells = [_cell(
@@ -96,9 +86,9 @@ def _mixed_cells(platform: str, papi: Papi, workload,
         expected=oracle_counts[Signal.TOT_INS],
         actual=values["PAPI_TOT_INS"],
         exact=not sampling,
-        tolerance=MIXED_SAMPLING_TOLERANCE,
+        tolerance=SAMPLING_TOLERANCE,
         detail=(f"sample-derived, tolerance "
-                f"{MIXED_SAMPLING_TOLERANCE:.0%}" if sampling
+                f"{SAMPLING_TOLERANCE:.0%}" if sampling
                 else "CPU member of a mixed set, exact"),
     )]
     cells.append(_cell(
@@ -137,8 +127,7 @@ def _uncore_bank_cell(platform: str, papi: Papi, workload,
         # the sampling substrate's two-wide bank cannot hold four events
         # and (having no cycle timer for rotation) cannot multiplex:
         # the add must fail with the documented capacity conflict.
-        es = papi.create_eventset()
-        try:
+        with scoped_eventset(papi) as es:
             try:
                 es.add_named(*shorts)
             except ConflictError:
@@ -154,27 +143,16 @@ def _uncore_bank_cell(platform: str, papi: Papi, workload,
                 name="uncore:all-events", status="fail",
                 detail="over-capacity add was not refused",
             )
-        finally:
-            papi.destroy_eventset(es)
 
-    es = papi.create_eventset()
-    rotations = 0
-    try:
+    with scoped_eventset(papi) as es:
         if not fits:
             es.set_multiplex()
         es.add_named(*shorts)
         machine.load(workload.program)
         es.start()
-        if not fits:
-            rotations_src = es._mpx
         machine.run_to_completion()
         values = dict(zip(es.event_names, es.stop()))
-        if not fits:
-            rotations = rotations_src.rotations
-    finally:
-        if es.running:  # an exception left the set running
-            es.stop()
-        papi.destroy_eventset(es)
+        rotations = es.mpx_rotations
 
     expected = 8 * oracle_counts[Signal.SR_INS]
     actual = values["uncore:::MEM_BW_WR"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro.core.calibrate import scoped_eventset
 from repro.core.library import Papi
 from repro.core.sampling import relative_error
 from repro.platforms import create
@@ -80,8 +81,7 @@ def measure_sweep(
             PLATFORM, counts,
             {n: ev.signals for n, ev in substrate.native_events.items()},
         )
-        es = papi.create_eventset()
-        try:
+        with scoped_eventset(papi) as es:
             es.set_multiplex()
             es.add_named(*EVENTS)
             substrate.machine.load(work.program)
@@ -89,10 +89,6 @@ def measure_sweep(
             substrate.machine.run_to_completion()
             values = dict(zip(es.event_names, es.stop()))
             rotations = es.mpx_rotations
-        finally:
-            if es.running:  # an exception left the set running
-                es.stop()
-            papi.destroy_eventset(es)
         out[repeats] = SweepPoint(
             errors={
                 symbol: relative_error(values[symbol],

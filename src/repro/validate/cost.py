@@ -19,40 +19,19 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.core.calibrate import (
+    COST_OPS,
+    PROBE_SYMBOL,
+    measure_access_costs,
+    scoped_eventset,
+)
 from repro.core.library import Papi
 from repro.platforms import create
 from repro.validate.matrix import MatrixCell
 
-#: preset used for cost probes: single-native on every platform, so the
-#: per-counter arithmetic is the simplest possible.
-COST_SYMBOL = "PAPI_TOT_INS"
-
 #: start/stop cycles performed under the transient-fault profile; sized
 #: so the 5% injected failure rate fires several times deterministically.
 FAULT_ROUNDS = 60
-
-
-def _measured_deltas(papi: Papi) -> tuple:
-    """(start, read, reset, stop) wall-cycle deltas and native count."""
-    substrate = papi.substrate
-    es = papi.create_eventset()
-    try:
-        es.add_event(papi.event_name_to_code(COST_SYMBOL))
-        c0 = substrate.real_cyc()
-        es.start()
-        c1 = substrate.real_cyc()
-        es.read()
-        c2 = substrate.real_cyc()
-        es.reset()
-        c3 = substrate.real_cyc()
-        es.stop()
-        c4 = substrate.real_cyc()
-        n_natives = max(len(es.assignment), 1)
-    finally:
-        if es.running:  # an exception left the set running
-            es.stop()
-        papi.destroy_eventset(es)
-    return (c1 - c0, c2 - c1, c3 - c2, c4 - c3), n_natives
 
 
 def run_cost_plane(
@@ -63,23 +42,16 @@ def run_cost_plane(
     for platform in platforms:
         substrate = create(platform, seed=seed)
         papi = Papi(substrate)
-        costs = substrate.COSTS
         if substrate.supports_sampling_counts():
             # no direct ops to cost; the read path is the per-native
             # estimate extraction.  Measured, not modelled.
-            es = papi.create_eventset()
-            try:
-                es.add_event(papi.event_name_to_code(COST_SYMBOL))
-                c0 = substrate.real_cyc()
+            with scoped_eventset(papi) as es:
+                es.add_event(papi.event_name_to_code(PROBE_SYMBOL))
                 es.start()
                 substrate.machine.run_to_completion()
                 es.read()
                 es.stop()
                 delta = substrate.real_cyc() - substrate.machine.user_cycles
-            finally:
-                if es.running:  # an exception left the set running
-                    es.stop()
-                papi.destroy_eventset(es)
             cells.append(MatrixCell(
                 plane="cost", platform=platform, name="interface-total",
                 status="pass", actual=delta,
@@ -87,16 +59,9 @@ def run_cost_plane(
                        "measured only (no per-op model)",
             ))
             continue
-        (start, read, reset, stop), n = _measured_deltas(papi)
-        expected = {
-            "start": costs.program * n + costs.start,
-            "read": costs.read + costs.read_per_counter * n,
-            "reset": costs.reset,
-            "stop": costs.stop,
-        }
-        measured = {"start": start, "read": read, "reset": reset,
-                    "stop": stop}
-        for op in ("start", "read", "reset", "stop"):
+        measured, n = measure_access_costs(papi)
+        expected = substrate.COSTS.per_op(n)
+        for op in COST_OPS:
             cells.append(MatrixCell(
                 plane="cost", platform=platform, name=op,
                 status="pass" if measured[op] == expected[op] else "fail",
@@ -119,20 +84,14 @@ def _fault_cost_cell(platform: str, seed: int) -> MatrixCell:
     fault_seed = derive_seed(seed, "fault:transient")
     substrate = create(platform, seed=seed, inject=f"{fault_seed}:transient")
     papi = Papi(substrate)
-    es = papi.create_eventset()
-    retries = backoff = 0
-    try:
-        es.add_event(papi.event_name_to_code(COST_SYMBOL))
+    with scoped_eventset(papi) as es:
+        es.add_event(papi.event_name_to_code(PROBE_SYMBOL))
         for _ in range(FAULT_ROUNDS):
             es.start()
             es.read()
             es.stop()
         retries = es.health.retries
         backoff = es.health.backoff_cycles
-    finally:
-        if es.running:  # an exception left the set running
-            es.stop()
-        papi.destroy_eventset(es)
     # the ledger must balance: absorbed retries iff billed backoff.
     consistent = (retries > 0) == (backoff > 0)
     # the injected 5% rate over 4+ gated ops per round makes zero

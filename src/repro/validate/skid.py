@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.core.calibrate import SAMPLING_PERIOD, scoped_eventset
 from repro.core.library import Papi
 from repro.core.profile import (
     Profil,
@@ -41,10 +42,6 @@ SKID_SYMBOL = "PAPI_FP_INS"
 #: overflow threshold for the interrupt-pc runs.
 THRESHOLD = 50
 
-#: ProfileMe interrupt period for the simALPHA run (fine-grained so the
-#: short probe still yields a dense sample set).
-SAMPLING_PERIOD = 64
-
 
 def _profil_score(platform: str, n: int, seed: int) -> tuple:
     """(attribution score, samples, skid_max) for one profil run."""
@@ -53,8 +50,7 @@ def _profil_score(platform: str, n: int, seed: int) -> tuple:
     papi.sampling_period = SAMPLING_PERIOD
     work = skid_probe(n, use_fma=substrate.HAS_FMA)
     code = papi.event_name_to_code(SKID_SYMBOL)
-    es = papi.create_eventset()
-    try:
+    with scoped_eventset(papi) as es:
         es.add_event(code)
         buf = ProfileBuffer.covering(
             0, (len(work.program) + 64) * INS_BYTES
@@ -74,10 +70,6 @@ def _profil_score(platform: str, n: int, seed: int) -> tuple:
         profil.collect()
         es.stop()
         profil.uninstall()
-    finally:
-        if es.running:  # an exception left the set running
-            es.stop()
-        papi.destroy_eventset(es)
     block = work.program.functions["fp_block"]
     truth = [pc * INS_BYTES for pc in range(block.start, block.end)]
     skid = substrate.machine.cpus[0].pmu.config.skid_max

@@ -27,6 +27,7 @@ from tests.refute.regen_corpus import (
     COMMITTED_SEED,
     CORPUS_DIR,
     CORPUS_SCHEMA,
+    build_corpus,
 )
 
 _MUTANTS = {m.name: m for m in MUTANTS}
@@ -48,8 +49,6 @@ ENTRIES = _entries()
 
 def _engine(platform, model=None):
     config = RefuteConfig.quick(seed=COMMITTED_SEED, platforms=[platform])
-    # replay needs no shrinking: the corpus is already minimal
-    config = RefuteConfig(**{**config.__dict__, "shrink": False})
     models = {platform: model} if model is not None else None
     return RefutationEngine(config, models=models)
 
@@ -73,6 +72,19 @@ def test_every_program_reproducible_mutant_has_an_entry():
         "corpus out of sync with the mutant catalogue -- "
         "run `python -m tests.refute.regen_corpus`"
     )
+
+
+def test_corpus_equals_a_fresh_regeneration():
+    """Every reproducer is pinned: the committed sweep, shrunk again
+    today, must give back each committed entry unchanged."""
+    fresh = {entry["mutant"]: entry for entry in build_corpus()}
+    committed = {entry["mutant"]: entry for entry in ENTRIES}
+    assert sorted(fresh) == sorted(committed)
+    for name in sorted(committed):
+        assert fresh[name] == committed[name], (
+            f"regenerated reproducer for {name} differs from the "
+            f"committed one"
+        )
 
 
 @pytest.mark.parametrize(
