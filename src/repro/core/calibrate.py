@@ -19,13 +19,14 @@ while a decoy competes, :func:`measure_access_costs` times the
 interface calls, and :func:`scoped_eventset` is the EventSet lifetime
 they and the other validate probes share.  :data:`SAMPLING_PERIOD` and
 :data:`SAMPLING_TOLERANCE` are the sampling substrate's one period and
-tolerance.
+tolerance, and :func:`within_sampling_tolerance` is its one verdict.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.eventset import EventSet
@@ -75,6 +76,19 @@ SAMPLING_PERIOD = 64
 #: expected: the validate oracle plane's simALPHA cells pass at seed
 #: 12345, not at every seed (ROADMAP, "Verdicts that hold at every seed").
 SAMPLING_TOLERANCE = 0.20
+
+
+def within_sampling_tolerance(actual: float, expected: float) -> bool:
+    """Whether a sample-derived estimate passes against its known answer:
+    ``|actual - expected| <= SAMPLING_TOLERANCE * |expected|``, decided in
+    exact rationals with the tolerance read as the decimal it is written
+    as.  Estimates can sit exactly on the bound (192 against 240), where
+    a float ratio would decide by how 48/240 and 0.20 round.  For
+    expected 0 only 0 passes.
+    """
+    bound = Fraction(str(SAMPLING_TOLERANCE)) * abs(Fraction(expected))
+    return abs(Fraction(actual) - Fraction(expected)) <= bound
+
 
 #: the one-native preset counted by the attach and cost probes: it maps
 #: to a single native on every platform, so it allocates even on

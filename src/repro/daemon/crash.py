@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.faults.plan import FaultPlan, parse_inject
 from repro.validate.seeds import derive_seed
@@ -68,16 +68,6 @@ class CrashPlan:
             crash_ops=plan.profile.worker_crash_ops,
             wedge_frac=plan.profile.worker_wedge_frac,
         )
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {"seed": self.seed, "crash_ops": self.crash_ops,
-                "wedge_frac": self.wedge_frac}
-
-    @classmethod
-    def from_wire(cls, wire: Optional[Dict[str, Any]]) -> Optional["CrashPlan"]:
-        if wire is None:
-            return None
-        return cls(**wire)
 
     def draw(self, worker_id: int, generation: int
              ) -> Optional[Tuple[str, int]]:

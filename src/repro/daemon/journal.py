@@ -21,7 +21,11 @@ Record types (``"t"`` field):
 
 Recovery (:func:`recover_sessions`) is a pure left fold, last record
 wins.  A torn final line — the crash was mid-append — is ignored, so a
-journal is readable after any prefix of itself.
+journal is readable after any prefix of itself.  :meth:`Journal.append`
+runs the same fold step (:func:`fold_record`) on each record it writes,
+so :attr:`Journal.images` is always what a restart would recover, and
+the journal's memory is bounded by the live sessions, not by the
+records written.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.daemon.protocol import SessionSpec
 
@@ -47,46 +51,32 @@ class SessionImage:
     recovered: bool = False
     lost: List[dict] = field(default_factory=list)
 
-    def restore_wire(self) -> Dict[str, Any]:
-        """The ``restore`` payload of a supervisor ``adopt`` op."""
-        return {
-            "state": self.state,
-            "values": dict(self.values),
-            "cycle": self.cycle,
-            "advanced": self.advanced,
-            "recovered": self.recovered,
-            "lost": [dict(iv) for iv in self.lost],
-        }
-
 
 class Journal:
-    """Append-only JSONL journal; ``path=None`` keeps it in memory.
+    """Append-only JSONL journal and its live fold.
 
-    The in-memory mode exists for the inline transport and property
-    tests, where thousands of short-lived daemons would otherwise churn
-    the filesystem; it honours the same API and ordering guarantees.
+    :attr:`images` holds the fold of every record appended so far, and
+    :attr:`n_records` counts them; the records themselves live only in
+    the file.  ``path=None`` writes no file, for the inline transport
+    and property tests, where thousands of short-lived daemons would
+    otherwise churn the filesystem.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self._records: List[dict] = []
+        self.images: Dict[str, SessionImage] = {}
+        self.n_records = 0
         self._fh: Optional[io.TextIOWrapper] = None
         if path is not None:
             self._fh = open(path, "a", encoding="utf-8")
 
-    @property
-    def n_records(self) -> int:
-        return len(self._records)
-
     def append(self, rec: dict) -> None:
         """Append one record; the line is complete before returning."""
-        self._records.append(rec)
         if self._fh is not None:
             self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
             self._fh.flush()
-
-    def records(self) -> List[dict]:
-        return list(self._records)
+        fold_record(self.images, rec)
+        self.n_records += 1
 
     def sync(self) -> None:
         """Force the journal onto stable storage (drain epilogue)."""
@@ -123,28 +113,36 @@ class Journal:
         return records
 
 
+def fold_record(images: Dict[str, SessionImage], rec: dict) -> None:
+    """Fold one record into *images* (last record wins).
+
+    The images copy what they keep, so they share no mutable object
+    with the record or with whoever built it.
+    """
+    t = rec.get("t")
+    sid = rec.get("sid")
+    if t == "create":
+        images[sid] = SessionImage(spec=SessionSpec.from_wire(rec["spec"]))
+        return
+    if t == "destroy":
+        images.pop(sid, None)
+        return
+    img = images.get(sid)
+    if img is None:
+        return  # a record for a session created before a compaction
+    if t == "ack":
+        img.values = dict(rec["values"])
+        img.cycle = rec["cycle"]
+        img.advanced = rec["advanced"]
+        img.state = rec["state"]
+    elif t == "recover":
+        img.recovered = True
+        img.lost.append(dict(rec["lost"]))
+
+
 def recover_sessions(records: List[dict]) -> Dict[str, SessionImage]:
     """Fold journal records into per-session images (last record wins)."""
     images: Dict[str, SessionImage] = {}
     for rec in records:
-        t = rec.get("t")
-        sid = rec.get("sid")
-        if t == "create":
-            images[sid] = SessionImage(spec=SessionSpec.from_wire(rec["spec"]))
-        elif t == "ack":
-            img = images.get(sid)
-            if img is None:
-                continue  # ack for a session created before a compaction
-            img.values = dict(rec["values"])
-            img.cycle = rec["cycle"]
-            img.advanced = rec["advanced"]
-            img.state = rec["state"]
-        elif t == "recover":
-            img = images.get(sid)
-            if img is None:
-                continue
-            img.recovered = True
-            img.lost.append(dict(rec["lost"]))
-        elif t == "destroy":
-            images.pop(sid, None)
+        fold_record(images, rec)
     return images

@@ -1,10 +1,19 @@
 """papid wire protocol: session specs, ops, results, status codes.
 
-The daemon (:mod:`repro.daemon.server`) and its workers exchange plain
-picklable payloads over ``multiprocessing`` pipes; the same shapes are
-used verbatim by the inline (in-process) transport, so tests and the
-hypothesis stateful machine exercise exactly the wire the real service
-speaks.
+The daemon (:mod:`repro.daemon.server`) and its workers exchange these
+objects themselves: an ``Op`` list goes to a worker, an ``OpResult``
+list comes back, and an ``adopt`` op carries the session's
+:class:`~repro.daemon.journal.SessionImage`.  On the process transport
+``multiprocessing`` pickles them across the pipe; the inline
+(in-process) transport hands them over by reference, so tests and the
+hypothesis stateful machine exercise the same objects the real service
+sends.  Across that shim both sides hold the same object: the server
+never assigns to a result (the worker keeps it in its dedupe cache)
+but annotates it with :func:`dataclasses.replace`, and a worker copies
+what it keeps of an adopt image (the server's registry record, which
+the server goes on updating).
+:meth:`SessionSpec.to_wire` is the journal's JSON form of a spec, not a
+pipe format.
 
 Status codes extend — without colliding with — the PAPI error space in
 :mod:`repro.core.constants`.  Only two distinctions matter to clients:
@@ -31,10 +40,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core import constants as C
 from repro.core.errors import NotRunningError, SystemError_, error_for_code
+
+if TYPE_CHECKING:
+    from repro.daemon.journal import SessionImage
 
 # ---------------------------------------------------------------------------
 # status codes (disjoint from the PAPI_E* space, which is > -100)
@@ -95,6 +107,7 @@ class SessionSpec:
         object.__setattr__(self, "events", tuple(self.events))
 
     def to_wire(self) -> Dict[str, Any]:
+        """The spec as JSON: the ``spec`` of a journal ``create`` record."""
         return {
             "sid": self.sid,
             "platform": self.platform,
@@ -136,15 +149,15 @@ class Op:
     """One batched RPC element.
 
     ``seq`` is the client-assigned per-session idempotency token for
-    state-bearing kinds; ``spec`` rides on ``create``, ``restore`` (a
-    journal image dict) on supervisor ``adopt`` ops.
+    state-bearing kinds; ``spec`` rides on ``create``, ``image`` (the
+    session's journal image) on supervisor ``adopt`` ops.
     """
 
     kind: str
     sid: str
     seq: int = 0
     spec: Optional[SessionSpec] = None
-    restore: Optional[Dict[str, Any]] = None
+    image: Optional[SessionImage] = None
     priority: int = 0
 
     def __post_init__(self) -> None:
@@ -152,26 +165,8 @@ class Op:
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.kind == "create" and self.spec is None:
             raise ValueError("create op requires a spec")
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire: Dict[str, Any] = {"kind": self.kind, "sid": self.sid,
-                                "seq": self.seq}
-        if self.spec is not None:
-            wire["spec"] = self.spec.to_wire()
-        if self.restore is not None:
-            wire["restore"] = self.restore
-        return wire
-
-
-def op_from_wire(wire: Dict[str, Any]) -> Op:
-    spec = wire.get("spec")
-    return Op(
-        kind=wire["kind"],
-        sid=wire["sid"],
-        seq=wire.get("seq", 0),
-        spec=SessionSpec.from_wire(spec) if spec is not None else None,
-        restore=wire.get("restore"),
-    )
+        if self.kind == "adopt" and self.image is None:
+            raise ValueError("adopt op requires an image")
 
 
 @dataclass
@@ -206,19 +201,6 @@ class OpResult:
     @property
     def transient(self) -> bool:
         return self.status in TRANSIENT_STATUSES
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "sid": self.sid, "kind": self.kind, "status": self.status,
-            "seq": self.seq, "values": self.values, "cycle": self.cycle,
-            "advanced": self.advanced, "recovered": self.recovered,
-            "lost": self.lost, "stale": self.stale,
-            "err_code": self.err_code, "err": self.err,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "OpResult":
-        return cls(**wire)
 
 
 def raise_for_result(res: OpResult) -> None:

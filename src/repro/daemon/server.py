@@ -46,12 +46,12 @@ import json
 import threading
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.daemon.crash import CrashPlan
 from repro.daemon.health import DaemonHealth
-from repro.daemon.journal import Journal, SessionImage, recover_sessions
+from repro.daemon.journal import Journal, SessionImage
 from repro.daemon.protocol import (
     PAPID_EAGAIN,
     PAPID_EDRAIN,
@@ -172,8 +172,7 @@ class PapidServer:
                     self._fail(shard, idx_ops, results, "shard is down")
                     continue
                 try:
-                    msg_id = shard.send(
-                        "batch", [op.to_wire() for _, op in idx_ops])
+                    msg_id = shard.send("batch", [op for _, op in idx_ops])
                 except OSError:
                     shard.note_fault("crash")
                     self._fail(shard, idx_ops, results,
@@ -270,36 +269,21 @@ class PapidServer:
         return hashlib.sha256(blob).hexdigest()
 
     def check_consistency(self) -> List[str]:
-        """Journal/registry cross-check; an empty list means consistent."""
+        """Registry vs the journal's live fold, field by field over
+        :class:`SessionImage`; an empty list means consistent."""
         problems = []
         with self._lock:
-            images = recover_sessions(self.journal.records())
+            images = self.journal.images
             for sid, rec in self.registry.items():
                 img = images.get(sid)
                 if img is None:
                     problems.append(f"{sid}: in registry, not in journal")
                     continue
-                if img.values != rec.values:
-                    problems.append(
-                        f"{sid}: journal values {img.values} != "
-                        f"registry {rec.values}"
-                    )
-                if (img.cycle, img.advanced) != (rec.cycle, rec.advanced):
-                    problems.append(
-                        f"{sid}: journal clock "
-                        f"({img.cycle},{img.advanced}) != registry "
-                        f"({rec.cycle},{rec.advanced})"
-                    )
-                if img.state != rec.state:
-                    problems.append(
-                        f"{sid}: journal state {img.state!r} != "
-                        f"registry {rec.state!r}"
-                    )
-                if len(img.lost) != len(rec.lost):
-                    problems.append(
-                        f"{sid}: journal ledger has {len(img.lost)} "
-                        f"entries, registry {len(rec.lost)}"
-                    )
+                for f in fields(SessionImage):
+                    want, got = getattr(img, f.name), getattr(rec, f.name)
+                    if want != got:
+                        problems.append(f"{sid}: journal {f.name} {want!r}"
+                                        f" != registry {got!r}")
             for sid in images:
                 if sid not in self.registry:
                     problems.append(f"{sid}: in journal, not in registry")
@@ -402,20 +386,20 @@ class PapidServer:
         """
         shard = self.shards[shard_id]
         try:
-            wires = shard.reply("results", msg_id, until)
+            answers = shard.reply("results", msg_id, until)
         except (EOFError, OSError):
             shard.note_fault("crash")
             self._fail(shard, idx_ops, results, "worker died mid-batch",
                        sent=True)
             return
-        if wires is None:
+        if answers is None:
             with self._lock:
                 self.health_counters.deadline_expiries += len(idx_ops)
             shard.note_fault("wedge")
             self._fail(shard, idx_ops, results, "RPC deadline expired",
                        sent=True)
             return
-        self._record_results(shard, idx_ops, wires, results)
+        self._record_results(shard, idx_ops, answers, results)
 
     def _count_inflight(self, sent: List[Tuple[Shard, list, int]],
                         sign: int) -> None:
@@ -424,11 +408,10 @@ class PapidServer:
                 shard.inflight += sign * len(idx_ops)
 
     def _record_results(self, shard: Shard, idx_ops: List[Tuple[int, Op]],
-                        wires: List[dict],
+                        answers: List[OpResult],
                         results: Dict[int, OpResult]) -> None:
         with self._lock:
-            for (idx, op), wire in zip(idx_ops, wires):
-                res = OpResult.from_wire(wire)
+            for (idx, op), res in zip(idx_ops, answers):
                 results[idx] = res
                 self._tick += 1
                 if not res.ok:
@@ -462,8 +445,10 @@ class PapidServer:
                         rec.state = "running"
                     elif op.kind == "stop":
                         rec.state = "stopped"
-                    res.recovered = rec.recovered
-                    res.lost = [dict(iv) for iv in rec.lost]
+                    # the worker may still hold *res* (inline transport)
+                    results[idx] = replace(
+                        res, recovered=rec.recovered,
+                        lost=[dict(iv) for iv in rec.lost])
                     self._ack(rec, op.sid)
 
     def _ack(self, rec: SessionRecord, sid: str) -> None:
@@ -575,25 +560,23 @@ class PapidServer:
             rec.lost.append(entry)
             rec.recovered = True
             self.journal.append({"t": "recover", "sid": sid, "lost": entry})
-            ops.append(Op(kind="adopt", sid=sid, spec=rec.spec,
-                          restore=rec.restore_wire()))
+            ops.append(Op(kind="adopt", sid=sid, image=rec))
         return ops
 
     def _adopt_into(self, fresh: Shard, sids: List[str],
                     ops: List[Op]) -> None:
         if not ops:
             return
-        wires = None
+        answers = None
         with fresh.lock:
             try:
-                msg_id = fresh.send("batch", [op.to_wire() for op in ops])
-                wires = fresh.reply(
+                msg_id = fresh.send("batch", ops)
+                answers = fresh.reply(
                     "results", msg_id,
                     time.monotonic() + self.config.batch_timeout)
             except (EOFError, OSError):
                 pass
-        ok_sids = {op.sid for op, wire in zip(ops, wires or ())
-                   if OpResult.from_wire(wire).ok}
+        ok_sids = {res.sid for res in answers or () if res.ok}
         with self._lock:
             for sid in sids:
                 rec = self.registry.get(sid)

@@ -12,9 +12,12 @@ Two transports expose the same surface:
 
 - :class:`ProcessTransport` — real ``multiprocessing`` workers, one
   process per shard (fork where available).  This is what the CLI,
-  the load benchmark, and the chaos soak run.
+  the load benchmark, and the chaos soak run.  The pipe pickles the
+  protocol objects, and the worker is handed its :class:`CrashPlan`.
 - :class:`InlineTransport` — the worker's :class:`WorkerState` driven
-  synchronously in-process behind a pipe-shaped shim.  Crashes are
+  synchronously in-process behind a pipe-shaped shim, which passes
+  the same objects by reference (who may change what:
+  :mod:`repro.daemon.protocol`).  Crashes are
   simulated faithfully (the saboteur's :class:`WorkerCrashed` makes the
   shim answer like a dead pipe: sends raise ``BrokenPipeError``, recvs
   raise ``EOFError``).  Property tests and the hypothesis stateful
@@ -163,10 +166,9 @@ class ProcessTransport:
     def spawn(self, shard_id: int, generation: int,
               crash_plan: Optional[CrashPlan]) -> Shard:
         parent, child = self._ctx.Pipe()
-        wire = crash_plan.to_wire() if crash_plan is not None else None
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child, shard_id, generation, wire),
+            args=(child, shard_id, generation, crash_plan),
             name=f"papid-worker-{shard_id}.{generation}",
             daemon=True,
         )

@@ -21,7 +21,7 @@ and the saboteur countdown (fresh executions only) stays deterministic.
 
 Adoption (crash recovery): an ``adopt`` op carries the journal image of
 a session that died with its previous worker.  The worker rebuilds the
-substrate from the spec, restores the acked base counts/cycle, and —
+substrate from the image's spec, copies the acked base counts/cycle, and —
 because a respawned worker may reuse a process whose library was shut
 down — leans on the ``Papi.shutdown()``/cold-restart fix for a genuinely
 fresh library.  Reads after adoption serve ``base + fresh``, which is
@@ -35,13 +35,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.errors import NotRunningError, PapiError, is_transient
 from repro.core.library import Papi
 from repro.daemon.crash import CrashPlan, Saboteur
+from repro.daemon.journal import SessionImage
 from repro.daemon.protocol import (
     PAPID_EAGAIN,
     PAPID_EFATAL,
     Op,
     OpResult,
     SessionSpec,
-    op_from_wire,
 )
 from repro.platforms import create as create_substrate
 from repro.workloads import CALIBRATION_KERNELS
@@ -62,7 +62,7 @@ class WorkerSession:
     """One monitoring session: substrate + library + EventSet + workload."""
 
     def __init__(self, spec: SessionSpec,
-                 restore: Optional[Dict[str, Any]] = None) -> None:
+                 image: Optional[SessionImage] = None) -> None:
         self.spec = spec
         self.substrate = create_substrate(
             spec.platform, seed=spec.seed, inject=spec.inject
@@ -81,16 +81,18 @@ class WorkerSession:
         self.recovered = False
         self.lost: List[dict] = []
         self.last_seq: Optional[int] = None
-        self.last_result: Optional[Dict[str, Any]] = None
-        if restore is not None:
+        self.last_result: Optional[OpResult] = None
+        if image is not None:
+            # the image may be the server's own record (inline
+            # transport): copy what is kept, mutate nothing.
             self.base_values = {
-                ev: int(restore["values"].get(ev, 0)) for ev in spec.events
+                ev: image.values.get(ev, 0) for ev in spec.events
             }
-            self.base_cycle = int(restore["cycle"])
-            self.base_advanced = int(restore["advanced"])
-            self.recovered = bool(restore.get("recovered", True))
-            self.lost = [dict(iv) for iv in restore.get("lost", ())]
-            self.state = restore["state"]
+            self.base_cycle = image.cycle
+            self.base_advanced = image.advanced
+            self.recovered = image.recovered
+            self.lost = [dict(iv) for iv in image.lost]
+            self.state = image.state
             if self.state == "running":
                 self.es.start()
 
@@ -159,9 +161,8 @@ class WorkerState:
             return [("pong", msg[1], len(self.sessions))]
         if kind == "batch":
             batch_id, ops = msg[1], msg[2]
-            results = [self._handle_op(op_from_wire(w)).to_wire()
-                       for w in ops]
-            return [("results", batch_id, results)]
+            return [("results", batch_id,
+                     [self._handle_op(op) for op in ops])]
         if kind == "drain":
             acks = self._drain_all()
             self.finished = True
@@ -181,7 +182,7 @@ class WorkerState:
         if fresh and self.saboteur is not None:
             self.saboteur.tick()  # may never return (die/wedge)
         if not fresh:
-            return OpResult.from_wire(session.last_result)
+            return session.last_result
         try:
             res = self._execute(op, session)
         except PapiError as exc:
@@ -198,7 +199,7 @@ class WorkerState:
         ):
             ses = self.sessions[op.sid]
             ses.last_seq = op.seq
-            ses.last_result = res.to_wire()
+            ses.last_result = res
         return res
 
     def _execute(self, op: Op, session: Optional[WorkerSession]) -> OpResult:
@@ -210,16 +211,10 @@ class WorkerState:
             return OpResult(sid=op.sid, kind="create", seq=op.seq,
                             **ses._snapshot())
         if op.kind == "adopt":
-            spec = op.spec if op.spec is not None else None
-            if spec is None:
-                raise ValueError("adopt op requires a spec")
-            ses = WorkerSession(spec, restore=op.restore)
+            ses = WorkerSession(op.image.spec, image=op.image)
             self.sessions[op.sid] = ses
             return OpResult(sid=op.sid, kind="adopt", seq=op.seq,
-                            recovered=True, **{
-                                k: v for k, v in ses._snapshot().items()
-                                if k != "recovered"
-                            })
+                            **ses._snapshot())
         if session is None:
             raise ValueError(f"no such session {op.sid!r}")
         if op.kind == "start":
@@ -258,10 +253,10 @@ class WorkerState:
 
 
 def worker_main(conn, worker_id: int, generation: int,
-                crash_wire: Optional[Dict[str, Any]] = None) -> None:
+                crash_plan: Optional[CrashPlan] = None) -> None:
     """Process entry point: serve one pipe until drain or EOF."""
-    plan = CrashPlan.from_wire(crash_wire)
-    saboteur = plan.saboteur(worker_id, generation) if plan else None
+    saboteur = (crash_plan.saboteur(worker_id, generation)
+                if crash_plan else None)
     state = WorkerState(worker_id, generation, saboteur=saboteur)
     while not state.finished:
         try:

@@ -44,6 +44,7 @@ from repro.core.calibrate import (
     measure_access_costs,
     run_attached,
     run_measured,
+    within_sampling_tolerance,
 )
 from repro.core.errors import PapiError
 from repro.core.library import Papi
@@ -444,8 +445,8 @@ class RefutationEngine:
         for symbol in symbols:
             expected = checkable[symbol].expected
             actual = values[symbol]
-            err = relative_error(actual, expected)
-            if err > SAMPLING_TOLERANCE:
+            if not within_sampling_tolerance(actual, expected):
+                err = relative_error(actual, expected)
                 return cell(
                     status="refuted", expected=expected, actual=actual,
                     detail=f"{symbol} estimate off by {err:.0%} "

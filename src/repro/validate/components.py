@@ -36,6 +36,7 @@ from repro.core.calibrate import (
     SAMPLING_TOLERANCE,
     run_measured,
     scoped_eventset,
+    within_sampling_tolerance,
 )
 from repro.core.errors import ConflictError, PapiError
 from repro.core.library import Papi
@@ -57,10 +58,10 @@ MIXED_EVENTS = (
 
 
 def _cell(platform: str, name: str, expected: int, actual: int,
-          exact: bool = True, tolerance: float = 0.0,
-          detail: str = "") -> MatrixCell:
+          exact: bool = True, detail: str = "") -> MatrixCell:
     err = relative_error(actual, expected)
-    ok = actual == expected if exact else err <= tolerance
+    ok = (actual == expected if exact
+          else within_sampling_tolerance(actual, expected))
     return MatrixCell(
         plane="components", platform=platform, name=name,
         status="pass" if ok else "fail",
@@ -86,7 +87,6 @@ def _mixed_cells(platform: str, papi: Papi, workload,
         expected=oracle_counts[Signal.TOT_INS],
         actual=values["PAPI_TOT_INS"],
         exact=not sampling,
-        tolerance=SAMPLING_TOLERANCE,
         detail=(f"sample-derived, tolerance "
                 f"{SAMPLING_TOLERANCE:.0%}" if sampling
                 else "CPU member of a mixed set, exact"),

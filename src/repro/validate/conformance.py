@@ -24,6 +24,7 @@ from repro.core.calibrate import (
     SAMPLING_TOLERANCE,
     run_attached,
     run_measured,
+    within_sampling_tolerance,
 )
 from repro.core.errors import PapiError
 from repro.core.library import Papi
@@ -121,7 +122,8 @@ def _oracle_cells_sampling(
         err = relative_error(actual, exp.expected)
         cells.append(MatrixCell(
             plane="oracle", platform=platform, name=symbol,
-            status="pass" if err <= SAMPLING_TOLERANCE else "fail",
+            status=("pass" if within_sampling_tolerance(actual, exp.expected)
+                    else "fail"),
             expected=exp.expected, actual=actual, error=err,
             drift=exp.drift,
             detail=f"sample-derived estimate, tolerance "

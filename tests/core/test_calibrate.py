@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from repro.core.calibrate import calibrate, calibrate_all, calibrate_convergence
+from repro.core.calibrate import (
+    SAMPLING_TOLERANCE,
+    calibrate,
+    calibrate_all,
+    calibrate_convergence,
+    within_sampling_tolerance,
+)
 from repro.core.sampling import (
     ConvergenceStudy,
     Estimate,
@@ -90,3 +96,19 @@ class TestSamplingHelpers:
         study.add(1000, 100, estimate=95, expected=100)
         assert study.errors() == [0.5, 0.05]
         assert study.is_converging()
+
+
+class TestSamplingVerdict:
+    def test_boundary_is_exact(self):
+        # 48/240 and 0.20 are both the double nearest 1/5: the verdict
+        # at the bound must not depend on that
+        assert f"{SAMPLING_TOLERANCE:.0%}" == "20%"
+        for actual in (192, 200, 240, 288):
+            assert within_sampling_tolerance(actual, 240)
+        for actual in (191, 289, 0):
+            assert not within_sampling_tolerance(actual, 240)
+
+    def test_zero_expected_passes_only_zero(self):
+        assert within_sampling_tolerance(0, 0)
+        assert not within_sampling_tolerance(1, 0)
+        assert not within_sampling_tolerance(-1, 0)

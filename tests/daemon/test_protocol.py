@@ -1,5 +1,8 @@
 """Unit tests: papid wire protocol (specs, ops, results, status codes)."""
 
+from dataclasses import fields
+from multiprocessing.reduction import ForkingPickler
+
 import pytest
 
 from repro.core.errors import NotRunningError, PapiError, SystemError_
@@ -9,11 +12,12 @@ from repro.daemon import (
     PAPID_ESHED,
     PAPID_OK,
     OpResult,
+    SessionRecord,
     SessionSpec,
     raise_for_result,
     shard_of,
 )
-from repro.daemon.protocol import Op, op_from_wire
+from repro.daemon.protocol import Op
 
 
 class TestSessionSpec:
@@ -51,24 +55,46 @@ class TestShardOf:
 
 
 class TestOpResult:
-    def test_wire_round_trip(self):
-        res = OpResult(sid="s-1", kind="read", status=PAPID_OK, seq=3,
-                       values={"PAPI_TOT_INS": 10}, cycle=20, advanced=5)
-        back = OpResult.from_wire(res.to_wire())
-        assert back.values == {"PAPI_TOT_INS": 10}
-        assert back.ok and not back.transient
-
     def test_transient_statuses(self):
         for status in (PAPID_EAGAIN, PAPID_ESHED):
             res = OpResult(sid="s", kind="read", status=status)
             assert res.transient and not res.ok
 
-    def test_op_wire_round_trip(self):
-        spec = SessionSpec(sid="s-1")
-        op = Op(kind="create", sid="s-1", spec=spec, priority=1)
-        back = op_from_wire(op.to_wire())
-        assert back.spec == spec
-        assert back.kind == "create"
+
+def _same_fields(back, sent):
+    assert type(back) is type(sent)
+    for f in fields(sent):
+        assert getattr(back, f.name) == getattr(sent, f.name), f.name
+
+
+class TestPipeObjects:
+    def test_ops_and_results_survive_pickle(self):
+        # most suites run the inline transport, which passes these by
+        # reference: only this test holds them to the process pipe
+        spec = SessionSpec(sid="s-1", platform="simMIPS", seed=7,
+                           events=("PAPI_TOT_INS",), priority=2,
+                           inject="3:transient")
+        image = SessionRecord(
+            spec=spec, shard_id=1, state="running",
+            values={"PAPI_TOT_INS": 10}, cycle=20, advanced=5,
+            recovered=True, tick=9,
+            lost=[{"start_cycle": 20, "end_cycle": 420,
+                   "natives": ["PAPI_TOT_INS"], "reason": "crash",
+                   "recovered": True}],
+        )
+        res = OpResult(sid="s-1", kind="read", status=PAPID_OK, seq=3,
+                       values={"PAPI_TOT_INS": 10}, cycle=20, advanced=5,
+                       recovered=True, lost=list(image.lost), stale=True,
+                       err_code=-7, err="detail")
+        for sent in (Op(kind="create", sid="s-1", spec=spec, priority=2),
+                     Op(kind="adopt", sid="s-1", seq=4, image=image),
+                     res):
+            back = ForkingPickler.loads(ForkingPickler.dumps(sent))
+            _same_fields(back, sent)
+
+    def test_adopt_requires_an_image(self):
+        with pytest.raises(ValueError):
+            Op(kind="adopt", sid="s-1")
 
 
 class TestRaiseForResult:

@@ -7,6 +7,7 @@ deterministically without process scheduling in the way.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -294,3 +295,67 @@ class TestDrain:
         images = recover_sessions(records)
         assert sorted(images) == sorted(sids)
         assert all(img.state == "stopped" for img in images.values())
+
+
+def _bump_value(server, sid):
+    server.registry[sid].values["PAPI_TOT_INS"] += 1
+
+
+def _bump_cycle(server, sid):
+    server.registry[sid].cycle += 1
+
+
+def _stop_state(server, sid):
+    server.registry[sid].state = "stopped"
+
+
+def _clear_recovered(server, sid):
+    server.registry[sid].recovered = False
+
+
+def _stretch_ledger(server, sid):
+    server.registry[sid].lost[0]["end_cycle"] += 1
+
+
+def _reseed_spec(server, sid):
+    rec = server.registry[sid]
+    rec.spec = replace(rec.spec, seed=rec.spec.seed + 1)
+
+
+def _drop_from_registry(server, sid):
+    del server.registry[sid]
+
+
+def _drop_from_journal(server, sid):
+    del server.journal.images[sid]
+
+
+class TestConsistencyCheck:
+    """Each disagreement between the registry and the journal's live
+    fold is reported once, naming the session.  The corruptions mutate
+    registry objects in place, so a fold that shared them with the
+    registry would report nothing."""
+
+    @pytest.mark.parametrize("corrupt, says", [
+        (_bump_value, "journal values"),
+        (_bump_cycle, "journal cycle"),
+        (_stop_state, "journal state"),
+        (_clear_recovered, "journal recovered"),
+        (_stretch_ledger, "journal lost"),
+        (_reseed_spec, "journal spec"),
+        (_drop_from_registry, "in journal, not in registry"),
+        (_drop_from_journal, "in registry, not in journal"),
+    ])
+    def test_one_corruption_one_problem(self, seq, corrupt, says):
+        with PapidServer(inline_config(nshards=1)) as server:
+            sids = make_fleet(server, 3, seq)
+            for sid in sids:
+                server.submit([Op(kind="read", sid=sid, seq=seq(sid))])
+            server.shards[0].conn.dead = True
+            server.shards[0].conn.crash_mode = "die"
+            server.check_shards()  # every session recovered, one entry
+            assert server.check_consistency() == []
+            corrupt(server, sids[1])
+            problems = server.check_consistency()
+            assert len(problems) == 1, problems
+            assert problems[0].startswith(f"{sids[1]}: {says}")
