@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
-from repro.core.errors import InvalidArgumentError, NotRunningError
+from repro.core.errors import IsRunningError, NotRunningError
 from repro.core.presets import preset_from_symbol
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,9 +81,9 @@ class HighLevel:
         return self.papi.num_counters
 
     def start_counters(self, events: Sequence[EventSpec]) -> None:
-        """PAPI_start_counters."""
+        """PAPI_start_counters (PAPI_EISRUN when already started)."""
         if self._es is not None:
-            raise InvalidArgumentError(
+            raise IsRunningError(
                 "high-level counters already started; stop them first"
             )
         es = self.papi.create_eventset()

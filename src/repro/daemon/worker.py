@@ -25,7 +25,9 @@ substrate from the image's spec, copies the acked base counts/cycle, and —
 because a respawned worker may reuse a process whose library was shut
 down — leans on the ``Papi.shutdown()``/cold-restart fix for a genuinely
 fresh library.  Reads after adoption serve ``base + fresh``, which is
-what keeps client-visible counts monotone across crashes.
+what keeps client-visible counts monotone across crashes.  The
+``recovered`` flag and the lost-interval ledger stay in the server's
+registry, which sets both on every start/read/stop result.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ class WorkerSession:
         self.base_advanced = 0
         self.advanced = 0
         self.state = "created"
-        self.recovered = False
-        self.lost: List[dict] = []
         self.last_seq: Optional[int] = None
         self.last_result: Optional[OpResult] = None
         if image is not None:
@@ -90,8 +90,6 @@ class WorkerSession:
             }
             self.base_cycle = image.cycle
             self.base_advanced = image.advanced
-            self.recovered = image.recovered
-            self.lost = [dict(iv) for iv in image.lost]
             self.state = image.state
             if self.state == "running":
                 self.es.start()
@@ -137,8 +135,6 @@ class WorkerSession:
             "values": totals,
             "cycle": self.base_cycle + self.substrate.real_cyc(),
             "advanced": self.base_advanced + self.advanced,
-            "recovered": self.recovered,
-            "lost": [dict(iv) for iv in self.lost],
         }
 
 

@@ -2,10 +2,10 @@
 
 Five analyzers behind one diagnostic engine (see DESIGN.md):
 
-- **API misuse** (:mod:`repro.lint.apilint`, most PL0xx rules): an
-  AST walk over Papi/EventSet/HighLevel call sequences -- event names,
-  membership, multiplexing and overflow configuration, the HighLevel
-  lifecycle, swallowed errors and papid clients;
+- **API misuse** (:mod:`repro.lint.apilint`, the PL0xx rules that are
+  not about run state): an AST walk over Papi/EventSet/HighLevel call
+  sequences -- event names, membership, multiplexing and overflow
+  configuration, mixed interfaces and swallowed errors;
 - **static feasibility** (:mod:`repro.lint.feasibility`, PL1xx):
   decides counter allocability without executing, reusing the runtime
   allocator's bipartite matching over the platform tables;
@@ -15,12 +15,13 @@ Five analyzers behind one diagnostic engine (see DESIGN.md):
 - **flow-sensitive typestate** (:mod:`repro.lint.flow` over
   :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow` /
   :mod:`repro.lint.typestate` / :mod:`repro.lint.summaries`): the one
-  CFG-based, path-sensitive, interprocedural analysis of EventSet run
-  state and thread/counter binding.  Misuse on every path of a set
-  created in the scope is reported under PL0xx codes
-  (PL001/002/005/007/008/014/015/016) in every mode; misuse on some
-  paths only, or seen through a helper, under PL3xx/PL4xx codes, which
-  ``--flow`` adds;
+  CFG-based, path-sensitive, interprocedural analysis of run state
+  (EventSet and HighLevel lifecycles, overlapping sets, multiplexed
+  runs, papid clients) and thread/counter binding.  Misuse on every
+  path of a set created in the scope, and the run-state PL0xx rules
+  that have no some-path twin (PL004/PL013/PL018), are reported under
+  PL0xx codes in every mode; misuse on some paths only, or seen
+  through a helper, under PL3xx/PL4xx codes, which ``--flow`` adds;
 - **static counter oracle** (:mod:`repro.lint.staticoracle`): affine
   bounds on every architecturally-determined signal of a machine
   program, derived without executing it, bracketing the exact oracle.

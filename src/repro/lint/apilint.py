@@ -6,27 +6,26 @@ identify statically: which platform it is bound to (from a
 ``create("simX86")`` literal), which events were added (from string
 literals, ``event_name_to_code`` calls, or module-level constant
 lists), and whether it is multiplexed or has overflow registered.
-Illegal or hazardous call sequences become PL0xx diagnostics; when the
-platform and event names are all statically known, the set is
-additionally handed to the static feasibility checker
-(:mod:`repro.lint.feasibility`) for PL1xx diagnostics, and assignments
-into ``PLATFORM_PRESET_TABLES`` are validated by the preset lint
-(PL2xx).
+Illegal or hazardous membership, configuration and event-name choices
+become PL0xx diagnostics, and so does a broad ``except`` that swallows
+the errors of PAPI calls (PL017); when the platform and event names
+are all statically known, the set is additionally handed to the static
+feasibility checker (:mod:`repro.lint.feasibility`) for PL1xx
+diagnostics, and assignments into ``PLATFORM_PRESET_TABLES`` are
+validated by the preset lint (PL2xx).
 
-EventSet run state and thread/counter binding (PL001/002/005/007/008
-/014/015/016 on EventSets) are not checked here: the typestate pass
-(:mod:`repro.lint.flow`) owns them.  This walk keeps only a coarse
-``running`` bit per EventSet, for the overlap (PL013) and short
-multiplexed run (PL004) rules, and the HighLevel lifecycle, which has
-no typestate twin.
+This walk keeps no run state.  Whether a set, a ``HighLevel`` or a
+papid client is running, stopped, open or closed -- and with it every
+lifecycle, overlap (PL013), short multiplexed run (PL004) and client
+closing (PL018) rule -- is the typestate pass's (:mod:`repro.lint.flow`).
 
 Design points:
 
 - **Linear control flow.**  Statements are interpreted in source
   order: the body of an ``if`` and then its ``else``, and loop bodies
   once.  This is the usual lint trade-off: simple, fast, and right for
-  the configuration rules here; the run-state rules, where it is
-  wrong on branches and loops, live in the typestate pass.
+  the membership and configuration rules here; the run-state rules,
+  where it is wrong on branches and loops, live in the typestate pass.
 - **Guard awareness.**  A call inside ``try: ... except ConflictError``
   demonstrates intent (the script *expects* the failure -- e.g. the
   multiplexing example that shows the ECNFLCT path), so rules whose
@@ -42,16 +41,11 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.presets import PRESET_BY_SYMBOL
+from repro.lint.cfg import handler_names
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.feasibility import _substrate, check_events, portability_matrix
-from repro.lint.rules import RULES
+from repro.lint.rules import guarded
 from repro.platforms import PLATFORM_NAMES
-
-#: below this many instructions, a multiplexed run has too few timer
-#: rotations for the time-slice extrapolation to converge (the E3
-#: regime where estimates are badly wrong).  Default quantum is 5000
-#: cycles; tens of rotations are needed to average over phases.
-MIN_MPX_RUN_INSTRUCTIONS = 50_000
 
 
 class _PapiState:
@@ -62,7 +56,6 @@ class _PapiState:
         self.hl_line: Optional[int] = None     # first high-level use
         self.ll_line: Optional[int] = None     # first low-level start
         self.mixing_reported = False
-        self.running: Set[int] = set()         # ids of running EventSets
         #: component names whose registration the script has checked
         #: (papi.component("x"), or query_named of a ::: name)
         self.components_checked: Set[str] = set()
@@ -78,9 +71,7 @@ class _EventSetState:
         self.papi = papi
         self.events: List[Tuple[Optional[str], int]] = []  # (name, line)
         self.multiplexed = False
-        self.running = False
         self.overflow = False
-        self.started_line: Optional[int] = None
         self.conflict_reported = False
 
     @property
@@ -103,8 +94,6 @@ class _HighLevelState:
 
     def __init__(self, papi: Optional[_PapiState]) -> None:
         self.papi = papi
-        self.started = False
-        self.started_line: Optional[int] = None
 
 
 class ApiLinter:
@@ -156,8 +145,7 @@ class ApiLinter:
     # ------------------------------------------------------------------
 
     def _run_scope(self, body: Sequence[ast.stmt]) -> None:
-        scope = _ScopeInterpreter(self)
-        scope.run(body)
+        _ScopeInterpreter(self).visit_block(body)
 
     def report(
         self,
@@ -167,11 +155,8 @@ class ApiLinter:
         hint: str = "",
         guards: Optional[Set[str]] = None,
     ) -> None:
-        rule = RULES[code]
-        if guards and rule.guards:
-            catchable = set(rule.guards) | {"Exception", "BaseException"}
-            if guards & catchable:
-                return  # statically guarded: the script expects this
+        if guarded(code, guards or ()):
+            return  # statically guarded: the script expects this
         self.diagnostics.append(Diagnostic(
             code, self.path,
             getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
@@ -186,11 +171,8 @@ class _ScopeInterpreter:
         self.linter = linter
         self.env: Dict[str, object] = dict(linter.module_env)
         self.vars: Dict[str, object] = {}     # name -> abstract object
-        self.eventsets: List[_EventSetState] = []
-        self.highlevels: List[_HighLevelState] = []
-        self.clients: List["_ClientState"] = []
         self.guard_stack: List[Set[str]] = []
-        #: running count of method calls on tracked PAPI objects; a
+        #: how many method calls on tracked PAPI objects were seen; a
         #: try-body that raises it contains counter calls (PL017).
         self.papi_calls = 0
 
@@ -210,10 +192,6 @@ class _ScopeInterpreter:
 
     # -- statement dispatch --------------------------------------------
 
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        self.visit_block(body)
-        self._end_of_scope(body)
-
     def visit_block(self, body: Sequence[ast.stmt]) -> None:
         for stmt in body:
             self.visit_stmt(stmt)
@@ -230,11 +208,7 @@ class _ScopeInterpreter:
         elif isinstance(stmt, ast.AugAssign):
             self.eval_expr(stmt.value)
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            value = self.eval_expr(stmt.value)
-            if isinstance(value, _ClientState):
-                # the client outlives this scope; closing is the
-                # caller's job (PL018 suppression)
-                value.escaped = True
+            self.eval_expr(stmt.value)
         elif isinstance(stmt, ast.If):
             self.eval_expr(stmt.test)
             self.visit_block(stmt.body)
@@ -250,16 +224,16 @@ class _ScopeInterpreter:
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 value = self.eval_expr(item.context_expr)
-                if isinstance(value, _ClientState):
-                    # __exit__ calls close(): the with-statement is the
-                    # blessed idiom PL018 asks for
-                    value.closed = True
-                    if isinstance(item.optional_vars, ast.Name):
-                        self.vars[item.optional_vars.id] = value
+                if isinstance(item.optional_vars, ast.Name):
+                    self._bind(
+                        item.optional_vars.id, item.context_expr, value
+                    )
             self.visit_block(stmt.body)
         elif isinstance(stmt, ast.Try):
             calls_before = self.papi_calls
-            self.guard_stack.append(self._handler_names(stmt))
+            self.guard_stack.append(
+                {n for h in stmt.handlers for n in handler_names(h)}
+            )
             try:
                 self.visit_block(stmt.body)
             finally:
@@ -271,31 +245,6 @@ class _ScopeInterpreter:
             self.visit_block(stmt.orelse)
             self.visit_block(stmt.finalbody)
         # FunctionDef/ClassDef bodies are linted as separate scopes.
-
-    @staticmethod
-    def _one_handler_names(handler: ast.excepthandler) -> Set[str]:
-        names: Set[str] = set()
-
-        def add(node: Optional[ast.expr]) -> None:
-            if node is None:
-                names.add("BaseException")  # bare except
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Tuple):
-                for elt in node.elts:
-                    add(elt)
-
-        add(handler.type)
-        return names
-
-    @classmethod
-    def _handler_names(cls, stmt: ast.Try) -> Set[str]:
-        names: Set[str] = set()
-        for handler in stmt.handlers:
-            names |= cls._one_handler_names(handler)
-        return names
 
     #: handler types broad enough to hide *which* PAPI error occurred.
     #: Catching a specific subclass (ConflictError, NoSuchEventError...)
@@ -314,7 +263,7 @@ class _ScopeInterpreter:
         intent and is left alone.
         """
         for handler in stmt.handlers:
-            names = self._one_handler_names(handler)
+            names = handler_names(handler)
             if not names & self._BROAD_CATCHES:
                 continue
             if not all(
@@ -346,21 +295,13 @@ class _ScopeInterpreter:
         for target in stmt.targets:
             if isinstance(target, ast.Name):
                 self._bind(target.id, stmt.value, value)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                # tuple unpacking of stop() results etc.: nothing tracked
-                pass
-            elif isinstance(target, ast.Attribute):
-                if isinstance(value, _ClientState):
-                    # stored on an object (self.client = ...): lifetime
-                    # is managed elsewhere, so PL018 stays quiet
-                    value.escaped = True
+            # tuple unpacking, attribute and item stores: nothing tracked
 
     def _bind(
         self, name: str, rhs: ast.expr, value: Optional[object]
     ) -> None:
-        if isinstance(
-            value, (_PapiState, _EventSetState, _HighLevelState, str)
-        ) or value.__class__.__name__ in ("_SubstrateRef", "_ClientState"):
+        if isinstance(value, (_PapiState, _EventSetState, _HighLevelState,
+                              _SubstrateRef, _ClientRef, str)):
             self.vars[name] = value
             return
         if isinstance(rhs, ast.Name) and rhs.id in self.vars:
@@ -448,17 +389,9 @@ class _ScopeInterpreter:
 
     def _eval_call(self, node: ast.Call) -> Optional[object]:
         for arg in node.args:
-            value = self.eval_expr(
-                arg.value if isinstance(arg, ast.Starred) else arg
-            )
-            if isinstance(value, _ClientState):
-                # handed to another callable (a thread target, a helper
-                # that closes it): assume the callee owns it (PL018)
-                value.escaped = True
+            self.eval_expr(arg.value if isinstance(arg, ast.Starred) else arg)
         for kw in node.keywords:
-            value = self.eval_expr(kw.value)
-            if isinstance(value, _ClientState):
-                value.escaped = True
+            self.eval_expr(kw.value)
 
         func = node.func
         if isinstance(func, ast.Name):
@@ -479,19 +412,12 @@ class _ScopeInterpreter:
             return _PapiState(platform)
         if name == "HighLevel" and node.args:
             papi = self.eval_expr(node.args[0])
-            hl = _HighLevelState(
+            return _HighLevelState(
                 papi if isinstance(papi, _PapiState) else None
             )
-            self.highlevels.append(hl)
-            return hl
         if name == "PapidClient":
-            return self._new_client(node)
+            return _ClientRef()
         return None
-
-    def _new_client(self, node: ast.Call) -> "_ClientState":
-        client = _ClientState(node.lineno)
-        self.clients.append(client)
-        return client
 
     def _platform_of_arg(self, node: ast.Call) -> Optional[str]:
         if not node.args:
@@ -510,19 +436,12 @@ class _ScopeInterpreter:
         method = func.attr
 
         if isinstance(
-            base, (_PapiState, _EventSetState, _HighLevelState,
-                   _ClientState)
+            base, (_PapiState, _EventSetState, _HighLevelState, _ClientRef)
         ):
             self.papi_calls += 1
-        if isinstance(base, _ClientState):
-            if method in ("close", "__exit__"):
-                base.closed = True
-            return None
         if isinstance(base, _PapiState):
             if method == "create_eventset":
-                es = _EventSetState(base)
-                self.eventsets.append(es)
-                return es
+                return _EventSetState(base)
             if method in ("num_components", "component_names"):
                 base.all_components_checked = True
             elif method in ("component", "component_by_id"):
@@ -555,15 +474,11 @@ class _ScopeInterpreter:
             # the receiver is untracked (e.g. a function parameter),
             # but the method name is unambiguous: still track the set
             # so feasibility checks work under --platform.
-            es = _EventSetState(None)
-            self.eventsets.append(es)
-            return es
+            return _EventSetState(None)
         if method == "PapidClient":
             # attribute-form constructor (daemon.PapidClient(...)): the
             # receiver is a module, the class name is unambiguous
-            return self._new_client(node)
-        if method == "run":
-            self._check_short_mpx_run(node)
+            return _ClientRef()
         return None
 
     # -- EventSet membership and configuration ---------------------------
@@ -584,10 +499,6 @@ class _ScopeInterpreter:
             self._es_overflow(es, node)
         elif method == "start":
             self._es_start(es, node)
-        elif method == "stop":
-            if es.running and es.papi is not None:
-                es.papi.running.discard(id(es))
-            es.running = False
         return None
 
     def _event_names_of_call(
@@ -854,19 +765,8 @@ class _ScopeInterpreter:
     def _es_start(self, es: _EventSetState, node: ast.Call) -> None:
         papi = es.papi
         if papi is not None:
-            if papi.running - {id(es)}:
-                self.report(
-                    "PL013", node,
-                    "start() while another EventSet of the same library "
-                    "is still running",
-                    hint="stop the other set first (one running EventSet "
-                         "per library)",
-                )
-            papi.running.add(id(es))
             papi.ll_line = papi.ll_line or node.lineno
             self._check_mixing(papi, node)
-        es.running = True
-        es.started_line = node.lineno
         self._check_feasibility_at_start(es, node)
 
     def _check_feasibility_at_start(
@@ -922,33 +822,10 @@ class _ScopeInterpreter:
     def _highlevel_method(
         self, hl: _HighLevelState, method: str, node: ast.Call
     ) -> Optional[object]:
-        papi = hl.papi
+        if method in ("start_counters", "flops", "flips", "ipc"):
+            self._hl_mark_use(hl.papi, node)
         if method == "start_counters":
-            if hl.started:
-                self.report(
-                    "PL002", node,
-                    "start_counters while high-level counters are "
-                    "already started",
-                )
-            hl.started = True
-            hl.started_line = node.lineno
-            self._hl_mark_use(papi, node)
             self._hl_check_events(hl, node)
-        elif method in ("read_counters", "accum_counters"):
-            if not hl.started:
-                self.report(
-                    "PL001", node,
-                    f"{method} before start_counters",
-                )
-        elif method == "stop_counters":
-            if not hl.started:
-                self.report(
-                    "PL001", node,
-                    "stop_counters before start_counters",
-                )
-            hl.started = False
-        elif method in ("flops", "flips", "ipc"):
-            self._hl_mark_use(papi, node)
         return None
 
     def _hl_mark_use(
@@ -1014,51 +891,6 @@ class _ScopeInterpreter:
                      "API with set_multiplex",
             )
 
-    # -- short multiplexed runs ----------------------------------------
-
-    def _check_short_mpx_run(self, node: ast.Call) -> None:
-        """``machine.run(max_instructions=N)`` under a multiplexed set."""
-        bound: Optional[int] = None
-        for kw in node.keywords:
-            if kw.arg == "max_instructions":
-                value = self.linter._literal(kw.value)
-                if isinstance(value, int):
-                    bound = value
-        if bound is None or bound >= MIN_MPX_RUN_INSTRUCTIONS:
-            return
-        for es in self.eventsets:
-            if es.running and es.multiplexed:
-                self.report(
-                    "PL004", node,
-                    f"multiplexed EventSet (started at line "
-                    f"{es.started_line}) measures a run bounded to "
-                    f"{bound} instructions; time-slice estimates will "
-                    f"not converge",
-                    hint=f"run at least ~{MIN_MPX_RUN_INSTRUCTIONS} "
-                         f"instructions or count directly (E3)",
-                )
-
-    # -- scope exit -----------------------------------------------------
-
-    def _end_of_scope(self, body: Sequence[ast.stmt]) -> None:
-        for hl in self.highlevels:
-            if hl.started and hl.started_line is not None:
-                self.linter.diagnostics.append(Diagnostic(
-                    "PL008", self.linter.path, hl.started_line, 0,
-                    "high-level counters are started here but never "
-                    "stopped in this scope",
-                    hint="stop_counters() releases the counters",
-                ))
-        for client in self.clients:
-            if not client.closed and not client.escaped:
-                self.linter.diagnostics.append(Diagnostic(
-                    "PL018", self.linter.path, client.created_line, 0,
-                    "PapidClient is constructed here but neither used "
-                    "as a context manager nor close()d in this scope",
-                    hint="a departing client must close() so its owned "
-                         "daemon sessions are stopped and destroyed",
-                ))
-
 
 class _SubstrateRef:
     """Marker for a ``create("...")`` result bound to a variable."""
@@ -1067,16 +899,6 @@ class _SubstrateRef:
         self.platform = platform
 
 
-class _ClientState:
-    """Abstract state of one ``PapidClient`` (PL018).
-
-    ``closed`` is set by an explicit ``close()`` / ``__exit__`` call or
-    by entering the client as a context manager; ``escaped`` suppresses
-    the rule when the client demonstrably outlives the scope (returned,
-    stored on an attribute, or passed to another callable).
-    """
-
-    def __init__(self, line: int) -> None:
-        self.created_line = line
-        self.closed = False
-        self.escaped = False
+class _ClientRef:
+    """Marker for a ``PapidClient(...)`` result: its calls are PAPI calls
+    for PL017.  Whether it is closed is the typestate pass's (PL018)."""

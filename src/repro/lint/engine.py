@@ -10,9 +10,8 @@ One entry point per input kind:
   via :mod:`repro.lint.feasibility` and :mod:`repro.lint.presetlint`
   for the ``check-events`` / ``check-presets`` CLI verbs.
 
-The two passes do not overlap: the typestate pass owns every EventSet
-run-state and thread/counter-binding rule, the AST pass everything
-else.  ``flow=True`` only adds the typestate pass's PL3xx/PL4xx
+The two passes do not overlap: the typestate pass owns every run-state
+and thread/counter-binding rule, the AST pass everything else.  ``flow=True`` only adds the typestate pass's PL3xx/PL4xx
 findings (misuse on some paths only, or seen through a helper);
 without it they are dropped.  Only exact duplicates are collapsed.
 

@@ -1,6 +1,5 @@
-"""The flow-sensitive lint pass: every EventSet run-state
-and thread/counter-binding rule (PL001/002/005/007/008/014/015/016,
-PL3xx, PL4xx).
+"""The flow-sensitive lint pass: every run-state rule (PL001/002/004/
+005/007/008/013/014/015/016/018, PL3xx, PL4xx).
 
 Per scope (the module body and every function body, nested included):
 
@@ -9,13 +8,14 @@ Per scope (the module body and every function body, nested included):
    :mod:`repro.lint.typestate`) with interprocedural summaries
    (:mod:`repro.lint.summaries`) for module-level helpers;
 3. replay every node's transfer against its final IN fact with a
-   diagnostic sink attached (the run-state, attach and binding rules
-   fire inside transfers, under the codes of
-   :data:`repro.lint.typestate.MUST_CODES`);
-4. inspect the scope's exit facts for lifecycle leaks: a set created in
-   the scope still running at a normal exit (PL008); for any other set,
-   one still running at exit on an exception-tainted path (PL303), or
-   still running after an exception-path ``finally`` ran (PL304).
+   diagnostic sink attached (the run-state, overlap, multiplexed-run,
+   attach and binding rules fire inside transfers, the lifecycle ones
+   under the codes of :data:`repro.lint.typestate.MUST_CODES`);
+4. inspect the scope's exit facts for leaks: a set or ``HighLevel``
+   created in the scope still running at a normal exit (PL008), a
+   ``PapidClient`` created in it still open there (PL018); for any other
+   set, one still running at exit on an exception-tainted path (PL303),
+   or still running after an exception-path ``finally`` ran (PL304).
 
 Plus one syntactic rule, PL305: a loop whose ``except`` catches only
 *fatal* PAPI error classes (from :mod:`repro.core.errors`) and whose
@@ -36,10 +36,13 @@ from repro.lint.dataflow import solve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.summaries import collect_functions, compute_summaries
 from repro.lint.typestate import (
+    OPEN,
     RUNNING,
     TypestateAnalysis,
+    is_client,
     is_eventset,
     is_local_eventset,
+    site_line,
 )
 
 _SeenKey = Tuple[str, int, int]
@@ -106,8 +109,8 @@ def _leak_checks(
     cfg, ins: Dict[int, object], outs: Dict[int, object], path: str,
     seen: Set[_SeenKey],
 ) -> List[Diagnostic]:
-    """PL008 (never stopped), else PL303 (swallowed-exception leak) and
-    PL304 (finally misses stop)."""
+    """PL008 (never stopped) and PL018 (never closed), else PL303
+    (swallowed-exception leak) and PL304 (finally misses stop)."""
     found: List[Diagnostic] = []
 
     def emit(rule: str, line: int, message: str, hint: str) -> None:
@@ -121,6 +124,15 @@ def _leak_checks(
     exit_fact = ins[cfg.exit]
     if exit_fact.objs:
         for oid, fact in exit_fact.objs_dict().items():
+            if is_client(oid) and (OPEN, False) in fact.states:
+                emit(
+                    "PL018", site_line(oid),
+                    "PapidClient is constructed here but neither used as "
+                    "a context manager nor close()d on every path of "
+                    "this scope",
+                    "a departing client must close() so its owned daemon "
+                    "sessions are stopped and destroyed",
+                )
             if not is_eventset(oid) or not fact.started_lines:
                 continue
             if fact.unknown:

@@ -4,11 +4,13 @@ Every diagnostic papi-lint can emit is declared here with a stable code,
 a default severity, and the paper section whose lesson it mechanizes.
 Rule codes are grouped by analyzer:
 
-- ``PL0xx`` -- API-misuse rules.  Most come from the AST walk
-  (:mod:`repro.lint.apilint`); the EventSet run-state and
-  thread/counter-binding ones (PL001/002/005/007/008/014/015/016 on
-  EventSets) are the typestate pass's findings that hold on every path
-  of a set created in the scope (:mod:`repro.lint.typestate`);
+- ``PL0xx`` -- API-misuse rules.  Membership, configuration, event-name
+  and swallowed-error rules come from the AST walk
+  (:mod:`repro.lint.apilint`); every run-state rule comes from the
+  typestate pass (:mod:`repro.lint.typestate`, :mod:`repro.lint.flow`):
+  misuse on every path of an EventSet or ``HighLevel`` created in the
+  scope (PL001/002/005/007/008/014/015/016), overlapping sets (PL013),
+  short multiplexed runs (PL004) and unclosed papid clients (PL018);
 - ``PL1xx`` -- static EventSet feasibility rules
   (:mod:`repro.lint.feasibility`);
 - ``PL2xx`` -- preset-table cross-validation rules
@@ -231,3 +233,14 @@ RULES: Dict[str, Rule] = {
 def rule(code: str) -> Rule:
     """Look up a rule by code; raises KeyError for unknown codes."""
     return RULES[code]
+
+
+def guarded(code: str, caught) -> bool:
+    """Whether an enclosing ``except`` catching the exception names
+    *caught* statically guards *code*: the script expects that failure.
+    ``except Exception`` (or a bare ``except``) guards every rule that
+    declares guards at all."""
+    declared = RULES[code].guards
+    return bool(declared) and not set(caught).isdisjoint(
+        declared + ("Exception", "BaseException")
+    )

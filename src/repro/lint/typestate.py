@@ -1,15 +1,30 @@
 """Typestate lattice and transfer functions for the flow-sensitive linter.
 
-This is papi-lint's only analysis of EventSet run state and of
-thread/counter binding.  The abstract domain tracks, per control-flow
-point:
+This is papi-lint's only analysis of run state: EventSet and
+``HighLevel`` lifecycles, overlapping sets of one library, multiplexed
+runs, papid client closing, and thread/counter binding.  The abstract
+domain tracks, per control-flow point:
 
 - an **environment** mapping variable names to sets of abstract values
-  (EventSet/Thread creation sites, PMU references);
+  (EventSet/Thread/client creation sites, PMU references);
 - per abstract object a :class:`ObjFact`: the set of *possible*
   lifecycle states -- each element tagged with whether it was reached
   through an exception edge -- an explicit ``unknown`` bit, plus
   thread-attachment, ``bind_cpu`` and OS-level counter-binding facts.
+
+A ``HighLevel(...)`` is tracked like a set created in the scope
+(``hl@line:col``): its ``start_counters``/``read_counters``/
+``accum_counters``/``stop_counters`` take the ``start``/``read``/
+``accum``/``stop`` transfers (:data:`HIGHLEVEL_METHODS`); its other
+methods, and those names on any other receiver (substrates have them
+too), take none.  A ``PapidClient(...)`` is open until it is
+closed, entered in a ``with``, or escapes (returned, stored on an
+attribute or item, or passed to a call): then its new owner closes it.
+Facts fixed at an object's creation, or true of it anywhere in the
+scope, live in tables keyed by object id on the analysis, not in
+:class:`ObjFact`: the library a set was created from (the source text
+of the ``create_eventset`` receiver, the way threads are named) and
+whether ``set_multiplex()`` is called on it.
 
 Everything is a finite powerset, and joins are elementwise unions
 (except ``must_attached`` and ``must_bound``, which are intersections,
@@ -28,11 +43,16 @@ Rule logic lives here too: after the fixpoint, a report pass re-runs
 every node's transfer against its final IN fact with a diagnostic sink
 attached.  Which code a violation gets is one table,
 :data:`MUST_CODES`: a violation that holds on every path of a set
-created in the scope (``es@line:col``) takes its PL0xx code; one that
-holds on some paths only, or on a parameter or a helper-returned set,
-keeps its PL3xx/PL4xx code.  Objects whose ``unknown`` bit is set
-(parameters and arguments of an unknown callee, until an operation on
-them succeeds) are never reported.
+created in the scope (``es@`` or ``hl@line:col``) takes its PL0xx code;
+one that holds on some paths only, or on a parameter or a
+helper-returned set, keeps its PL3xx/PL4xx code.  A ``start()`` while
+another set of its library may be running is PL013, and a
+``run(max_instructions=N)`` shorter than :data:`MIN_MPX_RUN_INSTRUCTIONS`
+while a multiplexed set may be running is PL004.  Objects whose
+``unknown`` bit is set (parameters and arguments of an unknown callee,
+until an operation on them succeeds) are never reported.  A lambda's
+body runs when something calls it, not where it is written: the
+objects it names are handed off like an unknown callee's arguments.
 """
 
 from __future__ import annotations
@@ -43,7 +63,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.cfg import Node
 from repro.lint.dataflow import Analysis
-from repro.lint.rules import RULES
+from repro.lint.rules import guarded
 
 # -- lifecycle states ---------------------------------------------------
 
@@ -52,6 +72,10 @@ RUNNING = "running"
 STOPPED = "stopped"
 
 ALL_STATES = frozenset({CREATED, RUNNING, STOPPED})
+
+#: a PapidClient's states
+OPEN = "open"
+CLOSED = "closed"
 
 #: (state, via_exception) pairs for a fully unknown object.
 UNKNOWN_ELEMENTS = frozenset((s, False) for s in ALL_STATES)
@@ -66,6 +90,20 @@ REQUIRES_STOPPED = frozenset({
     "cleanup", "set_multiplex", "set_domain", "attach", "detach",
     "overflow", "bind_cpu",
 })
+
+#: HighLevel method -> the EventSet method whose transfer it takes
+HIGHLEVEL_METHODS = {
+    "start_counters": "start",
+    "read_counters": "read",
+    "accum_counters": "accum",
+    "stop_counters": "stop",
+}
+
+#: below this many instructions, a multiplexed run has too few timer
+#: rotations for the time-slice extrapolation to converge (the E3
+#: regime where estimates are badly wrong).  Default quantum is 5000
+#: cycles; tens of rotations are needed to average over phases.
+MIN_MPX_RUN_INSTRUCTIONS = 50_000
 
 #: OS-level virtualized-counter operations requiring a prior bind.
 OS_COUNTER_OPS = frozenset({
@@ -92,14 +130,14 @@ MUST_CODES: Dict[str, Dict[str, str]] = {
 
 #: PL0xx code -> (message template, hint) of its every-path findings
 MUST_WORDING: Dict[str, Tuple[str, str]] = {
-    "PL001": ("{method}() on an EventSet that {state}",
+    "PL001": ("{call}() on an EventSet that {state}",
               "call start() first"),
-    "PL002": ("start() on an EventSet that is already running",
+    "PL002": ("{call}() on an EventSet that is already running",
               "stop() it first"),
     "PL005": ("overflow registered while the EventSet is running",
               "register before start() for portable behaviour"),
-    "PL007": ("{method} on a running EventSet", "stop() it first"),
-    "PL014": ("{method} on a running EventSet",
+    "PL007": ("{call} on a running EventSet", "stop() it first"),
+    "PL014": ("{call} on a running EventSet",
               "stop() it first; per-thread counters cannot be re-homed "
               "mid-run"),
     "PL015": ("EventSet is re-attached to a different thread without "
@@ -122,17 +160,16 @@ PMU_VALUE = "pmu"
 UNTRACKED = frozenset({"untracked"})
 
 
-def eventset_id(line: int, col: int) -> str:
-    return f"es@{line}:{col}"
+def site_id(kind: str, node: ast.AST) -> str:
+    """The object made at *node*: ``es@line:col`` (``create_eventset``),
+    ``hl@`` (``HighLevel``), ``client@`` (``PapidClient``), ``thread@``
+    (``spawn``) or ``ret@`` (a set a helper's summary hands back)."""
+    return f"{kind}@{node.lineno}:{node.col_offset}"
 
 
-def thread_id(line: int, col: int) -> str:
-    return f"thread@{line}:{col}"
-
-
-def returned_id(line: int, col: int) -> str:
-    """A set handed back by a helper call (a summary's returns_states)."""
-    return f"ret@{line}:{col}"
+def site_line(val: str) -> int:
+    """The source line of a creation site's id (0 for a parameter)."""
+    return int(val.partition("@")[2].partition(":")[0] or 0)
 
 
 def param_id(index: int) -> str:
@@ -150,12 +187,26 @@ def base_object(val: str) -> str:
 
 
 def is_eventset(val: str) -> bool:
-    return val.startswith(("es@", "ret@", "param:"))
+    return val.startswith(("es@", "hl@", "ret@", "param:"))
 
 
 def is_local_eventset(val: str) -> bool:
-    """Created by ``create_eventset`` in the scope under analysis."""
-    return val.startswith("es@")
+    """Created by ``create_eventset`` or ``HighLevel`` in the scope
+    under analysis."""
+    return val.startswith(("es@", "hl@"))
+
+
+def is_client(val: str) -> bool:
+    return val.startswith("client@")
+
+
+#: calls that make a tracked object (bare or attribute form): the kind
+#: of its id and the state it starts in
+CONSTRUCTORS = {
+    "create_eventset": ("es", CREATED),
+    "HighLevel": ("hl", CREATED),
+    "PapidClient": ("client", OPEN),
+}
 
 
 def is_thread(val: str) -> bool:
@@ -316,6 +367,10 @@ class TypestateAnalysis(Analysis[FlowFact]):
         #: parameters (``param:i``) whose worlds the receiver of a
         #: ``.running`` test may be (the summaries' guard)
         self.world_tests: Set[str] = set()
+        #: set id -> its library: the ``create_eventset`` receiver's text
+        self.libraries: Dict[str, str] = {}
+        #: ids of the sets ``set_multiplex()`` is called on in the scope
+        self.multiplexed: Set[str] = set()
         self.sink: Optional[Sink] = None
         self._node: Optional[Node] = None
 
@@ -421,13 +476,9 @@ class TypestateAnalysis(Analysis[FlowFact]):
     ) -> None:
         if self.sink is None or self._node is None:
             return
-        node = self._node
-        declared = RULES[rule]
-        if node.guards and declared.guards:
-            catchable = set(declared.guards) | {"Exception", "BaseException"}
-            if set(node.guards) & catchable:
-                return  # the script statically expects this failure
-        self.sink(rule, node, objid, message, hint, method)
+        if guarded(rule, self._node.guards):
+            return  # the script statically expects this failure
+        self.sink(rule, self._node, objid, message, hint, method)
 
 
 class _StmtInterpreter:
@@ -457,7 +508,7 @@ class _StmtInterpreter:
             self.eval(stmt.value)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                self.eval(stmt.value)
+                self._hand_off(self.eval(stmt.value), havoc=False)
         elif isinstance(stmt, (ast.If, ast.While)):
             self.eval(stmt.test)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -466,6 +517,7 @@ class _StmtInterpreter:
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 vals = self.eval(item.context_expr)
+                self._hand_off(vals, havoc=False)  # __exit__ closes it
                 if isinstance(item.optional_vars, ast.Name):
                     self._assign_target(item.optional_vars, vals)
         elif isinstance(stmt, ast.Raise):
@@ -485,7 +537,26 @@ class _StmtInterpreter:
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._assign_target(elt, frozenset())
-        # attribute/subscript targets: no tracking
+        else:
+            # stored on an attribute or item: its owner closes a client
+            self._hand_off(vals, havoc=False)
+
+    def _hand_off(self, vals: FrozenSet[str], havoc: bool = True) -> None:
+        """Objects handed to code this scope does not see: a client is
+        its new owner's to close, and with *havoc* a set may come back in
+        any state (its ``unknown`` bit silences the rules)."""
+        for oid in vals:
+            fact = self.objs.get(oid)
+            if fact is None:
+                continue
+            if is_client(oid):
+                self.objs[oid] = replace(fact, states=frozenset(
+                    (CLOSED, via) for _s, via in fact.states
+                ))
+            elif havoc and is_eventset(oid):
+                self.objs[oid] = replace(
+                    fact, states=UNKNOWN_ELEMENTS, unknown=True
+                )
 
     # -- expressions ---------------------------------------------------
 
@@ -501,6 +572,12 @@ class _StmtInterpreter:
             return frozenset()
         if isinstance(node, ast.Constant):
             return frozenset()
+        if isinstance(node, ast.Lambda):
+            # the body runs later, when something calls it
+            for name in ast.walk(node.body):
+                if isinstance(name, ast.Name):
+                    self._hand_off(self.env.get(name.id, frozenset()))
+            return frozenset()
         out: FrozenSet[str] = frozenset()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
@@ -514,8 +591,8 @@ class _StmtInterpreter:
             self.eval(a.value if isinstance(a, ast.Starred) else a)
             for a in node.args
         ]
-        for kw in node.keywords:
-            self.eval(kw.value)
+        for vals in argvals + [self.eval(kw.value) for kw in node.keywords]:
+            self._hand_off(vals, havoc=False)  # the callee owns a client
 
         func = node.func
         if isinstance(func, ast.Attribute):
@@ -560,7 +637,7 @@ class _StmtInterpreter:
         code = MUST_CODES[rule].get(method, rule) if every_path else rule
         if code != rule:
             template, hint = MUST_WORDING[code]
-            message = template.format(method=method, **fields)
+            message = template.format(**fields)
         self.analysis.report(code, objid, message, hint=hint, method=method)
 
     # -- method dispatch ------------------------------------------------
@@ -571,12 +648,14 @@ class _StmtInterpreter:
         basevals = self.eval(func.value)
         method = func.attr
 
-        if method == "create_eventset":
-            oid = eventset_id(node.lineno, node.col_offset)
-            self.objs[oid] = ObjFact(states=frozenset({(CREATED, False)}))
-            return frozenset({oid})
+        if method in CONSTRUCTORS:
+            if method == "create_eventset":
+                self.analysis.libraries[site_id("es", node)] = (
+                    ast.unparse(func.value)
+                )
+            return self._construct(method, node)
         if method == "spawn":
-            tid = thread_id(node.lineno, node.col_offset)
+            tid = site_id("thread", node)
             self.objs.setdefault(tid, ObjFact())
             return frozenset({tid})
 
@@ -587,17 +666,81 @@ class _StmtInterpreter:
             self._os_counter_op(method, node)
             return frozenset()
 
+        if method == "run":
+            self._short_multiplexed_run(node)
+        if method in ("close", "__exit__"):
+            self._hand_off(basevals, havoc=False)
         es_ids = [v for v in basevals if is_eventset(v) and v in self.objs]
         if es_ids:
+            if method == "start":
+                self._overlapping_start(es_ids)
+            elif method == "set_multiplex":
+                self.analysis.multiplexed.update(es_ids)
             strong = len({base_object(v) for v in es_ids}) == 1
             for oid in es_ids:
+                transfer = (
+                    HIGHLEVEL_METHODS.get(method, "")
+                    if oid.startswith("hl@") else method
+                )
                 old = self.objs[oid]
-                new = self._apply_eventset_method(oid, old, method, node)
+                new = self._apply_eventset_method(oid, old, transfer, node)
                 self.objs[oid] = new if strong else old.join(new)
             return frozenset()  # counter values, not tracked objects
         if PMU_VALUE in basevals and method in ("read", "stop"):
             self._pmu_direct_access(method, node)
         return frozenset()
+
+    def _construct(self, name: str, node: ast.Call) -> FrozenSet[str]:
+        kind, state = CONSTRUCTORS[name]
+        oid = site_id(kind, node)
+        self.objs[oid] = ObjFact(states=frozenset({(state, False)}))
+        return frozenset({oid})
+
+    # -- one library, one running set; long multiplexed runs --------------
+
+    def _may_run(self, oids) -> bool:
+        """Some object of *oids* may be running here."""
+        return any(
+            RUNNING in fact.state_names and not fact.unknown
+            for oid, fact in self.objs.items() if oid in oids
+        )
+
+    def _overlapping_start(self, receivers: List[str]) -> None:
+        """PL013: ``start()`` while another set of its library may run."""
+        libraries = self.analysis.libraries
+        mine = {libraries[oid] for oid in receivers if oid in libraries}
+        others = {
+            oid for oid, lib in libraries.items()
+            if lib in mine and oid not in receivers
+        }
+        if self._may_run(others):
+            self.analysis.report(
+                "PL013", "",
+                "start() while another EventSet of the same library may "
+                "still be running",
+                hint="stop the other set first (one running EventSet per "
+                     "library)",
+            )
+
+    def _short_multiplexed_run(self, node: ast.Call) -> None:
+        """PL004: ``run(max_instructions=N)`` too short for a
+        multiplexed set that may be running."""
+        for kw in node.keywords:
+            bound = self._literal_int(kw.value)
+            if (
+                kw.arg == "max_instructions"
+                and bound is not None
+                and bound < MIN_MPX_RUN_INSTRUCTIONS
+                and self._may_run(self.analysis.multiplexed)
+            ):
+                self.analysis.report(
+                    "PL004", "",
+                    f"a multiplexed EventSet may be running over a run "
+                    f"bounded to {bound} instructions; time-slice "
+                    f"estimates will not converge",
+                    hint=f"run at least ~{MIN_MPX_RUN_INSTRUCTIONS} "
+                         f"instructions or count directly (E3)",
+                )
 
     # -- EventSet lifecycle ---------------------------------------------
 
@@ -606,20 +749,22 @@ class _StmtInterpreter:
     ) -> ObjFact:
         names = fact.state_names
         local = is_local_eventset(oid)
+        call = node.func.attr  # type: ignore[union-attr]
         if method in REQUIRES_RUNNING:
             bad = names - {RUNNING}
             if bad and not fact.unknown:
                 every_path = RUNNING not in names
                 where = "on every path" if every_path else "along some path"
-                created = oid.partition("@")[2].partition(":")[0]
                 self._violation(
                     "PL301", oid, method, every_path and local,
-                    f"{method}() executes on an EventSet that is "
+                    f"{call}() executes on an EventSet that is "
                     f"{'/'.join(sorted(bad))} {where}",
                     "every path reaching this call must have start()ed "
                     "the set (PAPI_ENOTRUN otherwise)",
+                    call=call,
                     state="is already stopped" if STOPPED in names
-                    else f"was never started (created at line {created})",
+                    else f"was never started (created at line "
+                         f"{site_line(oid)})",
                 )
             # the operation succeeded => the set was running; a stop
             # leaves it stopped, everything else leaves it running.
@@ -639,10 +784,11 @@ class _StmtInterpreter:
             where = "on every path" if every_path else "along some path"
             self._violation(
                 "PL302", oid, method, every_path and local,
-                f"{method}() executes on an EventSet that is still "
+                f"{call}() executes on an EventSet that is still "
                 f"running {where}",
                 "stop() the set on every path first (PAPI_EISRUN "
                 "otherwise)",
+                call=call,
             )
         kept = frozenset((s, via) for s, via in fact.states if s != RUNNING)
         fact = replace(fact, states=kept, unknown=False)
@@ -773,16 +919,13 @@ class _StmtInterpreter:
     def _function_call(
         self, name: str, node: ast.Call, argvals
     ) -> FrozenSet[str]:
+        if name in CONSTRUCTORS:
+            return self._construct(name, node)
         summary = self.analysis.summaries.get(name)
         if summary is None:
             # unknown callee: anything it got may end up in any state
             for vals in argvals:
-                for oid in vals:
-                    if is_eventset(oid) and oid in self.objs:
-                        self.objs[oid] = replace(
-                            self.objs[oid], states=UNKNOWN_ELEMENTS,
-                            unknown=True,
-                        )
+                self._hand_off(vals)
             return frozenset()
 
         for pos, vals in enumerate(argvals):
@@ -795,7 +938,7 @@ class _StmtInterpreter:
                 self._apply_summary_effect(name, oid, effects)
 
         if summary.returns_states is not None:
-            oid = returned_id(node.lineno, node.col_offset)
+            oid = site_id("ret", node)
             self.objs[oid] = ObjFact(states=frozenset(
                 (s, False) for s in summary.returns_states
             ))

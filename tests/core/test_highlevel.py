@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import InvalidArgumentError, NotRunningError
+from repro.core.errors import IsRunningError, NotRunningError
 from repro.core.highlevel import HighLevel
 from repro.core.library import Papi
 from repro.workloads import dot, mixed_precision_sum
@@ -55,7 +55,7 @@ class TestStartStopRead:
         sub, hl = hl_power
         load(sub, dot(100, use_fma=True))
         hl.start_counters(["PAPI_TOT_INS"])
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(IsRunningError):
             hl.start_counters(["PAPI_TOT_CYC"])
         hl.stop_counters()
 

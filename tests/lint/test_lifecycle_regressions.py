@@ -2,10 +2,12 @@
 pass used to disagree, and the contract between the two lint modes.
 
 Each case lists every ``(code, line)`` a flow-mode lint reports.
-Misuse on every path of a set created in the scope is PL0xx; misuse on
-some paths only, or seen through a helper's summary, is PL3xx/PL4xx.
-Without ``--flow`` a lint reports exactly the flow-mode findings minus
-the PL3xx/PL4xx ones, on every case here and on every example.
+Misuse on every path of a set or ``HighLevel`` created in the scope is
+PL0xx; misuse on some paths only, or seen through a helper's summary,
+is PL3xx/PL4xx.  Overlapping sets (PL013) and unclosed papid clients
+(PL018) are reported when they may happen on some path.  Without
+``--flow`` a lint reports exactly the flow-mode findings minus the
+PL3xx/PL4xx ones, on every case here and on every example.
 """
 
 import pathlib
@@ -189,6 +191,81 @@ def f(papi, ctx, c):
         es.start()
 """
 
+# the runtime raises on no path: each run starts the counters once
+HIGHLEVEL_START_ON_BOTH_BRANCHES = """\
+def main(papi, c):
+    hl = HighLevel(papi)
+    if c:
+        hl.start_counters(["PAPI_TOT_CYC"])
+    else:
+        hl.start_counters(["PAPI_TOT_INS"])
+    hl.stop_counters()
+"""
+
+# two iterations raise IsRunningError, none raises NotRunningError
+HIGHLEVEL_START_IN_LOOP = """\
+def main(papi, n):
+    hl = HighLevel(papi)
+    for _ in range(n):
+        hl.start_counters(["PAPI_TOT_CYC"])
+    hl.stop_counters()
+"""
+
+HIGHLEVEL_STOP_ON_SOME_PATH = """\
+def main(papi, c):
+    hl = HighLevel(papi)
+    hl.start_counters(["PAPI_TOT_CYC"])
+    if c:
+        hl.stop_counters()
+"""
+
+# b.start() raises IsRunningError when c is false
+OVERLAP_ON_SOME_PATH = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    a = papi.create_eventset()
+    b = papi.create_eventset()
+    a.add_named("PAPI_TOT_CYC")
+    b.add_named("PAPI_TOT_INS")
+    a.start()
+    if c:
+        a.stop()
+    b.start()
+    b.stop()
+"""
+
+OVERLAP_IN_LOOP = """\
+def main(n):
+    papi = Papi(create("simPOWER"))
+    a = papi.create_eventset()
+    b = papi.create_eventset()
+    a.add_named("PAPI_TOT_CYC")
+    b.add_named("PAPI_TOT_INS")
+    for _ in range(n):
+        a.start()
+        b.start()
+        a.stop()
+        b.stop()
+"""
+
+CLIENT_CLOSED_ON_SOME_PATH = """\
+def main(server, c):
+    client = PapidClient(server)
+    if c:
+        client.close()
+"""
+
+# the probe reads when the machine runs, after start()
+LAMBDA_READ = """\
+def main(papi, machine):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    machine.register_probe(1, lambda pid, cpu: es.read())
+    es.start()
+    machine.run()
+    es.stop()
+"""
+
 CASES = [
     # a definite double start through a helper: a summary finding
     pytest.param(DOUBLE_ARM, [("PL302", 8)], id="double-arm"),
@@ -245,6 +322,29 @@ CASES = [
         UNTRACKED_WITH_TARGET_DOUBLE_START, [("PL008", 9), ("PL002", 9)],
         id="untracked-with-target-double-start",
     ),
+    # the run-state rules the AST walk used to check in source order
+    pytest.param(
+        HIGHLEVEL_START_ON_BOTH_BRANCHES, [],
+        id="highlevel-start-on-both-branches",
+    ),
+    pytest.param(
+        HIGHLEVEL_START_IN_LOOP, [("PL302", 4), ("PL301", 5)],
+        id="highlevel-start-in-loop",
+    ),
+    pytest.param(
+        HIGHLEVEL_STOP_ON_SOME_PATH, [("PL008", 3)],
+        id="highlevel-stop-on-some-path",
+    ),
+    pytest.param(
+        OVERLAP_ON_SOME_PATH, [("PL008", 7), ("PL013", 10)],
+        id="overlap-on-some-path",
+    ),
+    pytest.param(OVERLAP_IN_LOOP, [("PL013", 9)], id="overlap-in-loop"),
+    pytest.param(
+        CLIENT_CLOSED_ON_SOME_PATH, [("PL018", 2)],
+        id="client-closed-on-some-path",
+    ),
+    pytest.param(LAMBDA_READ, [], id="lambda-read"),
 ]
 
 

@@ -10,11 +10,12 @@ to a slower reference:
   ``ConflictError`` at some prefix (set not allocatable).  Hypothesis
   drives random event subsets on every platform and pins the agreement
   in both directions, including the multiplexed variant;
-- **lifecycle** (the typestate pass): random branching EventSet
-  programs are run under every assignment of their conditions.  A line
-  where every run that reaches it raises ``IsRunningError`` or
-  ``NotRunningError`` must get PL001/PL002/PL007 in both modes; a line
-  where only some do must get PL301/PL302 with ``flow=True``;
+- **lifecycle** (the typestate pass): random branching EventSet and
+  HighLevel programs are run under every assignment of their
+  conditions.  A line where every run that reaches it raises
+  ``IsRunningError`` or ``NotRunningError`` must get PL001/PL002/PL007
+  in both modes; a line where only some do must get PL301/PL302 with
+  ``flow=True``;
 - **summaries** (``compute_summaries``): one solve per helper, with
   each parameter in every entry state at once, must equal a reference
   built from one solve per parameter and entry state.
@@ -34,6 +35,7 @@ from repro.core.errors import (
     NotRunningError,
     PapiError,
 )
+from repro.core.highlevel import HighLevel
 from repro.core.library import Papi
 from repro.core.presets import PLATFORM_PRESET_TABLES
 from repro.lint import check_events, lint_source, summaries
@@ -133,17 +135,35 @@ def test_conflict_witness_is_infeasible_and_minimal(case):
 
 # -- lifecycle verdicts versus the runtime ------------------------------
 
-#: the operations a drawn program is made of, one per line
-LIFECYCLE_OPS = (
-    "es.start()",
-    "es.stop()",
-    "es.read()",
-    "es.reset()",
-    'es.add_named("PAPI_TOT_CYC")',
-    'es.remove_event(papi.event_name_to_code("PAPI_TOT_CYC"))',
-    "es.set_domain(PAPI_DOM_USER)",
-    "es.cleanup()",
-)
+#: the operations a drawn program is made of, one per line, after the
+#: lines that make its object
+LIFECYCLE_OPS = {
+    "eventset": (
+        [
+            "    es = papi.create_eventset()",
+            '    es.add_named("PAPI_TOT_CYC")',
+        ],
+        (
+            "es.start()",
+            "es.stop()",
+            "es.read()",
+            "es.reset()",
+            'es.add_named("PAPI_TOT_CYC")',
+            'es.remove_event(papi.event_name_to_code("PAPI_TOT_CYC"))',
+            "es.set_domain(PAPI_DOM_USER)",
+            "es.cleanup()",
+        ),
+    ),
+    "highlevel": (
+        ["    hl = HighLevel(papi)"],
+        (
+            'hl.start_counters(["PAPI_TOT_CYC"])',
+            "hl.read_counters()",
+            "hl.accum_counters([0])",
+            "hl.stop_counters()",
+        ),
+    ),
+}
 
 MAX_ITEMS = 6
 MAX_CONDITIONS = 4
@@ -152,18 +172,28 @@ EVERY_PATH_CODES = {"PL001", "PL002", "PL007"}
 SOME_PATH_CODES = {"PL301", "PL302"}
 
 
+#: starting HighLevel counters on both arms of an ``if`` raises nothing
+HIGHLEVEL_START_ON_BOTH_ARMS = ("""\
+def program(papi, c, hit):
+    hl = HighLevel(papi)
+    if c[0]:
+        hit(); hl.start_counters(["PAPI_TOT_CYC"])
+    else:
+        hit(); hl.start_counters(["PAPI_TOT_CYC"])
+    hit(); hl.stop_counters()
+""", 1)
+
+
 @st.composite
 def lifecycle_programs(draw):
     """``(source, conditions)``: a function ``program(papi, c, hit)``
-    whose items are ``op``, ``if c[i]: op`` or ``if c[i]: op else: op``,
-    each ``if`` on a fresh condition.  Every op line starts with
-    ``hit()`` so a run records the lines it reaches."""
-    op = st.sampled_from(LIFECYCLE_OPS)
-    lines = [
-        "def program(papi, c, hit):",
-        "    es = papi.create_eventset()",
-        '    es.add_named("PAPI_TOT_CYC")',
-    ]
+    that makes one EventSet or one HighLevel and whose items are ``op``,
+    ``if c[i]: op`` or ``if c[i]: op else: op``, each ``if`` on a fresh
+    condition.  Every op line starts with ``hit()`` so a run records the
+    lines it reaches."""
+    prelude, ops = LIFECYCLE_OPS[draw(st.sampled_from(sorted(LIFECYCLE_OPS)))]
+    op = st.sampled_from(ops)
+    lines = ["def program(papi, c, hit):"] + prelude
     conditions = 0
     for _ in range(draw(st.integers(1, MAX_ITEMS))):
         kinds = ["op"]
@@ -186,7 +216,7 @@ def runtime_failures(source, conditions):
     """``(must, may)`` lines of run-state errors over every assignment
     of the conditions, or None when some run first raises another
     PapiError."""
-    namespace = {"PAPI_DOM_USER": PAPI_DOM_USER}
+    namespace = {"PAPI_DOM_USER": PAPI_DOM_USER, "HighLevel": HighLevel}
     exec(compile(source, "<program>", "exec"), namespace)
     reached, failed = {}, {}
     for c in itertools.product((False, True), repeat=conditions):
@@ -227,6 +257,7 @@ def check_lifecycle_verdicts(source, conditions):
 
 
 @given(lifecycle_programs())
+@example(HIGHLEVEL_START_ON_BOTH_ARMS)
 @settings(max_examples=examples(200), deadline=None)
 def test_lifecycle_verdicts_match_runtime(case):
     check_lifecycle_verdicts(*case)
