@@ -34,7 +34,7 @@ from pathlib import Path
 from _shared import emit, run_once
 from repro.analysis import Table
 from repro.hw import Assembler, Machine, MachineConfig
-from repro.hw.blockcache import compile_cached
+from repro.hw.blockcache import UNIT_CACHE
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_p1_interp_throughput.json"
 
@@ -173,10 +173,10 @@ TIMING_REPEATS = 3
 def _time_run(prog, engine: str):
     best = None
     for _ in range(TIMING_REPEATS):
-        # every repeat compiles all of its code, as the committed
-        # baseline's runs did: the process-wide code cache would
-        # otherwise hand later repeats the first repeat's code objects.
-        compile_cached.cache_clear()
+        # every repeat emits and compiles all of its code, as the
+        # committed baseline's runs did: the process-wide unit cache
+        # would otherwise hand later repeats the first repeat's templates.
+        UNIT_CACHE.clear()
         m = Machine(MachineConfig(engine=engine))
         m.load(prog)
         if prog.name == "probed":

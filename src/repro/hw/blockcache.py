@@ -56,24 +56,33 @@ table.  Compiled code never depends on cache contents (every fetch and
 access checks the live state), so :meth:`Machine.charge` cache pollution
 only flushes.
 
-Compiling is the other half of the cost of a table.  Generated source
-embeds constants only (pcs, latencies, signal indices, literals); live
-objects -- the L1I ways, the predictor and its table, ``_code``,
-``_eng``, probe handlers -- are bound as globals.  Machines of one configuration running
-the same code therefore generate the same text, and the process keeps
-one LRU cache of compiled code objects (:func:`compile_cached`, at most
-:data:`MAX_CODE_OBJECTS`) keyed by the exact source text plus filename:
-a new machine, or a table rebuilt after a retire, reuses the code object
-instead of recompiling it.  Each use still ``exec``s it into fresh
-globals, so those bindings are never shared between machines.
+Compiling is the other half of the cost of a table, and it is done once
+per input, not once per machine.  The emitter (:func:`emit_block`,
+:func:`emit_region`) is pure: its only inputs are a :class:`MachineShape`
+-- the latencies, branch penalty, L1I line bits, TLB page bits and
+worst-case fetch/memory cycles, plus, for regions, the predictor's kind,
+mask and history bits and each probe's mode -- and the unit's
+instructions.  Generated source embeds constants only (pcs, latencies,
+signal indices, literals); live objects -- the L1I ways, the predictor
+table, ``_code``, ``_eng``, probe handlers -- are globals.  Its output is
+a *template*: the compiled code object, the L1I lines whose ways it
+reads, and the unit's static facts.  The process keeps one bounded LRU of
+templates (:data:`UNIT_CACHE`, at most :data:`MAX_UNITS`) keyed by kind,
+shape, pc and the ``repr`` of the instructions, so literals that compare
+equal (``0.0``/``-0.0``, ``1``/``1.0``/``True``) never share a template.
+:class:`BlockCompiler` binds a template to its machine: one ``exec`` into
+fresh globals holding that machine's live objects, so a new machine, or a
+table rebuilt after a retire, emits no source for a unit whose template
+is cached, and no binding is shared between machines.
 """
 
 from __future__ import annotations
 
-import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import CodeType
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.hw.events import Signal
 from repro.hw.isa import (
@@ -91,8 +100,12 @@ MAX_BLOCK_LEN = 64
 #: most code tables kept alive at once (one per resolved program).
 MAX_TABLES = 16
 
-#: most compiled code objects kept in the process-wide code cache.
-MAX_CODE_OBJECTS = 256
+#: most unit templates kept in the process-wide unit cache.  One pass
+#: of the P3 benchmark's ``tables_counting`` workload binds 557 distinct
+#: units (3,695 binds) and one ``validate`` pass 381 (866 binds): both
+#: working sets survive from one pass to the next, where 256 entries
+#: would thrash.
+MAX_UNITS = 1024
 
 #: back-edge arrivals at a loop head before it is promoted to a
 #: compiled region.
@@ -151,7 +164,7 @@ class BasicBlock:
     fn: object
     #: worst-case per-signal deltas of one execution (every access
     #: missing; ``max_deltas[TOT_CYC]`` is its worst-case cycles).
-    max_deltas: List[int]
+    max_deltas: Tuple[int, ...]
     #: ends without a control transfer (next block starts at start+n_ins).
     falls_through: bool = False
 
@@ -172,7 +185,7 @@ class Region:
     #: worst-case instructions one block step retires.
     max_nb: int
     #: worst-case per-signal deltas of one block step.
-    max_deltas: List[int]
+    max_deltas: Tuple[int, ...]
     #: contains *active* dynaprof probe segments (entry requires a quiet
     #: PMU); probes with no registered handler compile to bare counts.
     has_probe: bool
@@ -229,19 +242,110 @@ class _CodeTable:
     nocompile: Set[int] = field(default_factory=set)
 
 
-@functools.lru_cache(maxsize=MAX_CODE_OBJECTS)
-def compile_cached(src: str, filename: str) -> CodeType:
-    """Compile generated source once per process.
+class MachineShape(NamedTuple):
+    """Everything of one machine that block emission reads.
 
-    A process-wide LRU (see ``compile_cached.cache_info()``) keyed by the
-    exact source text plus its filename, so two units that differ in any
-    literal (``0.0`` vs ``-0.0``, ``1`` vs ``1.0``) never share code.
-    Only the immutable code object is shared: every caller still
-    ``exec``s it into fresh globals bound to its own machine.
-    ``lru_cache`` keeps its map coherent under concurrent calls; two
-    threads that miss on one source may both compile it, harmlessly.
+    Two machines of equal shape emit the same block from the same
+    instructions; a region's shape adds the predictor and probe modes
+    (:meth:`BlockCompiler.compile_region`).
     """
-    return compile(src, filename, "exec")
+
+    latencies: Tuple[int, ...]
+    branch_penalty: int
+    iline_bits: int
+    page_bits: int
+    #: worst-case extra cycles of one fetch / one data access.
+    fetch_worst: int
+    mem_worst: int
+
+    @classmethod
+    def of(cls, cpu) -> "MachineShape":
+        hcfg = cpu.hierarchy.config
+        return cls(
+            latencies=tuple(cpu.config.latencies),
+            branch_penalty=cpu.config.branch_penalty,
+            iline_bits=hcfg.l1i.line_bits,
+            page_bits=hcfg.tlb.page_bits,
+            fetch_worst=hcfg.l2_latency + hcfg.mem_latency,
+            mem_worst=hcfg.tlb_walk_latency + hcfg.l2_latency + hcfg.mem_latency,
+        )
+
+
+@dataclass(frozen=True)
+class BlockTemplate:
+    """An emitted block, not yet bound to a machine."""
+
+    #: module code defining ``_block``.
+    code: CodeType
+    #: ``(global name, L1I line)`` of each ways list the fetches read.
+    fetch_lines: Tuple[Tuple[str, int], ...]
+    n_ins: int
+    max_deltas: Tuple[int, ...]
+    falls_through: bool
+
+
+@dataclass(frozen=True)
+class RegionTemplate:
+    """An emitted region, not yet bound to a machine."""
+
+    #: module code defining ``_region``.
+    code: CodeType
+    fetch_lines: Tuple[Tuple[str, int], ...]
+    members: Tuple[int, ...]
+    max_nb: int
+    max_deltas: Tuple[int, ...]
+    has_probe: bool
+    has_mem: bool
+
+
+class UnitCache:
+    """Bounded LRU of unit templates, shared by every thread.
+
+    :meth:`get` returns the template stored under a key, or builds and
+    stores it, dropping the least recently used entry once more than
+    *maxsize* are held; ``hits`` and ``misses`` count every call.  The
+    build runs outside the lock, so two threads that miss on one key
+    may both emit it, harmlessly: both build the same template.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
+        self._units: "OrderedDict[tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._units)
+
+    def get(self, key: tuple, build: Callable[..., object], *args) -> object:
+        """The template under *key*; on a miss, ``build(*args)``."""
+        units = self._units
+        with self._lock:
+            unit = units.get(key)
+            if unit is not None:
+                units.move_to_end(key)
+                self.hits += 1
+                return unit
+            self.misses += 1
+        unit = build(*args)
+        with self._lock:
+            units[key] = unit
+            units.move_to_end(key)
+            if len(units) > self.maxsize:
+                units.popitem(last=False)
+        return unit
+
+    def clear(self) -> None:
+        """Drop every template and zero the counters."""
+        with self._lock:
+            self._units.clear()
+            self.hits = 0
+            self.misses = 0
+
+
+#: the process-wide unit cache.
+UNIT_CACHE = UnitCache(MAX_UNITS)
 
 
 def _compute_leaders(code: List[tuple]) -> Set[int]:
@@ -304,13 +408,13 @@ class _Emitter:
 
     def __init__(
         self,
-        compiler: "BlockCompiler",
+        shape: MachineShape,
         depth: int = 1,
         il_var: str = "cur_iline",
         track_il: bool = False,
         defer: bool = False,
     ) -> None:
-        self.c = compiler
+        self.shape = shape
         self.depth = depth
         #: name of the current-iline variable in the generated scope.
         self.il_var = il_var
@@ -330,9 +434,9 @@ class _Emitter:
         #: pending snapshots at fault raises (defer mode); markers in
         #: the emitted lines are expanded once the exit flush is known.
         self.fault_sites: List[Dict[int, int]] = []
-        #: globals the warm-fetch fast path binds (per-set ways lists);
-        #: merged into the generated function's namespace by the caller.
-        self.fetch_globals: Dict[str, object] = {}
+        #: L1I lines the warm-fetch fast path reads the ways list of,
+        #: each bound as global ``_iw<line>`` when the unit is bound.
+        self.ilines: Set[int] = set()
         self.md = [0] * Signal.N_SIGNALS
         self.il_prev: Optional[int] = None
 
@@ -380,7 +484,6 @@ class _Emitter:
         ``_run_region``).  Only the bounds fault needs the defer-aware
         cold flush.
         """
-        c = self.c
         emit = self.emit
         is_load = op in (Op.LOAD, Op.FLOAD)
         word = "load" if is_load else "store"
@@ -403,7 +506,7 @@ class _Emitter:
         emit(f"        pmu.ear_miss({pc}, _ba, counts[{_S.TOT_CYC}], \"l1d_miss\")")
         emit("if _tlbm:")
         emit(f"    counts[{_S.TLB_DM}] += 1")
-        emit(f"    touched.add(_ba >> {c._page_shift})")
+        emit(f"    touched.add(_ba >> {self.shape.page_bits})")
         emit("    if pmu is not None and pmu.ear_active:")
         emit(f"        pmu.ear_miss({pc}, _ba, counts[{_S.TOT_CYC}], \"tlb_miss\")")
         emit("if _pen:")
@@ -420,8 +523,7 @@ class _Emitter:
             emit(f"memory[_ad] = fregs[{a}]")
 
     def emit_fetch(self, pc: int, conditional: bool) -> None:
-        c = self.c
-        il = (pc * INS_BYTES) >> c._iline_shift
+        il = (pc * INS_BYTES) >> self.shape.iline_bits
         pad = ""
         if conditional:
             self.emit(f"if {self.il_var} != {il}:")
@@ -430,14 +532,13 @@ class _Emitter:
             self.emit(f"{pad}il = {il}")
         # warm-fetch fast path: the line index equals il (both are the
         # byte address >> L1I line bits), so the target set is known at
-        # compile time and its ways list can be bound as a global.  When
+        # emit time and its ways list can be bound as a global.  When
         # the line is already the MRU way, ``Cache.access`` reduces to
         # ``hits += 1`` with no reordering -- open-code exactly that and
         # fall back to the real ``inst_fetch`` otherwise (cold lines,
         # non-MRU hits, evictions by pollution).
         w = f"_iw{il}"
-        self.fetch_globals[w] = c._l1i._sets[il & c._l1i._set_mask]
-        self.fetch_globals["_l1i"] = c._l1i
+        self.ilines.add(il)
         # an unconditional fetch runs exactly once per pass, so its
         # L1I_ACC signal count is static: it joins the batched per-pass
         # vector (defer mode) or the pending batch (direct mode).  A
@@ -467,8 +568,8 @@ class _Emitter:
         md[_S.L1I_MISS] += 1
         md[_S.L2_ACC] += 1
         md[_S.L2_MISS] += 1
-        md[_S.TOT_CYC] += c._fetch_worst
-        md[_S.STL_CYC] += c._fetch_worst
+        md[_S.TOT_CYC] += self.shape.fetch_worst
+        md[_S.STL_CYC] += self.shape.fetch_worst
 
     def emit_ins(self, pc: int, ins: tuple, first: bool) -> None:
         """Emit one instruction's effects (control transfer excluded).
@@ -478,9 +579,9 @@ class _Emitter:
         branches, the resolution (:meth:`emit_branch_calls` in blocks,
         predictor-inlined arms in regions).
         """
-        c = self.c
+        shape = self.shape
         op, a, b, cc, d = ins
-        il = (pc * INS_BYTES) >> c._iline_shift
+        il = (pc * INS_BYTES) >> shape.iline_bits
         if first:
             self.emit_fetch(pc, conditional=True)
         elif il != self.il_prev:
@@ -491,7 +592,7 @@ class _Emitter:
             self.emit_fetch(pc, conditional=False)
         self.il_prev = il
 
-        lat = c._lat
+        lat = shape.latencies
         md = self.md
         md[_S.TOT_INS] += 1
         md[_S.TOT_CYC] += lat[op]
@@ -516,9 +617,9 @@ class _Emitter:
             md[_S.L2_ACC] += 1
             md[_S.L2_MISS] += 1
             md[_S.TLB_DM] += 1
-            md[_S.TOT_CYC] += c._mem_worst
-            md[_S.STL_CYC] += c._mem_worst
-            md[_S.MEM_RCY] += c._mem_worst
+            md[_S.TOT_CYC] += shape.mem_worst
+            md[_S.STL_CYC] += shape.mem_worst
+            md[_S.MEM_RCY] += shape.mem_worst
         elif op == Op.DIV:
             self.add_pending(_S.INT_INS)
             md[_S.INT_INS] += 1
@@ -554,8 +655,8 @@ class _Emitter:
             md[_S.BR_TKN] += 1
             md[_S.BR_NTK] += 1
             md[_S.BR_MSP] += 1
-            md[_S.TOT_CYC] += c._branch_penalty
-            md[_S.STL_CYC] += c._branch_penalty
+            md[_S.TOT_CYC] += shape.branch_penalty
+            md[_S.STL_CYC] += shape.branch_penalty
         elif op == Op.JMP:
             self.add_pending(_S.BR_INS)
             md[_S.BR_INS] += 1
@@ -581,7 +682,7 @@ class _Emitter:
 
     def emit_branch_calls(self, pc: int, op: int, a: int, b: int) -> None:
         """Resolve a branch through the predict/update calls."""
-        bp = self.c._branch_penalty
+        bp = self.shape.branch_penalty
         self.flush_pending()
         self.emit(f"_t = iregs[{a}] {self._CMP[op]} iregs[{b}]")
         self.emit(f"_p = predict({pc})")
@@ -596,32 +697,572 @@ class _Emitter:
         self.emit(f"    counts[{_S.STL_CYC}] += {bp}")
 
 
-class BlockCompiler:
-    """Generates the executor functions for blocks and regions.
+def _fetch_lines(ilines: Set[int]) -> Tuple[Tuple[str, int], ...]:
+    return tuple((f"_iw{il}", il) for il in sorted(ilines))
 
-    Both emit their instructions through one :class:`_Emitter`, so the
-    generated source replicates the interpreter's effect ordering
-    instruction for instruction in every unit; regions add a dispatch
-    loop around per-member emitters.
+
+def emit_block(
+    shape: MachineShape, start: int, instrs: List[tuple]
+) -> BlockTemplate:
+    """Emit the basic block of *instrs* headed at *start*.
+
+    The executor returns ``(next_pc, cur_iline)``: the last
+    instruction's transfer becomes the return value.
+    """
+    e = _Emitter(shape)
+    for i, ins in enumerate(instrs):
+        e.emit_ins(start + i, ins, first=(i == 0))
+    tpc = start + len(instrs) - 1
+    op, a, b, c, _d = instrs[-1]
+    falls_through = op not in BRANCH_OPS and op not in (
+        Op.JMP, Op.CALL, Op.RET
+    )
+    if op in BRANCH_OPS:
+        e.emit_branch_calls(tpc, op, a, b)
+        nxt = f"({c} if _t else {tpc + 1})"
+    elif op == Op.RET:
+        e.emit_fault_guard(
+            "if not call_stack:",
+            f'raise MachineFault("pc {tpc}: RET with empty call stack")',
+        )
+        nxt = "call_stack.pop()"
+    else:
+        e.flush_pending()
+        if op == Op.CALL:
+            e.emit(f"call_stack.append({tpc + 1})")
+        # a MAX_BLOCK_LEN split falls through (past the end of the
+        # code, the slow path then raises the "pc out of range" fault).
+        nxt = tpc + 1 if falls_through else a
+    il_last = (tpc * INS_BYTES) >> shape.iline_bits
+    e.emit(f"return {nxt}, {il_last}")
+
+    src = (
+        "def _block(counts, iregs, fregs, memory, mem_len, call_stack,\n"
+        "           data_access, inst_fetch, predict, pred_update, pmu,\n"
+        "           touched, data_base, cur_iline):\n"
+        + "\n".join(e.lines)
+        + "\n"
+    )
+    return BlockTemplate(
+        code=compile(src, f"<block@{start}>", "exec"),
+        fetch_lines=_fetch_lines(e.ilines),
+        n_ins=len(instrs),
+        max_deltas=tuple(e.md),
+        falls_through=falls_through,
+    )
+
+
+def emit_region(
+    shape: MachineShape,
+    pred: Optional[Tuple[str, int, int]],
+    probes: Tuple[Tuple[int, str], ...],
+    head: int,
+    members: List[Tuple[int, Tuple[str, List[tuple], List[int]]]],
+) -> RegionTemplate:
+    """Emit the loop region at *head* as a pc state machine.
+
+    Three codegen strategies stack on top of the basic state
+    machine:
+
+    - **superblock inlining** -- a member with exactly one incoming
+      edge is emitted inline at its predecessor's transfer site, so
+      hot cycles run straight-line with one dispatch per iteration;
+    - **deferred (vectorized) counts** -- when the region has no
+      active probes, static per-pass retirement counts accumulate
+      in per-member pass counters (plus per-branch taken/mispredict
+      counters) and are applied as one batched multiply-add flush
+      at region exit; fault raises get a cold inline flush so
+      counts stay exact at every observable point;
+    - **pre-resolved probe handlers** -- probe members call the
+      registered handler directly (the machine invalidates engines
+      when registrations change) behind a guard specialized on the
+      CPU's PMU; probes with no handler compile to bare counts.
+
+    *members* is :meth:`BlockCompiler._region_members`' list.  *pred*
+    is ``(kind, mask, history mask)`` of a predictor whose state is
+    open-coded (:meth:`~repro.hw.branch.BranchPredictor.inline_spec`),
+    else None.  *probes* pairs each probe member's pc with its mode:
+    ``direct`` (the handler, bound as ``_h<pc>``, is called),
+    ``none`` (no handler: bare counts) or ``dynamic`` (dispatch
+    through the CPU's probe hook).
+    """
+    info: Dict[int, Tuple[str, List[tuple], List[int]]] = dict(members)
+    member_set = set(info)
+    order = [s for s, _ in members]
+    bp = shape.branch_penalty
+    probe_mode = dict(probes)
+    has_probe = any(m != "none" for m in probe_mode.values())
+    defer = not has_probe
+    has_mem = any(
+        ins[0] in (Op.LOAD, Op.FLOAD, Op.STORE, Op.FSTORE)
+        for s in order
+        for ins in info[s][1]
+    )
+
+    # -- static transfer edges, for superblock inlining ----------
+    call_conts: Set[int] = set()
+    has_ret = False
+    edges: Dict[int, List[int]] = {}
+    for s in order:
+        kind, instrs, _succs = info[s]
+        if kind == "probe":
+            edges[s] = [s + 1]
+            continue
+        lpc = s + len(instrs) - 1
+        term = instrs[-1]
+        lop = term[0]
+        if lop in BRANCH_OPS:
+            edges[s] = [term[3], lpc + 1]
+        elif lop == Op.JMP:
+            edges[s] = [term[1]]
+        elif lop == Op.CALL:
+            call_conts.add(lpc + 1)
+            edges[s] = [term[1]]
+        elif lop == Op.RET:
+            has_ret = True
+            edges[s] = []
+        else:
+            edges[s] = [lpc + 1]
+    indeg: Dict[int, int] = {s: 0 for s in member_set}
+    for s, ts in edges.items():
+        for t in ts:
+            if t in indeg:
+                indeg[t] += 1
+    # RET targets are reached dynamically; they must keep a
+    # dispatch arm of their own.
+    no_inline: Set[int] = set(call_conts) if has_ret else set()
+
+    def inlinable(t: int) -> bool:
+        # indeg > 1 joins are tail-duplicated into each predecessor
+        # path (superblock formation) when small enough; every
+        # emitted copy gets its own pass counters, so duplication
+        # never shares or double-applies count state.
+        return (
+            t in member_set
+            and t != head
+            and t not in no_inline
+            and (indeg[t] == 1 or len(info[t][1]) <= REGION_DUP_MAX_INS)
+        )
+
+    # -- emission ------------------------------------------------
+    # Count state is keyed by *emitted copy*, not by member pc:
+    # tail duplication can emit one member several times (and a
+    # member can be both inlined and a dispatch root), so each copy
+    # gets its own pass counter ``k<cid>`` and static count vector.
+    member_vec: Dict[int, Dict[int, int]] = {}  # cid -> sig -> count
+    member_nb: Dict[int, int] = {}  # cid -> instructions per pass
+    branch_meta: List[Tuple[int, int, str]] = []  # (pc, cid, msp kind)
+    copy_seq = [0]
+    emitting: List[int] = []
+    scheduled: Set[int] = set()
+    queue: List[int] = []
+
+    def schedule(t: int) -> None:
+        if t not in scheduled:
+            scheduled.add(t)
+            queue.append(t)
+
+    cur_root = [head]
+
+    def emit_goto(em: _Emitter, t: int, acc: int) -> None:
+        """End-of-path transfer to pc *t* (inline, dispatch, or exit).
+
+        Units are emitted as ``while True`` inner loops inside a
+        ``while fuel > 0`` dispatcher, so the hot back-edge to the
+        current unit's own root is a bare ``continue``; transfers to
+        other units break to the dispatcher, and exits break with
+        ``pc`` set (defer mode, falling through to the batched count
+        flush) or return directly (direct mode).
+        """
+        if (
+            inlinable(t)
+            and t not in emitting
+            and t not in scheduled
+            and acc + len(info[t][1]) <= TRACE_MAX_INS
+            and em.emitted_ins + len(info[t][1]) <= REGION_UNIT_EMIT_MAX
+        ):
+            emit_body(em, t, acc)
+            return
+        em.flush_pending()
+        if t == cur_root[0]:
+            if not defer and acc:
+                em.emit(f"n += {acc}")
+            em.emit("fuel -= 1")
+            em.emit("if fuel > 0:")
+            em.emit("    continue")
+            if defer:
+                em.emit(f"pc = {t}")
+                em.emit("break")
+            else:
+                em.emit(f"return {t}, il, n")
+        elif t in member_set:
+            schedule(t)
+            if not defer and acc:
+                em.emit(f"n += {acc}")
+            em.emit("fuel -= 1")
+            em.emit(f"pc = {t}")
+            em.emit("break")
+        elif defer:
+            em.emit(f"pc = {t}")
+            em.emit("break")
+        else:
+            em.emit(f"return {t}, il, n + {acc}")
+
+    def fold_member(em: _Emitter, cid: int) -> None:
+        """Defer mode: bank this pass's static counts into k-weighted
+        vectors and bump this emitted copy's pass counter."""
+        vec = member_vec.setdefault(cid, {})
+        for sig, v in em.pending.items():
+            vec[sig] = vec.get(sig, 0) + v
+        em.pending.clear()
+        em.emit(f"k{cid} += 1")
+
+    def emit_arms(
+        em: _Emitter, bpc: int, owner: int, op: int, a: int, b: int,
+        taken: int, fall: int, acc: int,
+    ) -> None:
+        """Branch resolution with the transfer folded into the arms."""
+        cmp_ = _Emitter._CMP[op]
+        em.flush_pending()
+        cond = f"iregs[{a}] {cmp_} iregs[{b}]"
+        if pred is None:
+            em.emit(f"_t = {cond}")
+            cond = "_t"
+            em.emit(f"_p = predict({bpc})")
+            em.emit(f"pred_update({bpc}, _t)")
+            em.emit("if _p != _t:")
+            if defer:
+                em.emit(f"    m{bpc}_{owner} += 1")
+            else:
+                em.emit(f"    counts[{_S.BR_MSP}] += 1")
+                em.emit(f"    counts[{_S.TOT_CYC}] += {bp}")
+                em.emit(f"    counts[{_S.STL_CYC}] += {bp}")
+            taken_pre: List[str] = (
+                [f"t{bpc}_{owner} += 1"] if defer
+                else [f"counts[{_S.BR_TKN}] += 1"]
+            )
+            fall_pre: List[str] = (
+                [] if defer else [f"counts[{_S.BR_NTK}] += 1"]
+            )
+            kindb = "m"
+        elif pred[0] == "static":
+            taken_pre = (
+                [f"t{bpc}_{owner} += 1"] if defer
+                else [f"counts[{_S.BR_TKN}] += 1"]
+            )
+            fall_pre = (
+                [] if defer else [
+                    f"counts[{_S.BR_NTK}] += 1",
+                    f"counts[{_S.BR_MSP}] += 1",
+                    f"counts[{_S.TOT_CYC}] += {bp}",
+                    f"counts[{_S.STL_CYC}] += {bp}",
+                ]
+            )
+            kindb = "static"
+        else:
+            # twobit or gshare; the mispredict check nests inside the
+            # table-update check (_s < 2 implies _s < 3, _s >= 2
+            # implies _s > 0), so saturated steady branches pay one
+            # comparison, not two.  gshare differs only in its
+            # history-hashed index and the history shift per arm.
+            if pred[0] == "gshare":
+                em.emit(f"_i = ({bpc} ^ _gp._history) & {pred[1]}")
+                idx = "_i"
+                hm = pred[2]
+                shift = "_gp._history = (_gp._history << 1"
+                taken_hist = [f"{shift} | 1) & {hm}"]
+                fall_hist = [f"{shift}) & {hm}"]
+            else:
+                idx = bpc & pred[1]
+                taken_hist = fall_hist = []
+            em.emit(f"_s = _bt[{idx}]")
+            if defer:
+                taken_pre = [
+                    f"t{bpc}_{owner} += 1",
+                    "if _s < 3:",
+                    f"    _bt[{idx}] = _s + 1",
+                    "    if _s < 2:",
+                    f"        m{bpc}_{owner} += 1",
+                ]
+                fall_pre = [
+                    "if _s > 0:",
+                    f"    _bt[{idx}] = _s - 1",
+                    "    if _s >= 2:",
+                    f"        m{bpc}_{owner} += 1",
+                ]
+            else:
+                taken_pre = [
+                    f"counts[{_S.BR_TKN}] += 1",
+                    "if _s < 3:",
+                    f"    _bt[{idx}] = _s + 1",
+                    "    if _s < 2:",
+                    f"        counts[{_S.BR_MSP}] += 1",
+                    f"        counts[{_S.TOT_CYC}] += {bp}",
+                    f"        counts[{_S.STL_CYC}] += {bp}",
+                ]
+                fall_pre = [
+                    f"counts[{_S.BR_NTK}] += 1",
+                    "if _s > 0:",
+                    f"    _bt[{idx}] = _s - 1",
+                    "    if _s >= 2:",
+                    f"        counts[{_S.BR_MSP}] += 1",
+                    f"        counts[{_S.TOT_CYC}] += {bp}",
+                    f"        counts[{_S.STL_CYC}] += {bp}",
+                ]
+            taken_pre += taken_hist
+            fall_pre += fall_hist
+            kindb = "m"
+        if defer:
+            branch_meta.append((bpc, owner, kindb))
+        saved_il = em.il_prev
+        em.emit(f"if {cond}:")
+        em.extra += 1
+        for ln in taken_pre:
+            em.emit(ln)
+        emit_goto(em, taken, acc)
+        em.extra -= 1
+        em.il_prev = saved_il
+        em.emit("else:")
+        em.extra += 1
+        for ln in fall_pre:
+            em.emit(ln)
+        emit_goto(em, fall, acc)
+        em.extra -= 1
+        em.il_prev = saved_il
+
+    def emit_body(em: _Emitter, s: int, acc: int) -> None:
+        """Emit one copy of member *s* (inlining successors) into *em*."""
+        kind, instrs, _succs = info[s]
+        cid = copy_seq[0]
+        copy_seq[0] += 1
+        emitting.append(s)
+        first = acc == 0
+        if kind == "probe":
+            member_nb[cid] = 1
+            em.emitted_ins += 1
+            mode = probe_mode[s]
+            pid = instrs[0][1]
+            em.emit_ins(s, instrs[0], first=first)
+            if mode == "none":
+                if defer:
+                    fold_member(em, cid)
+                emit_goto(em, s + 1, acc + 1)
+            else:
+                em.flush_pending()
+                # Three terms cover every way a handler can force a
+                # precise exit: ``_table is None`` subsumes the PMU
+                # flags (arming a watch/timer/sampler/EAR fires
+                # ``pmu.unquiet_hook`` -> ``engine.unbind``) and the
+                # probe-registry invalidation; region *entry* already
+                # requires a quiet PMU, so mid-region arming is the
+                # only transition to catch.
+                guard = (
+                    "cpu.stop_flag or cpu.code is not _code"
+                    " or _eng._table is None"
+                )
+                if mode == "direct":
+                    em.emit(f"cpu.pc = {s}")
+                    em.emit("cpu.cur_iline = il")
+                    em.emit(f"_h{s}({pid}, cpu)")
+                    em.emit(f"if {guard}:")
+                    em.emit(f"    _eng.probe_exit_pc = {s}")
+                    em.emit(f"    return {s + 1}, il, n + {acc + 1}")
+                else:  # dynamic dispatch through the cpu hook
+                    em.emit("if probe_dispatch is not None:")
+                    em.emit(f"    cpu.pc = {s}")
+                    em.emit("    cpu.cur_iline = il")
+                    em.emit(f"    probe_dispatch({pid}, cpu)")
+                    em.emit(f"    if {guard}:")
+                    em.emit(f"        _eng.probe_exit_pc = {s}")
+                    em.emit(f"        return {s + 1}, il, n + {acc + 1}")
+                emit_goto(em, s + 1, acc + 1)
+            em.unit_nb = max(getattr(em, "unit_nb", 0), acc + 1)
+            emitting.pop()
+            return
+        nb = len(instrs)
+        member_nb[cid] = nb
+        em.emitted_ins += nb
+        for i, ins in enumerate(instrs):
+            em.emit_ins(s + i, ins, first=(first and i == 0))
+        acc2 = acc + nb
+        em.unit_nb = max(getattr(em, "unit_nb", 0), acc2)
+        lpc = s + nb - 1
+        term = instrs[-1]
+        lop = term[0]
+        if defer:
+            fold_member(em, cid)
+        if lop in BRANCH_OPS:
+            emit_arms(
+                em, lpc, cid, lop, term[1], term[2], term[3], lpc + 1, acc2
+            )
+        elif lop == Op.JMP:
+            emit_goto(em, term[1], acc2)
+        elif lop == Op.CALL:
+            em.emit(f"call_stack.append({lpc + 1})")
+            emit_goto(em, term[1], acc2)
+        elif lop == Op.RET:
+            em.emit_fault_guard(
+                "if not call_stack:",
+                f'raise MachineFault("pc {lpc}: '
+                'RET with empty call stack")',
+            )
+            em.emit("_r = call_stack.pop()")
+            em.flush_pending()
+            if not defer and acc2:
+                em.emit(f"n += {acc2}")
+            em.emit("fuel -= 1")
+            em.emit("pc = _r")
+            em.emit("break")
+        else:
+            emit_goto(em, lpc + 1, acc2)
+        emitting.pop()
+
+    schedule(head)
+    for s in order:
+        if not inlinable(s):
+            schedule(s)
+    units: List[Tuple[int, _Emitter]] = []
+    qi = 0
+    while qi < len(queue):
+        s = queue[qi]
+        qi += 1
+        cur_root[0] = s
+        em = _Emitter(shape, depth=4, il_var="il", track_il=True, defer=defer)
+        em.unit_nb = 0
+        em.emitted_ins = 0
+        emit_body(em, s, 0)
+        units.append((s, em))
+
+    # -- exit flush (defer mode) ---------------------------------
+    def flush_lines(extra_const: Dict[int, int]) -> List[str]:
+        terms: Dict[int, List[str]] = {}
+        for s, vec in member_vec.items():
+            for sig, v in vec.items():
+                terms.setdefault(sig, []).append(
+                    f"k{s}" if v == 1 else f"k{s}*{v}"
+                )
+        msp_parts: List[str] = []
+        for bpc, owner, kindb in branch_meta:
+            terms.setdefault(_S.BR_TKN, []).append(f"t{bpc}_{owner}")
+            part_ntk = f"(k{owner} - t{bpc}_{owner})"
+            terms.setdefault(_S.BR_NTK, []).append(part_ntk)
+            part = f"m{bpc}_{owner}" if kindb == "m" else part_ntk
+            terms.setdefault(_S.BR_MSP, []).append(part)
+            msp_parts.append(part)
+        if msp_parts:
+            msum = " + ".join(msp_parts)
+            expr = f"({msum})*{bp}" if bp != 1 else f"({msum})"
+            terms.setdefault(_S.TOT_CYC, []).append(expr)
+            terms.setdefault(_S.STL_CYC, []).append(expr)
+        out: List[str] = []
+        for sig in sorted(set(terms) | set(extra_const)):
+            parts = list(terms.get(sig, []))
+            c0 = extra_const.get(sig, 0)
+            if c0:
+                parts.append(str(c0))
+            out.append(f"counts[{sig}] += " + " + ".join(parts))
+        return out
+
+    n_parts = [
+        f"k{s}" if nb == 1 else f"k{s}*{nb}"
+        for s, nb in sorted(member_nb.items())
+    ]
+    n_expr = " + ".join(n_parts) if n_parts else "0"
+
+    lines: List[str] = []
+    max_nb = 0
+    max_deltas = [0] * Signal.N_SIGNALS
+    for idx, (s, em) in enumerate(units):
+        body = em.lines
+        if defer and em.fault_sites:
+            body = []
+            for ln in em.lines:
+                stripped = ln.lstrip()
+                if stripped.startswith("\x00F"):
+                    fidx = int(stripped[2:-1])
+                    pad = ln[: len(ln) - len(stripped)]
+                    for fl in flush_lines(em.fault_sites[fidx]):
+                        body.append(pad + fl)
+                else:
+                    body.append(ln)
+        kw = "if" if idx == 0 else "elif"
+        lines.append(f"        {kw} pc == {s}:")
+        lines.append("            while True:")
+        lines.extend(body)
+        max_nb = max(max_nb, em.unit_nb)
+        for i in range(Signal.N_SIGNALS):
+            if em.md[i] > max_deltas[i]:
+                max_deltas[i] = em.md[i]
+    lines.append("        else:")
+    lines.append("            break")
+
+    pre: List[str] = []
+    if defer:
+        for s in sorted(member_nb):
+            pre.append(f"    k{s} = 0")
+        for bpc, owner, kindb in branch_meta:
+            pre.append(f"    t{bpc}_{owner} = 0")
+            if kindb == "m":
+                pre.append(f"    m{bpc}_{owner} = 0")
+    else:
+        pre.append("    n = 0")
+    tail: List[str] = []
+    if defer:
+        for fl in flush_lines({}):
+            tail.append("    " + fl)
+        tail.append(f"    return pc, il, {n_expr}")
+    else:
+        tail.append("    return pc, il, n")
+
+    src = (
+        "def _region(counts, iregs, fregs, memory, mem_len, call_stack,\n"
+        "            data_access, inst_fetch, predict, pred_update, pmu,\n"
+        "            touched, data_base, cpu, probe_dispatch, cur_iline,\n"
+        "            fuel):\n"
+        + "\n".join(pre)
+        + "\n"
+        "    il = cur_iline\n"
+        f"    pc = {head}\n"
+        "    while fuel > 0:\n"
+        + "\n".join(lines)
+        + "\n"
+        + "\n".join(tail)
+        + "\n"
+    )
+    ilines: Set[int] = set()
+    for _s, em in units:
+        ilines |= em.ilines
+    return RegionTemplate(
+        code=compile(src, f"<region@{head}>", "exec"),
+        fetch_lines=_fetch_lines(ilines),
+        members=tuple(member_set),
+        max_nb=max_nb,
+        max_deltas=tuple(max_deltas),
+        has_probe=has_probe,
+        has_mem=has_mem,
+    )
+
+
+class BlockCompiler:
+    """Binds emitted units to one machine.
+
+    :meth:`compile_block` and :meth:`compile_region` partition the code,
+    take the unit's template from :data:`UNIT_CACHE` (emitting it on a
+    miss) and bind it: one ``exec`` into fresh globals holding this
+    machine's L1I ways, and for regions ``_code``, ``_eng``, the probe
+    handlers and the predictor table.
     """
 
     def __init__(self, cpu) -> None:
-        config = cpu.config
-        hcfg = cpu.hierarchy.config
-        self._lat = config.latencies
-        self._branch_penalty = config.branch_penalty
-        self._iline_shift = hcfg.l1i.line_bits
-        self._page_shift = hcfg.tlb.page_bits
+        self.shape = MachineShape.of(cpu)
         #: the L1I cache object, for the open-coded warm-fetch fast path
         #: (generated code peeks the MRU way of the statically known set
         #: before paying for a full ``inst_fetch`` call).
         self._l1i = cpu.hierarchy.l1i
-        #: worst-case extra cycles for one data access / one fetch.
-        self._mem_worst = hcfg.tlb_walk_latency + hcfg.l2_latency + hcfg.mem_latency
-        self._fetch_worst = hcfg.l2_latency + hcfg.mem_latency
         self._globals = {
             "MachineFault": _machine_fault_class(),
             "_round_to_single": _round_to_single_fn(),
+            "_l1i": self._l1i,
         }
 
     # -- partitioning ---------------------------------------------------
@@ -642,61 +1283,36 @@ class BlockCompiler:
             pc += 1
         return instrs
 
+    # -- binding --------------------------------------------------------
+
+    def _bind(self, unit, name: str, extra: Dict[str, object]):
+        """Exec *unit*'s code into fresh globals; returns function *name*."""
+        g = dict(self._globals)
+        sets = self._l1i._sets
+        mask = self._l1i._set_mask
+        for var, il in unit.fetch_lines:
+            g[var] = sets[il & mask]
+        g.update(extra)
+        ns: Dict[str, object] = {}
+        exec(unit.code, g, ns)
+        return ns[name]
+
     # -- blocks ---------------------------------------------------------
 
     def compile_block(self, code: List[tuple], start: int) -> Optional[BasicBlock]:
-        """Compile the basic block headed at *start*, or None if empty.
-
-        The executor returns ``(next_pc, cur_iline)``: the last
-        instruction's transfer becomes the return value.
-        """
+        """The basic block headed at *start*, or None if it is empty."""
         instrs = self.scan_block(code, start)
         if not instrs:
             return None
-        e = _Emitter(self)
-        for i, ins in enumerate(instrs):
-            e.emit_ins(start + i, ins, first=(i == 0))
-        tpc = start + len(instrs) - 1
-        op, a, b, c, _d = instrs[-1]
-        falls_through = op not in BRANCH_OPS and op not in (
-            Op.JMP, Op.CALL, Op.RET
-        )
-        if op in BRANCH_OPS:
-            e.emit_branch_calls(tpc, op, a, b)
-            nxt = f"({c} if _t else {tpc + 1})"
-        elif op == Op.RET:
-            e.emit_fault_guard(
-                "if not call_stack:",
-                f'raise MachineFault("pc {tpc}: RET with empty call stack")',
-            )
-            nxt = "call_stack.pop()"
-        else:
-            e.flush_pending()
-            if op == Op.CALL:
-                e.emit(f"call_stack.append({tpc + 1})")
-            # a MAX_BLOCK_LEN split falls through (past the end of the
-            # code, the slow path then raises the "pc out of range" fault).
-            nxt = tpc + 1 if falls_through else a
-        il_last = (tpc * INS_BYTES) >> self._iline_shift
-        e.emit(f"return {nxt}, {il_last}")
-
-        src = (
-            "def _block(counts, iregs, fregs, memory, mem_len, call_stack,\n"
-            "           data_access, inst_fetch, predict, pred_update, pmu,\n"
-            "           touched, data_base, cur_iline):\n"
-            + "\n".join(e.lines)
-            + "\n"
-        )
-        ns: Dict[str, object] = {}
-        g = dict(self._globals)
-        g.update(e.fetch_globals)
-        exec(compile_cached(src, f"<block@{start}>"), g, ns)
+        shape = self.shape
+        unit = UNIT_CACHE.get(("block", shape, start, repr(instrs)),
+                              emit_block, shape, start, instrs)
         return BasicBlock(
             start=start,
-            n_ins=len(instrs),
-            fn=ns["_block"],
-            max_deltas=e.md,
-            falls_through=falls_through,
+            n_ins=unit.n_ins,
+            fn=self._bind(unit, "_block", {}),
+            max_deltas=unit.max_deltas,
+            falls_through=unit.falls_through,
         )
 
     # Placeholder that compiles nothing and that the engine never calls:
@@ -784,509 +1400,52 @@ class BlockCompiler:
     def compile_region(
         self, code: List[tuple], head: int, predictor, engine
     ) -> Optional[Region]:
-        """Compile the loop region at *head* into a pc state machine.
+        """The compiled loop region at *head* (:func:`emit_region`), or None.
 
-        Three codegen strategies stack on top of the basic state
-        machine:
-
-        - **superblock inlining** -- a member with exactly one incoming
-          edge is emitted inline at its predecessor's transfer site, so
-          hot cycles run straight-line with one dispatch per iteration;
-        - **deferred (vectorized) counts** -- when the region has no
-          active probes, static per-pass retirement counts accumulate
-          in per-member pass counters (plus per-branch taken/mispredict
-          counters) and are applied as one batched multiply-add flush
-          at region exit; fault raises get a cold inline flush so
-          counts stay exact at every observable point;
-        - **pre-resolved probe handlers** -- probe members call the
-          registered handler directly (the machine invalidates engines
-          when registrations change) behind a guard specialized on the
-          CPU's PMU; probes with no handler compile to bare counts.
+        The key's shape adds to the machine's the predictor's inline
+        spec and each probe member's mode, resolved against the CPU's
+        probe registry now; the bound globals add ``_code``, ``_eng``,
+        each direct probe's handler and the open-coded predictor state.
         """
         members = self._region_members(code, head)
         if members is None:
             return None
-        info: Dict[int, Tuple[str, List[tuple], List[int]]] = dict(members)
-        member_set = set(info)
-        order = [s for s, _ in members]
-        spec = predictor.inline_spec() if predictor is not None else None
-        cpu = engine.cpu if engine is not None else None
-        resolver = getattr(cpu, "probe_resolver", None)
-        pmu_obj = getattr(cpu, "pmu", None)
-        bp = self._branch_penalty
-
-        # -- probe handler resolution --------------------------------
-        probe_mode: Dict[int, Tuple[str, object]] = {}
-        for s in order:
-            kind, instrs, _succs = info[s]
+        resolver = getattr(engine.cpu, "probe_resolver", None)
+        probes: List[Tuple[int, str]] = []
+        extra: Dict[str, object] = {"_code": code, "_eng": engine}
+        for s, (kind, instrs, _succs) in members:
             if kind != "probe":
                 continue
-            pid = instrs[0][1]
-            if resolver is not None:
-                h = resolver(pid)
-                probe_mode[s] = ("direct", h) if h is not None else ("none", None)
-            else:
-                probe_mode[s] = ("dynamic", None)
-        active_probes = {s for s, (m, _h) in probe_mode.items() if m != "none"}
-        defer = not active_probes
-        has_mem = any(
-            ins[0] in (Op.LOAD, Op.FLOAD, Op.STORE, Op.FSTORE)
-            for s in order
-            for ins in info[s][1]
-        )
-
-        # -- static transfer edges, for superblock inlining ----------
-        call_conts: Set[int] = set()
-        has_ret = False
-        edges: Dict[int, List[int]] = {}
-        for s in order:
-            kind, instrs, _succs = info[s]
-            if kind == "probe":
-                edges[s] = [s + 1]
+            if resolver is None:
+                probes.append((s, "dynamic"))
                 continue
-            lpc = s + len(instrs) - 1
-            term = instrs[-1]
-            lop = term[0]
-            if lop in BRANCH_OPS:
-                edges[s] = [term[3], lpc + 1]
-            elif lop == Op.JMP:
-                edges[s] = [term[1]]
-            elif lop == Op.CALL:
-                call_conts.add(lpc + 1)
-                edges[s] = [term[1]]
-            elif lop == Op.RET:
-                has_ret = True
-                edges[s] = []
+            handler = resolver(instrs[0][1])
+            if handler is None:
+                probes.append((s, "none"))
             else:
-                edges[s] = [lpc + 1]
-        indeg: Dict[int, int] = {s: 0 for s in member_set}
-        for s, ts in edges.items():
-            for t in ts:
-                if t in indeg:
-                    indeg[t] += 1
-        # RET targets are reached dynamically; they must keep a
-        # dispatch arm of their own.
-        no_inline: Set[int] = set(call_conts) if has_ret else set()
-
-        def inlinable(t: int) -> bool:
-            # indeg > 1 joins are tail-duplicated into each predecessor
-            # path (superblock formation) when small enough; every
-            # emitted copy gets its own pass counters, so duplication
-            # never shares or double-applies count state.
-            return (
-                t in member_set
-                and t != head
-                and t not in no_inline
-                and (indeg[t] == 1 or len(info[t][1]) <= REGION_DUP_MAX_INS)
-            )
-
-        # -- emission ------------------------------------------------
-        # Count state is keyed by *emitted copy*, not by member pc:
-        # tail duplication can emit one member several times (and a
-        # member can be both inlined and a dispatch root), so each copy
-        # gets its own pass counter ``k<cid>`` and static count vector.
-        member_vec: Dict[int, Dict[int, int]] = {}  # cid -> sig -> count
-        member_nb: Dict[int, int] = {}  # cid -> instructions per pass
-        branch_meta: List[Tuple[int, int, str]] = []  # (pc, cid, msp kind)
-        copy_seq = [0]
-        handler_globals: Dict[str, object] = {}
-        emitting: List[int] = []
-        scheduled: Set[int] = set()
-        queue: List[int] = []
-
-        def schedule(t: int) -> None:
-            if t not in scheduled:
-                scheduled.add(t)
-                queue.append(t)
-
-        cur_root = [head]
-
-        def emit_goto(em: _Emitter, t: int, acc: int) -> None:
-            """End-of-path transfer to pc *t* (inline, dispatch, or exit).
-
-            Units are emitted as ``while True`` inner loops inside a
-            ``while fuel > 0`` dispatcher, so the hot back-edge to the
-            current unit's own root is a bare ``continue``; transfers to
-            other units break to the dispatcher, and exits break with
-            ``pc`` set (defer mode, falling through to the batched count
-            flush) or return directly (direct mode).
-            """
-            if (
-                inlinable(t)
-                and t not in emitting
-                and t not in scheduled
-                and acc + len(info[t][1]) <= TRACE_MAX_INS
-                and em.emitted_ins + len(info[t][1]) <= REGION_UNIT_EMIT_MAX
-            ):
-                emit_body(em, t, acc)
-                return
-            em.flush_pending()
-            if t == cur_root[0]:
-                if not defer and acc:
-                    em.emit(f"n += {acc}")
-                em.emit("fuel -= 1")
-                em.emit("if fuel > 0:")
-                em.emit("    continue")
-                if defer:
-                    em.emit(f"pc = {t}")
-                    em.emit("break")
-                else:
-                    em.emit(f"return {t}, il, n")
-            elif t in member_set:
-                schedule(t)
-                if not defer and acc:
-                    em.emit(f"n += {acc}")
-                em.emit("fuel -= 1")
-                em.emit(f"pc = {t}")
-                em.emit("break")
-            elif defer:
-                em.emit(f"pc = {t}")
-                em.emit("break")
-            else:
-                em.emit(f"return {t}, il, n + {acc}")
-
-        def fold_member(em: _Emitter, cid: int) -> None:
-            """Defer mode: bank this pass's static counts into k-weighted
-            vectors and bump this emitted copy's pass counter."""
-            vec = member_vec.setdefault(cid, {})
-            for sig, v in em.pending.items():
-                vec[sig] = vec.get(sig, 0) + v
-            em.pending.clear()
-            em.emit(f"k{cid} += 1")
-
-        def emit_arms(
-            em: _Emitter, bpc: int, owner: int, op: int, a: int, b: int,
-            taken: int, fall: int, acc: int,
-        ) -> None:
-            """Branch resolution with the transfer folded into the arms."""
-            cmp_ = _Emitter._CMP[op]
-            em.flush_pending()
-            cond = f"iregs[{a}] {cmp_} iregs[{b}]"
-            if spec is None:
-                em.emit(f"_t = {cond}")
-                cond = "_t"
-                em.emit(f"_p = predict({bpc})")
-                em.emit(f"pred_update({bpc}, _t)")
-                em.emit("if _p != _t:")
-                if defer:
-                    em.emit(f"    m{bpc}_{owner} += 1")
-                else:
-                    em.emit(f"    counts[{_S.BR_MSP}] += 1")
-                    em.emit(f"    counts[{_S.TOT_CYC}] += {bp}")
-                    em.emit(f"    counts[{_S.STL_CYC}] += {bp}")
-                taken_pre: List[str] = (
-                    [f"t{bpc}_{owner} += 1"] if defer
-                    else [f"counts[{_S.BR_TKN}] += 1"]
-                )
-                fall_pre: List[str] = (
-                    [] if defer else [f"counts[{_S.BR_NTK}] += 1"]
-                )
-                kindb = "m"
-            elif spec[0] == "static":
-                taken_pre = (
-                    [f"t{bpc}_{owner} += 1"] if defer
-                    else [f"counts[{_S.BR_TKN}] += 1"]
-                )
-                fall_pre = (
-                    [] if defer else [
-                        f"counts[{_S.BR_NTK}] += 1",
-                        f"counts[{_S.BR_MSP}] += 1",
-                        f"counts[{_S.TOT_CYC}] += {bp}",
-                        f"counts[{_S.STL_CYC}] += {bp}",
-                    ]
-                )
-                kindb = "static"
-            else:
-                # twobit or gshare; the mispredict check nests inside the
-                # table-update check (_s < 2 implies _s < 3, _s >= 2
-                # implies _s > 0), so saturated steady branches pay one
-                # comparison, not two.  gshare differs only in its
-                # history-hashed index and the history shift per arm.
-                if spec[0] == "gshare":
-                    em.emit(f"_i = ({bpc} ^ _gp._history) & {spec[2]}")
-                    idx = "_i"
-                    hm = predictor._history_mask
-                    shift = "_gp._history = (_gp._history << 1"
-                    taken_hist = [f"{shift} | 1) & {hm}"]
-                    fall_hist = [f"{shift}) & {hm}"]
-                else:
-                    idx = bpc & spec[2]
-                    taken_hist = fall_hist = []
-                em.emit(f"_s = _bt[{idx}]")
-                if defer:
-                    taken_pre = [
-                        f"t{bpc}_{owner} += 1",
-                        "if _s < 3:",
-                        f"    _bt[{idx}] = _s + 1",
-                        "    if _s < 2:",
-                        f"        m{bpc}_{owner} += 1",
-                    ]
-                    fall_pre = [
-                        "if _s > 0:",
-                        f"    _bt[{idx}] = _s - 1",
-                        "    if _s >= 2:",
-                        f"        m{bpc}_{owner} += 1",
-                    ]
-                else:
-                    taken_pre = [
-                        f"counts[{_S.BR_TKN}] += 1",
-                        "if _s < 3:",
-                        f"    _bt[{idx}] = _s + 1",
-                        "    if _s < 2:",
-                        f"        counts[{_S.BR_MSP}] += 1",
-                        f"        counts[{_S.TOT_CYC}] += {bp}",
-                        f"        counts[{_S.STL_CYC}] += {bp}",
-                    ]
-                    fall_pre = [
-                        f"counts[{_S.BR_NTK}] += 1",
-                        "if _s > 0:",
-                        f"    _bt[{idx}] = _s - 1",
-                        "    if _s >= 2:",
-                        f"        counts[{_S.BR_MSP}] += 1",
-                        f"        counts[{_S.TOT_CYC}] += {bp}",
-                        f"        counts[{_S.STL_CYC}] += {bp}",
-                    ]
-                taken_pre += taken_hist
-                fall_pre += fall_hist
-                kindb = "m"
-            if defer:
-                branch_meta.append((bpc, owner, kindb))
-            saved_il = em.il_prev
-            em.emit(f"if {cond}:")
-            em.extra += 1
-            for ln in taken_pre:
-                em.emit(ln)
-            emit_goto(em, taken, acc)
-            em.extra -= 1
-            em.il_prev = saved_il
-            em.emit("else:")
-            em.extra += 1
-            for ln in fall_pre:
-                em.emit(ln)
-            emit_goto(em, fall, acc)
-            em.extra -= 1
-            em.il_prev = saved_il
-
-        def emit_body(em: _Emitter, s: int, acc: int) -> None:
-            """Emit one copy of member *s* (inlining successors) into *em*."""
-            kind, instrs, _succs = info[s]
-            cid = copy_seq[0]
-            copy_seq[0] += 1
-            emitting.append(s)
-            first = acc == 0
-            if kind == "probe":
-                member_nb[cid] = 1
-                em.emitted_ins += 1
-                mode, handler = probe_mode[s]
-                pid = instrs[0][1]
-                em.emit_ins(s, instrs[0], first=first)
-                if mode == "none":
-                    if defer:
-                        fold_member(em, cid)
-                    emit_goto(em, s + 1, acc + 1)
-                else:
-                    em.flush_pending()
-                    # Three terms cover every way a handler can force a
-                    # precise exit: ``_table is None`` subsumes the PMU
-                    # flags (arming a watch/timer/sampler/EAR fires
-                    # ``pmu.unquiet_hook`` -> ``engine.unbind``) and the
-                    # probe-registry invalidation; region *entry* already
-                    # requires a quiet PMU, so mid-region arming is the
-                    # only transition to catch.
-                    guard = (
-                        "cpu.stop_flag or cpu.code is not _code"
-                        " or _eng._table is None"
-                    )
-                    if mode == "direct":
-                        handler_globals[f"_h{s}"] = handler
-                        em.emit(f"cpu.pc = {s}")
-                        em.emit("cpu.cur_iline = il")
-                        em.emit(f"_h{s}({pid}, cpu)")
-                        em.emit(f"if {guard}:")
-                        em.emit(f"    _eng.probe_exit_pc = {s}")
-                        em.emit(f"    return {s + 1}, il, n + {acc + 1}")
-                    else:  # dynamic dispatch through the cpu hook
-                        em.emit("if probe_dispatch is not None:")
-                        em.emit(f"    cpu.pc = {s}")
-                        em.emit("    cpu.cur_iline = il")
-                        em.emit(f"    probe_dispatch({pid}, cpu)")
-                        em.emit(f"    if {guard}:")
-                        em.emit(f"        _eng.probe_exit_pc = {s}")
-                        em.emit(f"        return {s + 1}, il, n + {acc + 1}")
-                    emit_goto(em, s + 1, acc + 1)
-                em.unit_nb = max(getattr(em, "unit_nb", 0), acc + 1)
-                emitting.pop()
-                return
-            nb = len(instrs)
-            member_nb[cid] = nb
-            em.emitted_ins += nb
-            for i, ins in enumerate(instrs):
-                em.emit_ins(s + i, ins, first=(first and i == 0))
-            acc2 = acc + nb
-            em.unit_nb = max(getattr(em, "unit_nb", 0), acc2)
-            lpc = s + nb - 1
-            term = instrs[-1]
-            lop = term[0]
-            if defer:
-                fold_member(em, cid)
-            if lop in BRANCH_OPS:
-                emit_arms(
-                    em, lpc, cid, lop, term[1], term[2], term[3], lpc + 1, acc2
-                )
-            elif lop == Op.JMP:
-                emit_goto(em, term[1], acc2)
-            elif lop == Op.CALL:
-                em.emit(f"call_stack.append({lpc + 1})")
-                emit_goto(em, term[1], acc2)
-            elif lop == Op.RET:
-                em.emit_fault_guard(
-                    "if not call_stack:",
-                    f'raise MachineFault("pc {lpc}: '
-                    'RET with empty call stack")',
-                )
-                em.emit("_r = call_stack.pop()")
-                em.flush_pending()
-                if not defer and acc2:
-                    em.emit(f"n += {acc2}")
-                em.emit("fuel -= 1")
-                em.emit("pc = _r")
-                em.emit("break")
-            else:
-                emit_goto(em, lpc + 1, acc2)
-            emitting.pop()
-
-        schedule(head)
-        for s in order:
-            if not inlinable(s):
-                schedule(s)
-        units: List[Tuple[int, _Emitter]] = []
-        qi = 0
-        while qi < len(queue):
-            s = queue[qi]
-            qi += 1
-            cur_root[0] = s
-            em = _Emitter(self, depth=4, il_var="il", track_il=True, defer=defer)
-            em.unit_nb = 0
-            em.emitted_ins = 0
-            emit_body(em, s, 0)
-            units.append((s, em))
-
-        # -- exit flush (defer mode) ---------------------------------
-        def flush_lines(extra_const: Dict[int, int]) -> List[str]:
-            terms: Dict[int, List[str]] = {}
-            for s, vec in member_vec.items():
-                for sig, v in vec.items():
-                    terms.setdefault(sig, []).append(
-                        f"k{s}" if v == 1 else f"k{s}*{v}"
-                    )
-            msp_parts: List[str] = []
-            for bpc, owner, kindb in branch_meta:
-                terms.setdefault(_S.BR_TKN, []).append(f"t{bpc}_{owner}")
-                part_ntk = f"(k{owner} - t{bpc}_{owner})"
-                terms.setdefault(_S.BR_NTK, []).append(part_ntk)
-                part = f"m{bpc}_{owner}" if kindb == "m" else part_ntk
-                terms.setdefault(_S.BR_MSP, []).append(part)
-                msp_parts.append(part)
-            if msp_parts:
-                msum = " + ".join(msp_parts)
-                expr = f"({msum})*{bp}" if bp != 1 else f"({msum})"
-                terms.setdefault(_S.TOT_CYC, []).append(expr)
-                terms.setdefault(_S.STL_CYC, []).append(expr)
-            out: List[str] = []
-            for sig in sorted(set(terms) | set(extra_const)):
-                parts = list(terms.get(sig, []))
-                c0 = extra_const.get(sig, 0)
-                if c0:
-                    parts.append(str(c0))
-                out.append(f"counts[{sig}] += " + " + ".join(parts))
-            return out
-
-        n_parts = [
-            f"k{s}" if nb == 1 else f"k{s}*{nb}"
-            for s, nb in sorted(member_nb.items())
-        ]
-        n_expr = " + ".join(n_parts) if n_parts else "0"
-
-        lines: List[str] = []
-        max_nb = 0
-        max_deltas = [0] * Signal.N_SIGNALS
-        for idx, (s, em) in enumerate(units):
-            body = em.lines
-            if defer and em.fault_sites:
-                body = []
-                for ln in em.lines:
-                    stripped = ln.lstrip()
-                    if stripped.startswith("\x00F"):
-                        fidx = int(stripped[2:-1])
-                        pad = ln[: len(ln) - len(stripped)]
-                        for fl in flush_lines(em.fault_sites[fidx]):
-                            body.append(pad + fl)
-                    else:
-                        body.append(ln)
-            kw = "if" if idx == 0 else "elif"
-            lines.append(f"        {kw} pc == {s}:")
-            lines.append("            while True:")
-            lines.extend(body)
-            max_nb = max(max_nb, em.unit_nb)
-            for i in range(Signal.N_SIGNALS):
-                if em.md[i] > max_deltas[i]:
-                    max_deltas[i] = em.md[i]
-        lines.append("        else:")
-        lines.append("            break")
-
-        pre: List[str] = []
-        if defer:
-            for s in sorted(member_nb):
-                pre.append(f"    k{s} = 0")
-            for bpc, owner, kindb in branch_meta:
-                pre.append(f"    t{bpc}_{owner} = 0")
-                if kindb == "m":
-                    pre.append(f"    m{bpc}_{owner} = 0")
-        else:
-            pre.append("    n = 0")
-        tail: List[str] = []
-        if defer:
-            for fl in flush_lines({}):
-                tail.append("    " + fl)
-            tail.append(f"    return pc, il, {n_expr}")
-        else:
-            tail.append("    return pc, il, n")
-
-        src = (
-            "def _region(counts, iregs, fregs, memory, mem_len, call_stack,\n"
-            "            data_access, inst_fetch, predict, pred_update, pmu,\n"
-            "            touched, data_base, cpu, probe_dispatch, cur_iline,\n"
-            "            fuel):\n"
-            + "\n".join(pre)
-            + "\n"
-            "    il = cur_iline\n"
-            f"    pc = {head}\n"
-            "    while fuel > 0:\n"
-            + "\n".join(lines)
-            + "\n"
-            + "\n".join(tail)
-            + "\n"
+                probes.append((s, "direct"))
+                extra[f"_h{s}"] = handler
+        spec = predictor.inline_spec() if predictor is not None else None
+        pred = None
+        if spec is not None:
+            pred = (spec[0], spec[2], getattr(predictor, "_history_mask", 0))
+            if spec[1] is not None:
+                extra["_bt"] = spec[1]
+                extra["_gp"] = predictor  # gshare reads and shifts its history
+        modes = tuple(probes)
+        unit = UNIT_CACHE.get(
+            ("region", (self.shape, pred, modes), head, repr(members)),
+            emit_region, self.shape, pred, modes, head, members,
         )
-        g = dict(self._globals)
-        g["_code"] = code
-        g["_eng"] = engine
-        g.update(handler_globals)
-        for _s, em in units:
-            g.update(em.fetch_globals)
-        if spec is not None and spec[1] is not None:
-            g["_bt"] = spec[1]
-            g["_gp"] = predictor  # gshare reads and shifts its history
-        ns: Dict[str, object] = {}
-        exec(compile_cached(src, f"<region@{head}>"), g, ns)
         return Region(
             head=head,
-            fn=ns["_region"],
-            members=tuple(member_set),
-            max_nb=max_nb,
-            max_deltas=max_deltas,
-            has_probe=bool(active_probes),
+            fn=self._bind(unit, "_region", extra),
+            members=unit.members,
+            max_nb=unit.max_nb,
+            max_deltas=unit.max_deltas,
+            has_probe=unit.has_probe,
             predictor=predictor if spec is not None else None,
-            has_mem=has_mem,
+            has_mem=unit.has_mem,
         )
 
 
@@ -1387,7 +1546,7 @@ class BlockEngine:
 
     # -- execution ------------------------------------------------------
 
-    def _fuel(self, limit: int, n_ins: int, deltas: List[int],
+    def _fuel(self, limit: int, n_ins: int, deltas: Tuple[int, ...],
               rem_ins: int, cyc_budget: int) -> int:
         """Steps (at most *limit*) of one cost that fit before a deadline.
 

@@ -8,26 +8,30 @@ pure interpreter (``engine="off"``).  The contract under test is
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro import workloads
 from repro.hw import CPU, Assembler, Machine, MachineConfig, Signal
 from repro.hw.blockcache import (
     MAX_BLOCK_LEN,
-    MAX_CODE_OBJECTS,
+    MAX_UNITS,
+    UNIT_CACHE,
     EngineStats,
     _compute_leaders,
-    compile_cached,
 )
 from repro.hw.cache import default_hierarchy
 from repro.hw.cpu import ENGINE_TIERS, CPUConfig, MachineFault
 from repro.hw.isa import INS_BYTES, Instruction, Op
 from repro.hw.pmu import PMUConfig
-from repro.platforms import create
+from repro.platforms import PLATFORM_NAMES, create
 from repro.workloads import dot, random_branches
+from tests.engine_units import assert_units_fresh
 
 
 def machine_pair(**cfg):
@@ -829,20 +833,28 @@ def test_code_cache_keeps_literals_that_compare_equal_apart(op, values):
             assert typed_state(got) == typed_state(ref), (tier, value)
 
 
+def unit_for(key):
+    """A stand-in template: code that sets ``_v`` to *key*."""
+    return compile(f"_v = {key!r}\n", "<unit>", "exec")
+
+
 def test_code_cache_is_bounded_lru():
-    sources = [f"_v = ('bounded', {i})\n" for i in range(MAX_CODE_OBJECTS + 10)]
-    for src in sources:
-        compile_cached(src, "<test>")
-    info = compile_cached.cache_info()
-    assert info.currsize == info.maxsize == MAX_CODE_OBJECTS
-    compile_cached(sources[-1], "<test>")  # newest: still cached
-    assert compile_cached.cache_info()[:2] == (info.hits + 1, info.misses)
-    compile_cached(sources[0], "<test>")  # oldest: evicted
-    assert compile_cached.cache_info().misses == info.misses + 1
-    # the filename is part of the key
-    compile_cached(sources[-1], "<other>")
-    assert compile_cached.cache_info().misses == info.misses + 2
-    assert compile_cached.cache_info().currsize == MAX_CODE_OBJECTS
+    keys = [("bounded", i) for i in range(MAX_UNITS + 10)]
+    for key in keys:
+        UNIT_CACHE.get(key, unit_for, key)
+    assert len(UNIT_CACHE) == UNIT_CACHE.maxsize == MAX_UNITS
+    hits, misses = UNIT_CACHE.hits, UNIT_CACHE.misses
+    # the oldest kept entry hits and becomes the newest, so the next
+    # miss evicts the entry after it
+    assert UNIT_CACHE.get(keys[10], unit_for, keys[10]) == unit_for(keys[10])
+    UNIT_CACHE.get(("bounded", "new"), unit_for, ("bounded", "new"))
+    assert (UNIT_CACHE.hits, UNIT_CACHE.misses) == (hits + 1, misses + 1)
+    UNIT_CACHE.get(keys[10], unit_for, keys[10])
+    assert UNIT_CACHE.hits == hits + 2
+    UNIT_CACHE.get(keys[11], unit_for, keys[11])  # evicted
+    UNIT_CACHE.get(keys[0], unit_for, keys[0])  # evicted by the fill
+    assert UNIT_CACHE.misses == misses + 3
+    assert len(UNIT_CACHE) == MAX_UNITS
 
 
 def run_threads(worker, args, timeout=60):
@@ -871,31 +883,31 @@ def run_threads(worker, args, timeout=60):
 
 
 def test_code_cache_concurrent_compiles_and_evictions():
-    # two threads keep hitting the same 8 sources while two others
-    # compile fresh ones, each miss evicting the least recently used
-    # entry; with more threads than cores and frequent switches, every
-    # get must return the code for its own source and raise nothing.
-    info0 = compile_cached.cache_info()
+    # two threads keep hitting the same 8 keys while two others build
+    # fresh units, each miss evicting the least recently used entry;
+    # with more threads than cores and frequent switches, every get must
+    # return the unit built for its own key, and no hit or miss is lost.
+    hits0, misses0 = UNIT_CACHE.hits, UNIT_CACHE.misses
     gets = [0] * 4
     deadline = time.monotonic() + 1.0
 
     def worker(tid, errors):
         n = 0
-        while time.monotonic() < deadline:
+        # the fresh-key threads make at least MAX_UNITS misses each
+        while time.monotonic() < deadline or (tid >= 2 and n < MAX_UNITS):
             n += 1
             key = ("hit", n % 8) if tid < 2 else (tid, n)
             ns = {}
-            exec(compile_cached(f"_v = {key!r}\n", "<thr>"), ns)
+            exec(UNIT_CACHE.get(key, unit_for, key), ns)
             if ns["_v"] != key:
                 errors.append((key, ns["_v"]))
         gets[tid] = n
 
     assert run_threads(worker, range(4)) == []
-    info = compile_cached.cache_info()
-    assert info.currsize == MAX_CODE_OBJECTS
-    # no lost update of the counters
-    assert info.hits + info.misses - info0.hits - info0.misses == sum(gets)
-    assert info.hits > info0.hits and info.misses > info0.misses + MAX_CODE_OBJECTS
+    assert len(UNIT_CACHE) == MAX_UNITS
+    hits, misses = UNIT_CACHE.hits - hits0, UNIT_CACHE.misses - misses0
+    assert hits + misses == sum(gets)
+    assert hits > 0 and misses >= 2 * MAX_UNITS
 
 
 def test_machines_on_threads_each_run_their_own_code():
@@ -915,3 +927,104 @@ def test_machines_on_threads_each_run_their_own_code():
                 errors.append(values[i])
 
     assert run_threads(worker, range(len(values))) == []
+
+
+def run_probed(log):
+    """probed_loop with a handler that logs each firing's pc."""
+    m = Machine(MachineConfig())
+    m.load(probed_loop())
+    m.register_probe(1, lambda pid, cpu: log.append(cpu.pc))
+    m.run_to_completion()
+    return m
+
+
+def test_equal_programs_bind_their_own_code_and_handlers():
+    # two Programs of equal content (distinct code lists) on machines
+    # with different handlers share one region template; each binding
+    # holds its own machine's code list and handler.
+    UNIT_CACHE.clear()
+    solo_log = []
+    solo = dataclasses.astuple(run_probed(solo_log).engine_stats())
+    assert solo[4] == 1  # one region
+    UNIT_CACHE.clear()
+    logs = ([], [])
+    a = run_probed(logs[0])
+    hits = UNIT_CACHE.hits
+    b = run_probed(logs[1])
+    assert UNIT_CACHE.hits > hits
+    assert a.cpu.code == b.cpu.code and a.cpu.code is not b.cpu.code
+    for m, log in zip((a, b), logs):
+        table = m.cpu.engine._tables[id(m.cpu.code)]
+        (region,) = table.regions.values()
+        g = region.fn.__globals__
+        assert g["_code"] is m.cpu.code
+        assert g["_eng"] is m.cpu.engine
+        assert [g[k] for k in g if k.startswith("_h")] == [m._probes[1]]
+        assert dataclasses.astuple(m.engine_stats()) == solo
+        assert log == solo_log
+
+
+# ----------------------------------------------------------------------
+# the unit cache's key is complete
+# ----------------------------------------------------------------------
+
+
+def p1_programs():
+    """The P1 benchmark's workloads, at test sizes."""
+    bench_dir = str(Path(__file__).resolve().parents[2] / "benchmarks")
+    if bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
+    p1 = importlib.import_module("bench_p1_interp_throughput")
+    return [build(300) for _name, build in p1.WORKLOADS]
+
+
+def workload_programs():
+    """Every kernel of ``repro.workloads``, at test sizes."""
+    w = workloads
+    return [wl.program for wl in (
+        w.predictable_branches(200), w.random_branches(200),
+        w.dot(100), w.axpy(100), w.triad(100), w.matmul(4),
+        w.matmul(4, blocked=True, block=2), w.mixed_precision_sum(100),
+        w.pointer_chase(32, 200), w.strided_scan(256, 4),
+        w.working_set_sweep(256, 2), w.tlb_walker(24, passes=2),
+        w.phased([("fp", 50), ("mem", 50), ("br", 50)], repeats=2),
+        w.demo_app(40), w.conformance_mix(100), w.skid_probe(100),
+        w.decoy_spin(100),
+    )]
+
+
+def run_units(config, prog, probe):
+    m = Machine(config)
+    m.load(prog)
+    if probe:
+        m.register_probe(1, lambda pid, cpu: None)
+    m.run_to_completion()
+    return m
+
+
+def test_warm_templates_equal_fresh_emission():
+    # every unit of the P1 programs and the workloads, on every shipped
+    # platform (gshare, two-bit and static-taken predictors), with the
+    # probe handled and unhandled: warm the cache with all of them, then
+    # each unit a fresh machine binds from a template made on another
+    # machine must equal the unit a fresh emission gives that machine.
+    configs = [create(name).machine.config for name in PLATFORM_NAMES]
+    assert {c.cpu.predictor for c in configs} == {
+        "gshare", "two-bit", "static-taken"}
+    runs = [(p, False) for p in p1_programs() + workload_programs()]
+    runs.append((runs[2][0], True))  # P1 probed, with a handler
+    UNIT_CACHE.clear()
+    for config in configs:
+        for prog, probe in runs:
+            run_units(config, prog, probe)
+    assert len(UNIT_CACHE) < MAX_UNITS  # nothing was evicted
+    misses = UNIT_CACHE.misses
+    blocks = regions = 0
+    for config in configs:
+        for prog, probe in runs:
+            nb, nr = assert_units_fresh(run_units(config, prog, probe))
+            blocks += nb
+            regions += nr
+    assert UNIT_CACHE.misses == misses  # every unit came from a template
+    assert blocks > 400 and regions > 100
+

@@ -13,20 +13,27 @@ loop, yet counted at its worst case in every fuel bound).  A share of
 the loops runs 100-300 iterations, so a self-loop block runs as a
 one-member region for many fuel-bounded entries.  A separate property
 holds the one deadline rule, ``steps_before_deadline``, to a brute-force
-scan.
+scan, and another proves the unit cache's key complete: a machine that
+differs from the last one in a single emitter input still runs exactly
+its own code.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple, Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sampling import sample_signature
 from repro.hw import Assembler, Machine, MachineConfig, Signal
-from repro.hw.blockcache import steps_before_deadline
+from repro.hw.blockcache import UNIT_CACHE, steps_before_deadline
+from repro.hw.branch import make_predictor
+from repro.hw.cache import CacheConfig, TLBConfig
 from repro.hw.cpu import ENGINE_TIERS
+from repro.hw.isa import Op
 from repro.hw.pmu import PMUConfig
+from tests.engine_units import assert_units_fresh
 from tests.property_examples import examples
 
 # -- program generator -------------------------------------------------
@@ -125,8 +132,22 @@ instrumentation = st.fixed_dictionaries({
 })
 
 
-def run_one(prog, inst, engine: str):
-    config = MachineConfig(
+class Setup(NamedTuple):
+    """A machine beyond the instrumentation draw: its config, a
+    predictor ``(kind, kwargs)`` to install in place of the config's,
+    and whether the probe handlers are registered."""
+
+    config: MachineConfig = MachineConfig()
+    predictor: Optional[Tuple[str, dict]] = None
+    probes: bool = True
+
+
+def run_one(prog, inst, engine: str, setup: Setup = Setup(), check=None):
+    """Every observable of one run; engine runs add their EngineStats.
+
+    *check*, if given, is called with the machine after the run."""
+    config = dataclasses.replace(
+        setup.config,
         seed=inst["seed"],
         pmu=PMUConfig(
             skid_max=inst["skid_max"],
@@ -135,9 +156,12 @@ def run_one(prog, inst, engine: str):
         engine=engine,
     )
     m = Machine(config)
+    if setup.predictor is not None:
+        kind, kwargs = setup.predictor
+        m.cpu.predictor = make_predictor(kind, **kwargs)
     m.load(prog)
     probe_log = []
-    for pid in range(1, 8):
+    for pid in range(1, 8 if setup.probes else 1):
         m.register_probe(
             pid, lambda p, cpu, log=probe_log: log.append((p, cpu.pc))
         )
@@ -161,7 +185,7 @@ def run_one(prog, inst, engine: str):
         max_instructions=inst["max_instructions"],
         max_cycles=inst["max_cycles"],
     )
-    return {
+    out = {
         "counts": list(m.counts),
         "real_cycles": m.real_cycles,
         "iregs": list(m.cpu.iregs),
@@ -179,6 +203,11 @@ def run_one(prog, inst, engine: str):
         "ticks": ticks,
         "counters": [m.pmu.read(i) for i in range(len(inst["watches"]))],
     }
+    if m.engine_stats() is not None:
+        out["engine_stats"] = dataclasses.astuple(m.engine_stats())
+    if check is not None:
+        check(m)
+    return out
 
 
 class TestEngineEquivalence:
@@ -191,6 +220,102 @@ class TestEngineEquivalence:
             on = run_one(prog, inst, tier)
             for key in off:
                 assert off[key] == on[key], (tier, key)
+
+
+# -- the unit cache's key is complete ----------------------------------
+
+BASE = MachineConfig()
+_HIER = BASE.hierarchy
+_CPU = BASE.cpu
+
+
+def _hier(**changes) -> Setup:
+    return Setup(dataclasses.replace(
+        BASE, hierarchy=dataclasses.replace(_HIER, **changes)))
+
+
+def _cpu(**changes) -> Setup:
+    return Setup(dataclasses.replace(
+        BASE, cpu=dataclasses.replace(_CPU, **changes)))
+
+
+def _latency(op: int, extra: int) -> Setup:
+    lat = list(_CPU.latencies)
+    lat[op] += extra
+    return _cpu(latencies=tuple(lat))
+
+
+_L1I = _HIER.l1i
+_GSHARE = ("gshare", {})
+
+
+def _from_base(b: Setup):
+    return (Setup(), b)
+
+
+def _from_gshare(**kwargs):
+    return (Setup(predictor=_GSHARE), Setup(predictor=("gshare", kwargs)))
+
+
+#: one strategy per emitter input, each drawing an ``(A, B)`` pair of
+#: machines that differ in that input alone (the base config has a
+#: 32-byte-line 2-way L1I of 64 sets, 4 KB pages and a two-bit
+#: predictor of 1,024 entries).
+_ONE_INPUT = [
+    st.sampled_from([16, 64, 128]).map(lambda line: _hier(l1i=CacheConfig(
+        "L1I", _L1I.assoc * 64 * line, line, _L1I.assoc))),
+    st.sampled_from([1024, 2048, 16384]).map(lambda size: _hier(
+        l1i=CacheConfig("L1I", size, _L1I.line_bytes, _L1I.assoc))),
+    st.sampled_from([256, 1024, 8192]).map(
+        lambda page: _hier(tlb=TLBConfig(_HIER.tlb.entries, page))),
+    st.builds(
+        _latency,
+        st.sampled_from([Op.ADDI, Op.FMA, Op.FADD, Op.MULI, Op.LOAD,
+                         Op.STORE, Op.BLT, Op.NOP, Op.LI]),
+        st.integers(min_value=1, max_value=5),
+    ),
+    st.sampled_from([0, 1, 9]).map(lambda bp: _cpu(branch_penalty=bp)),
+    st.sampled_from([0, 3, 20]).map(lambda v: _hier(l2_latency=v)),
+    st.sampled_from([1, 30, 200]).map(lambda v: _hier(mem_latency=v)),
+    st.sampled_from([0, 5, 90]).map(lambda v: _hier(tlb_walk_latency=v)),
+    st.sampled_from(["static-taken", "gshare"]).map(
+        lambda kind: _cpu(predictor=kind)),
+    st.sampled_from([64, 256, 16384]).map(
+        lambda n: Setup(predictor=("two-bit", {"table_size": n}))),
+]
+differing_pairs = st.sampled_from(
+    [s.map(_from_base) for s in _ONE_INPUT] + [
+        st.sampled_from([64, 1024]).map(
+            lambda n: _from_gshare(table_size=n)),
+        st.sampled_from([1, 4, 12]).map(
+            lambda bits: _from_gshare(history_bits=bits)),
+        st.booleans().map(lambda a_has: (
+            Setup(probes=a_has), Setup(probes=not a_has))),
+    ]
+).flatmap(lambda one_input: one_input).flatmap(
+    lambda pair: st.sampled_from([pair, pair[::-1]]))
+
+
+class TestUnitCacheKey:
+    @given(segments, instrumentation, differing_pairs)
+    @settings(max_examples=examples(25), deadline=None)
+    def test_second_machine_runs_its_own_code(self, segs, inst, pair):
+        # A then B in one process: B binds A's templates wherever the
+        # key says their inputs agree, and must run exactly as B alone,
+        # which engine stats compare, and as B's interpreter.  Each unit
+        # B bound must also equal a fresh emission for B: predictable
+        # loops hide some wrong bindings from every count.
+        a, b = pair
+        prog = build_program(segs)
+        UNIT_CACHE.clear()
+        alone = run_one(prog, inst, "trace", b)
+        UNIT_CACHE.clear()
+        run_one(prog, inst, "trace", a)
+        after_a = run_one(prog, inst, "trace", b, check=assert_units_fresh)
+        off = run_one(prog, inst, "off", b)
+        for key in off:
+            assert after_a[key] == off[key], key
+        assert after_a["engine_stats"] == alone["engine_stats"]
 
 
 # -- the deadline rule alone -------------------------------------------
