@@ -295,6 +295,8 @@ class EventSet:
             raise NoSuchEventError(
                 f"event 0x{code:08x} is not in this EventSet"
             )
+        # as C PAPI_remove_event does: the event's overflow goes with it
+        self.clear_overflow(code)
         self._codes.remove(code)
         if code in self._cmp_events:
             del self._cmp_events[code]

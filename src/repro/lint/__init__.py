@@ -1,27 +1,28 @@
 """papi-lint: static analysis for PAPI counter programs.
 
-Five analyzers behind one diagnostic engine (see DESIGN.md):
+Four analyzers behind one diagnostic engine (see DESIGN.md):
 
-- **API misuse** (:mod:`repro.lint.apilint`, the PL0xx rules that are
-  not about run state): an AST walk over Papi/EventSet/HighLevel call
-  sequences -- event names, membership, multiplexing and overflow
-  configuration, mixed interfaces and swallowed errors;
-- **static feasibility** (:mod:`repro.lint.feasibility`, PL1xx):
-  decides counter allocability without executing, reusing the runtime
-  allocator's bipartite matching over the platform tables;
-- **preset-table validation** (:mod:`repro.lint.presetlint`, PL2xx):
-  dangling natives, malformed mappings, FMA normalization, semantic
-  drift versus the catalogue's reference vectors;
 - **flow-sensitive typestate** (:mod:`repro.lint.flow` over
   :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow` /
-  :mod:`repro.lint.typestate` / :mod:`repro.lint.summaries`): the one
-  CFG-based, path-sensitive, interprocedural analysis of run state
-  (EventSet and HighLevel lifecycles, overlapping sets, multiplexed
-  runs, papid clients) and thread/counter binding.  Misuse on every
-  path of a set created in the scope, and the run-state PL0xx rules
-  that have no some-path twin (PL004/PL013/PL018), are reported under
-  PL0xx codes in every mode; misuse on some paths only, or seen
-  through a helper, under PL3xx/PL4xx codes, which ``--flow`` adds;
+  :mod:`repro.lint.typestate` / :mod:`repro.lint.summaries` /
+  :mod:`repro.lint.membership`): the one CFG-based, path-sensitive,
+  interprocedural interpreter of PAPI objects -- Papi libraries,
+  EventSet and HighLevel lifecycles, what each set holds, multiplexing
+  and overflow configuration, event names, mixed interfaces, papid
+  clients, swallowed errors and thread/counter binding.  Misuse on
+  every path of a set created in the scope, and the PL0xx rules that
+  have no some-path twin, are reported under PL0xx codes in every
+  mode; misuse on some paths only, or seen through a helper, under
+  PL3xx/PL4xx codes, which ``--flow`` adds;
+- **static feasibility** (:mod:`repro.lint.feasibility`, PL1xx):
+  decides counter allocability without executing, reusing the runtime
+  allocator's bipartite matching over the platform tables; the
+  typestate pass hands it every set that holds the same events on
+  every path;
+- **preset-table validation** (:mod:`repro.lint.presetlint`, PL2xx):
+  dangling natives, malformed mappings, FMA normalization, semantic
+  drift versus the catalogue's reference vectors; an AST walk
+  (:mod:`repro.lint.apilint`) hands it a script's table edits;
 - **static counter oracle** (:mod:`repro.lint.staticoracle`): affine
   bounds on every architecturally-determined signal of a machine
   program, derived without executing it, bracketing the exact oracle.

@@ -31,7 +31,10 @@ error path: a handler that swallows the exception and carries on, or a
 completion, exception escape, ``break``/``continue``/``return``
 unwinding) as separate node chains over the same AST statements, so the
 dataflow facts for "the finally ran after an exception" never merge
-with "the finally ran after normal completion".
+with "the finally ran after normal completion".  A ``try``'s ``else``
+block (run once its body succeeded) and its handler bodies are outside
+its handlers and their guards, but an exception or a ``return`` there
+still runs its ``finally``.
 """
 
 from __future__ import annotations
@@ -59,8 +62,11 @@ class Node:
     #: normal/return/break exit) or "finally_exc" (exception unwinding)
     kind: str
     #: exception names catchable by enclosing handlers *in this scope*
-    #: (the guard-awareness set, same semantics as the AST walk's)
+    #: (the guard-awareness set: a rule these catch is not reported)
     guards: frozenset = frozenset()
+    #: the ``try`` statements of this scope whose handlers an exception
+    #: here can reach (their body holds the node)
+    tries: Tuple[ast.Try, ...] = ()
 
     @property
     def line(self) -> int:
@@ -87,8 +93,9 @@ class CFG:
         stmt: Optional[ast.stmt],
         kind: str = "stmt",
         guards: frozenset = frozenset(),
+        tries: Tuple[ast.Try, ...] = (),
     ) -> int:
-        node = Node(len(self.nodes), stmt, kind, guards)
+        node = Node(len(self.nodes), stmt, kind, guards, tries)
         self.nodes.append(node)
         self.succs[node.id] = []
         return node.id
@@ -182,8 +189,11 @@ class _Builder:
             out |= g
         return frozenset(out)
 
-    def _new(self, stmt: ast.stmt, kind: str = "stmt") -> int:
-        return self.cfg.add_node(stmt, kind=kind, guards=self.guards)
+    def _new(self, stmt: ast.AST, kind: str = "stmt") -> int:
+        tries = tuple(
+            ctx.try_stmt for ctx in self.try_stack if ctx.handler_entries
+        )
+        return self.cfg.add_node(stmt, kind, self.guards, tries)
 
     def _connect(self, frontier: Sequence[int], dst: int) -> None:
         for src in frontier:
@@ -353,10 +363,8 @@ class _Builder:
         # assume nodes carry the branch outcome so the typestate
         # transfer can refine facts from tests like ``if es.running:``
         # (path-sensitivity for the cleanup idiom).
-        on_true = self.cfg.add_node(stmt, kind="assume_true",
-                                    guards=self.guards)
-        on_false = self.cfg.add_node(stmt, kind="assume_false",
-                                     guards=self.guards)
+        on_true = self._new(stmt, "assume_true")
+        on_false = self._new(stmt, "assume_false")
         self.cfg.add_edge(cond, on_true, NORMAL)
         self.cfg.add_edge(cond, on_false, NORMAL)
         then_out = self._visit_block(stmt.body, [on_true])
@@ -373,10 +381,8 @@ class _Builder:
             # While conditions get assume nodes like If branches do
             # (``while es.running:`` drains a running set, and the exit
             # edge proves it is stopped).
-            on_true = self.cfg.add_node(stmt, kind="assume_true",
-                                        guards=self.guards)
-            on_false = self.cfg.add_node(stmt, kind="assume_false",
-                                         guards=self.guards)
+            on_true = self._new(stmt, "assume_true")
+            on_false = self._new(stmt, "assume_false")
             self.cfg.add_edge(header, on_true, NORMAL)
             self.cfg.add_edge(header, on_false, NORMAL)
             body_entry, exit_entry = [on_true], [on_false]
@@ -407,9 +413,7 @@ class _Builder:
         # target them; each handler's body is visited under its guard.
         handler_entries: List[int] = []
         for handler in stmt.handlers:
-            handler_entries.append(
-                self.cfg.add_node(handler, kind="stmt", guards=self.guards)
-            )
+            handler_entries.append(self._new(handler))
         ctx = _TryContext(handler_entries, stmt.finalbody, stmt)
         guard = frozenset(
             n for h in stmt.handlers for n in handler_names(h)
@@ -419,18 +423,23 @@ class _Builder:
         self.guard_stack.append(guard)
         try:
             body_out = self._visit_block(stmt.body, frontier)
-            else_out = self._visit_block(stmt.orelse, body_out)
         finally:
             self.guard_stack.pop()
             self.try_stack.pop()
-
-        # handler bodies run outside the try's own guard but still see
-        # any *outer* guards; their statements can themselves raise into
-        # outer handlers.
+        # the else block (once the body succeeded) and the handler bodies
+        # run outside the try's own handlers and guard, so they raise
+        # into outer handlers only; an exception or a return there still
+        # runs the try's finally.
+        saved = self.try_stack
+        if stmt.finalbody:
+            self.try_stack = saved + [_TryContext([], stmt.finalbody, stmt)]
         handler_outs: List[int] = []
-        for handler, entry in zip(stmt.handlers, handler_entries):
-            h_out = self._visit_block(handler.body, [entry])
-            handler_outs.extend(h_out)
+        try:
+            else_out = self._visit_block(stmt.orelse, body_out)
+            for handler, entry in zip(stmt.handlers, handler_entries):
+                handler_outs.extend(self._visit_block(handler.body, [entry]))
+        finally:
+            self.try_stack = saved
 
         # normal completion and handler completion both run the finally.
         joined = else_out + handler_outs

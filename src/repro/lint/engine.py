@@ -2,18 +2,19 @@
 
 One entry point per input kind:
 
-- :func:`lint_source` / :func:`lint_file` run the AST API-misuse
-  checker (with its embedded feasibility and preset-table hooks) and
-  the CFG-based typestate pass (:mod:`repro.lint.flow`) over a Python
-  instrumentation script, and merge their findings;
+- :func:`lint_source` / :func:`lint_file` run the AST walk's
+  preset-table rule (:mod:`repro.lint.apilint`, PL2xx) and the
+  CFG-based typestate pass (:mod:`repro.lint.flow`, every rule about
+  PAPI objects) over a Python instrumentation script, and merge their
+  findings;
 - the feasibility and preset-table analyzers are also usable directly
   via :mod:`repro.lint.feasibility` and :mod:`repro.lint.presetlint`
   for the ``check-events`` / ``check-presets`` CLI verbs.
 
-The two passes do not overlap: the typestate pass owns every run-state
-and thread/counter-binding rule, the AST pass everything else.  ``flow=True`` only adds the typestate pass's PL3xx/PL4xx
-findings (misuse on some paths only, or seen through a helper);
-without it they are dropped.  Only exact duplicates are collapsed.
+The two passes do not overlap.  ``flow=True`` only adds the typestate
+pass's PL3xx/PL4xx findings (misuse on some paths only, or seen
+through a helper); without it they are dropped.  Only exact duplicates
+are collapsed.
 
 A file that does not parse yields exactly one PL900 diagnostic at the
 syntax error's position rather than raising -- linters report, they do
@@ -42,10 +43,11 @@ def lint_source(
 ) -> List[Diagnostic]:
     """Lint Python *source*; returns sorted, suppression-filtered findings.
 
-    *default_platform* supplies a platform for feasibility checks when
-    the script itself does not pin one statically (the CLI's
-    ``--platform`` flag).  *flow* additionally reports the typestate
-    pass's PL3xx/PL4xx findings; both modes run the same analysis.
+    *default_platform* supplies a platform for the event-name and
+    feasibility checks of a set whose library does not pin one
+    statically (the CLI's ``--platform`` flag).  *flow* additionally
+    reports the typestate pass's PL3xx/PL4xx findings; both modes run
+    the same analysis.
     """
     try:
         tree = ast.parse(source, filename=path)
@@ -58,7 +60,7 @@ def lint_source(
 
     linter = ApiLinter(path, default_platform=default_platform)
     diagnostics = linter.lint(tree)
-    found = lint_flow(tree, path)
+    found = lint_flow(tree, path, default_platform)
     if not flow:
         found = [d for d in found if d.code[2] not in "34"]
     diagnostics = list(dict.fromkeys(diagnostics + found))

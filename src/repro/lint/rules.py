@@ -4,17 +4,19 @@ Every diagnostic papi-lint can emit is declared here with a stable code,
 a default severity, and the paper section whose lesson it mechanizes.
 Rule codes are grouped by analyzer:
 
-- ``PL0xx`` -- API-misuse rules.  Membership, configuration, event-name
-  and swallowed-error rules come from the AST walk
-  (:mod:`repro.lint.apilint`); every run-state rule comes from the
-  typestate pass (:mod:`repro.lint.typestate`, :mod:`repro.lint.flow`):
-  misuse on every path of an EventSet or ``HighLevel`` created in the
-  scope (PL001/002/005/007/008/014/015/016), overlapping sets (PL013),
-  short multiplexed runs (PL004) and unclosed papid clients (PL018);
+- ``PL0xx`` -- API-misuse rules, all from the typestate pass
+  (:mod:`repro.lint.typestate`, :mod:`repro.lint.flow`): misuse on
+  every path of an EventSet or ``HighLevel`` created in the scope
+  (PL001/002/005/007/008/014/015/016), membership and configuration
+  the runtime rejects on every path (PL009/PL012), event names
+  (PL010/PL011/PL019), set-up hazards (PL003/PL004/PL006), overlapping
+  sets (PL013), swallowed errors (PL017) and unclosed papid clients
+  (PL018);
 - ``PL1xx`` -- static EventSet feasibility rules
-  (:mod:`repro.lint.feasibility`);
+  (:mod:`repro.lint.feasibility`), handed a set by the typestate pass;
 - ``PL2xx`` -- preset-table cross-validation rules
-  (:mod:`repro.lint.presetlint`);
+  (:mod:`repro.lint.presetlint`), from the AST walk
+  (:mod:`repro.lint.apilint`);
 - ``PL3xx`` / ``PL4xx`` -- typestate findings that hold on some paths
   only, or on a parameter or helper-returned set, or that need a
   helper's summary to see (:mod:`repro.lint.flow`); reported with
@@ -67,7 +69,7 @@ _PAPI_GUARD = ("PapiError",)
 RULES: Dict[str, Rule] = {
     r.code: r
     for r in [
-        # -- API misuse (AST walk and every-path typestate findings) ----
+        # -- API misuse (every-path typestate findings) -----------------
         Rule("PL001", Severity.ERROR,
              "read/stop/reset/accum on an EventSet that is not running",
              "Section 5 (EventSet run control)",
@@ -175,6 +177,13 @@ RULES: Dict[str, Rule] = {
              "recovery-ladder misuse: a fatal (non-transient) PAPI "
              "error class is blindly retried in a loop",
              "Fault model & recovery (core/resilience.py ladder)"),
+        Rule("PL306", Severity.ERROR,
+             "a change the runtime rejects (an event added twice, overflow "
+             "combined with multiplexing) is reachable along a path on "
+             "which the set already holds the event or the other option",
+             "Section 2 and 5 (EventSet membership; exclusive features); "
+             "CFG dataflow",
+             guards=("InvalidArgumentError",) + _PAPI_GUARD),
         # -- flow-sensitive SMP/thread rules -----------------------------
         Rule("PL401", Severity.ERROR,
              "one EventSet is shared between two spawned threads "

@@ -1,37 +1,40 @@
 """Typestate lattice and transfer functions for the flow-sensitive linter.
 
-This is papi-lint's only analysis of run state: EventSet and
-``HighLevel`` lifecycles, overlapping sets of one library, multiplexed
-runs, papid client closing, and thread/counter binding.  The abstract
-domain tracks, per control-flow point:
+This is papi-lint's one abstract interpreter of PAPI objects: `Papi`
+libraries, EventSet and ``HighLevel`` lifecycles, what each set holds
+and how it counts, overlapping sets, multiplexed runs, papid clients
+and thread/counter binding.  Per control-flow point it tracks:
 
 - an **environment** mapping variable names to sets of abstract values
-  (EventSet/Thread/client creation sites, PMU references);
-- per abstract object a :class:`ObjFact`: the set of *possible*
-  lifecycle states -- each element tagged with whether it was reached
-  through an exception edge -- an explicit ``unknown`` bit, plus
-  thread-attachment, ``bind_cpu`` and OS-level counter-binding facts.
+  (creation sites, parameters, ``create("...")`` substrates, PMU
+  references, and the strings or string lists an assignment binds,
+  which name events);
+- per object an :class:`ObjFact`: one element per distinct path state
+  -- lifecycle state, whether an exception edge reached it, and for a
+  set created in the scope its :class:`~repro.lint.membership.Config`
+  -- an ``unknown`` bit, the library it was made from, and thread
+  attachment, ``bind_cpu`` and counter-binding facts;
+- per ``Papi(...)`` object a :class:`LibFact`: its platform, the
+  components checked on every path, and where each interface was used.
 
 A ``HighLevel(...)`` is tracked like a set created in the scope
-(``hl@line:col``): its ``start_counters``/``read_counters``/
+(``hl@line:col``): ``start_counters``/``read_counters``/
 ``accum_counters``/``stop_counters`` take the ``start``/``read``/
-``accum``/``stop`` transfers (:data:`HIGHLEVEL_METHODS`); its other
-methods, and those names on any other receiver (substrates have them
-too), take none.  A ``PapidClient(...)`` is open until it is
-closed, entered in a ``with``, or escapes (returned, stored on an
-attribute or item, or passed to a call): then its new owner closes it.
-Facts fixed at an object's creation, or true of it anywhere in the
-scope, live in tables keyed by object id on the analysis, not in
-:class:`ObjFact`: the library a set was created from (the source text
-of the ``create_eventset`` receiver, the way threads are named) and
-whether ``set_multiplex()`` is called on it.
+``accum``/``stop`` transfers (:data:`HIGHLEVEL_METHODS`); those names
+on any other receiver take none.  A ``PapidClient(...)`` is open until
+it is closed, entered in a ``with``, or escapes (returned, stored on an
+attribute or item, or passed to a call).  A set's library follows
+aliases (``p2 = papi``); an untracked receiver is named by its source
+text, the way threads are.
 
 Everything is a finite powerset, and joins are elementwise unions
-(except ``must_attached`` and ``must_bound``, which are intersections,
-and ``unknown``, which is an or).  The transfers are not monotone in a
+(except ``must_attached``, ``must_bound`` and a library's checked
+components, which intersect, and ``unknown``, which ors).  An element
+carries a whole path's config, so a rule sees the paths on which a set
+is stopped *and* holds an event.  The transfers are not monotone in a
 name's alias set: a strong update and a ``.running`` refinement apply
-only while the name may denote one object.  The solver's loop-head rule
-(:mod:`repro.lint.dataflow`) is what makes the worklist terminate.
+only while the name may denote one object; the solver's loop-head rule
+(:mod:`repro.lint.dataflow`) makes the worklist terminate.
 
 A summary's solve (:mod:`repro.lint.summaries`) also binds every
 parameter's name to one *world* per entry state, ``param:i#<state>``:
@@ -43,16 +46,17 @@ Rule logic lives here too: after the fixpoint, a report pass re-runs
 every node's transfer against its final IN fact with a diagnostic sink
 attached.  Which code a violation gets is one table,
 :data:`MUST_CODES`: a violation that holds on every path of a set
-created in the scope (``es@`` or ``hl@line:col``) takes its PL0xx code;
-one that holds on some paths only, or on a parameter or a
-helper-returned set, keeps its PL3xx/PL4xx code.  A ``start()`` while
-another set of its library may be running is PL013, and a
-``run(max_instructions=N)`` shorter than :data:`MIN_MPX_RUN_INSTRUCTIONS`
-while a multiplexed set may be running is PL004.  Objects whose
-``unknown`` bit is set (parameters and arguments of an unknown callee,
-until an operation on them succeeds) are never reported.  A lambda's
-body runs when something calls it, not where it is written: the
-objects it names are handed off like an unknown callee's arguments.
+created in the scope takes its PL0xx code; one that holds on some paths
+only, or on a parameter or a helper-returned set, keeps its PL3xx/PL4xx
+code.  The runtime's membership errors split the same way: a duplicate
+add (PL012) or overflow with multiplexing (PL009) on every path, else
+PL306.  A path on which a call raises ends there.  The platform-table
+checks (event names, feasibility) run in a scope's report pass only
+(:attr:`TypestateAnalysis.checks`).  Objects whose ``unknown`` bit is
+set (parameters and arguments of an unknown callee, until an operation
+on them succeeds) are never reported.  A lambda's body runs when
+something calls it: the objects it names are handed off like an
+unknown callee's arguments.
 """
 
 from __future__ import annotations
@@ -63,6 +67,21 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.cfg import Node
 from repro.lint.dataflow import Analysis
+from repro.lint.membership import (
+    ADD_METHODS,
+    CONFIG_METHODS,
+    NEW_SET,
+    Config,
+    Finding,
+    add_conflict,
+    added_names,
+    component_overflow,
+    event_name,
+    highlevel_conflict,
+    highlevel_names,
+    name_findings,
+    start_findings,
+)
 from repro.lint.rules import guarded
 
 # -- lifecycle states ---------------------------------------------------
@@ -77,8 +96,8 @@ ALL_STATES = frozenset({CREATED, RUNNING, STOPPED})
 OPEN = "open"
 CLOSED = "closed"
 
-#: (state, via_exception) pairs for a fully unknown object.
-UNKNOWN_ELEMENTS = frozenset((s, False) for s in ALL_STATES)
+#: (state, via_exception, config) elements of a fully unknown object
+UNKNOWN_ELEMENTS = frozenset((s, False, None) for s in ALL_STATES)
 
 #: EventSet methods that require the set to be running.
 REQUIRES_RUNNING = frozenset({"read", "stop", "reset", "accum"})
@@ -98,6 +117,9 @@ HIGHLEVEL_METHODS = {
     "accum_counters": "accum",
     "stop_counters": "stop",
 }
+
+#: HighLevel methods that count through the high-level interface (PL006)
+HIGHLEVEL_USES = frozenset({"start_counters", "flops", "flips", "ipc"})
 
 #: below this many instructions, a multiplexed run has too few timer
 #: rotations for the time-slice extrapolation to converge (the E3
@@ -126,6 +148,11 @@ MUST_CODES: Dict[str, Dict[str, str]] = {
         "detach": "PL014",
     },
     "PL401": {"attach": "PL015", "bind_counter": "PL016"},
+    "PL306": {
+        **dict.fromkeys(ADD_METHODS, "PL012"),
+        "set_multiplex": "PL009",
+        "overflow": "PL009",
+    },
 }
 
 #: PL0xx code -> (message template, hint) of its every-path findings
@@ -148,7 +175,20 @@ MUST_WORDING: Dict[str, Tuple[str, str]] = {
               "another thread",
               "unbind_counter() first, or use a different index (a "
               "counter register is exclusive machine-wide)"),
+    "PL009": ("{call}() combines overflow and multiplexing on one EventSet",
+              "overflow interrupts and time-slicing are exclusive"),
+    "PL012": ("event {event} is already in this EventSet", ""),
 }
+
+#: configuration method -> what the set holds on a path PL306 names
+PL306_HOLDS = {
+    **dict.fromkeys(ADD_METHODS, "{event}"),
+    "set_multiplex": "an overflow registration",
+    "overflow": "multiplexing",
+}
+
+#: rules whose finding names one event: one call can make several
+EVENT_RULES = frozenset({"PL010", "PL011", "PL012", "PL019", "PL306"})
 
 
 # -- abstract values ----------------------------------------------------
@@ -159,11 +199,45 @@ PMU_VALUE = "pmu"
 #: tracked set remembers the path where the name is something else.
 UNTRACKED = frozenset({"untracked"})
 
+#: a ``create("...")`` result: ``sub:<platform>`` (empty when the
+#: platform is not a literal)
+SUBSTRATE = "sub:"
+#: a string or a list of strings an assignment binds: ``lit:<repr>``
+LITERAL = "lit:"
+
+#: values whose method calls are PAPI calls (PL017)
+PAPI_OBJECTS = ("lib@", "es@", "hl@", "client@")
+
+
+def string_literal(node: ast.expr) -> Optional[object]:
+    """A string, or a tuple of the strings a list or tuple literal holds."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, (ast.List, ast.Tuple)) and all(
+        isinstance(e, ast.Constant) and isinstance(e.value, str)
+        for e in node.elts
+    ):
+        return tuple(e.value for e in node.elts)  # type: ignore[union-attr]
+    return None
+
+
+def module_constants(tree: ast.Module) -> Dict[str, object]:
+    """Module-level names bound to event names or lists of them; every
+    scope resolves a name it has not bound through these."""
+    return {
+        stmt.targets[0].id: string_literal(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and string_literal(stmt.value) is not None
+    }
+
 
 def site_id(kind: str, node: ast.AST) -> str:
     """The object made at *node*: ``es@line:col`` (``create_eventset``),
-    ``hl@`` (``HighLevel``), ``client@`` (``PapidClient``), ``thread@``
-    (``spawn``) or ``ret@`` (a set a helper's summary hands back)."""
+    ``hl@`` (``HighLevel``), ``lib@`` (``Papi``), ``client@``
+    (``PapidClient``), ``thread@`` (``spawn``) or ``ret@`` (a set a
+    helper's summary hands back)."""
     return f"{kind}@{node.lineno}:{node.col_offset}"
 
 
@@ -200,6 +274,11 @@ def is_client(val: str) -> bool:
     return val.startswith("client@")
 
 
+def is_library(val: str) -> bool:
+    """A tracked ``Papi(...)`` object."""
+    return val.startswith("lib@")
+
+
 #: calls that make a tracked object (bare or attribute form): the kind
 #: of its id and the state it starts in
 CONSTRUCTORS = {
@@ -221,12 +300,17 @@ def is_thread(val: str) -> bool:
 class ObjFact:
     """May-facts about one abstract object (creation site or parameter)."""
 
-    #: lifecycle: set of (state, reached_via_exception_edge) pairs
-    states: FrozenSet[Tuple[str, bool]] = frozenset()
+    #: one element per distinct path state: (lifecycle state, reached
+    #: via an exception edge, :class:`Config`).  The config is what a
+    #: set created in the scope holds on that path; None elsewhere.
+    states: FrozenSet[Tuple[str, bool, Optional[Config]]] = frozenset()
     #: nothing is known about the lifecycle (a parameter, or an argument
     #: of an unknown callee) until an operation on it succeeds; rules
     #: stay silent on such an object
     unknown: bool = False
+    #: what a set or ``HighLevel`` was made from: ``lib@`` objects,
+    #: parameters, or an untracked receiver's source text (``text:``)
+    library: FrozenSet[str] = frozenset()
     #: thread identities this EventSet may currently be attached to
     attached: FrozenSet[str] = frozenset()
     #: thread identities it is attached to on EVERY path
@@ -246,6 +330,7 @@ class ObjFact:
         return ObjFact(
             states=self.states | other.states,
             unknown=self.unknown or other.unknown,
+            library=self.library | other.library,
             attached=self.attached | other.attached,
             must_attached=self.must_attached & other.must_attached,
             bound_cpu=self.bound_cpu or other.bound_cpu,
@@ -255,13 +340,48 @@ class ObjFact:
         )
 
     def mark_exceptional(self) -> "ObjFact":
-        return replace(
-            self, states=frozenset((s, True) for s, _via in self.states)
-        )
+        return replace(self, states=frozenset(
+            (s, True, cfg) for s, _via, cfg in self.states
+        ))
 
     @property
     def state_names(self) -> FrozenSet[str]:
-        return frozenset(s for s, _via in self.states)
+        return frozenset(e[0] for e in self.states)
+
+    def holds(self, state: str, via: bool) -> bool:
+        """Some path reaches here in *state*, through an exception edge
+        or not as *via* says."""
+        return any(e[0] == state and e[1] == via for e in self.states)
+
+
+@dataclass(frozen=True)
+class LibFact:
+    """Facts about one ``Papi(...)`` library object."""
+
+    #: from the ``create("...")`` literal it was made over
+    platform: Optional[str] = None
+    #: components whose registration was checked on every path
+    checked: FrozenSet[str] = frozenset()
+    #: the component registry was enumerated on every path
+    all_checked: bool = False
+    #: lines of high-level uses and of low-level starts on some path
+    high: FrozenSet[int] = frozenset()
+    low: FrozenSet[int] = frozenset()
+
+    def join(self, other: "LibFact") -> "LibFact":
+        if self == other:
+            return self
+        return LibFact(
+            platform=self.platform if self.platform == other.platform
+            else None,
+            checked=self.checked & other.checked,
+            all_checked=self.all_checked and other.all_checked,
+            high=self.high | other.high,
+            low=self.low | other.low,
+        )
+
+    def mark_exceptional(self) -> "LibFact":
+        return self
 
 
 @dataclass(frozen=True)
@@ -269,6 +389,8 @@ class FlowFact:
     """One program point's abstract state (immutable; value-compared)."""
 
     env: Tuple[Tuple[str, FrozenSet[str]], ...] = ()
+    #: ``lib@`` ids map to a :class:`LibFact`, every other id to an
+    #: :class:`ObjFact`
     objs: Tuple[Tuple[str, ObjFact], ...] = ()
     #: the join identity ("this point not reached yet") -- distinct
     #: from an empty-but-reachable fact, which tracks nothing yet but
@@ -318,6 +440,16 @@ def join_facts(a: FlowFact, b: FlowFact) -> FlowFact:
     return FlowFact.make(env, objs)
 
 
+def uniform_config(elems) -> Optional[Config]:
+    """The config a set has on every path, when its members and
+    multiplexing agree and every member is known; else None."""
+    views = {cfg[:3] if cfg is not None else None for _s, _v, cfg in elems}
+    if len(views) != 1 or None in views:
+        return None
+    cfg = next(iter(elems))[2]
+    return None if cfg.opaque or not cfg.members else cfg
+
+
 # -- interprocedural summaries -----------------------------------------
 
 
@@ -359,20 +491,30 @@ class TypestateAnalysis(Analysis[FlowFact]):
         param_names: Optional[List[str]] = None,
         seed_param: Optional[Tuple[int, str]] = None,
         worlds: bool = False,
+        constants: Optional[Dict[str, object]] = None,
+        default_platform: Optional[str] = None,
     ) -> None:
         self.summaries = summaries or {}
         self.param_names = param_names or []
         self.seed_param = seed_param
         self.worlds = worlds
+        #: module-level event names (:func:`module_constants`)
+        self.constants = constants or {}
+        #: the platform of a set whose library pins none (``--platform``)
+        self.default_platform = default_platform
         #: parameters (``param:i``) whose worlds the receiver of a
         #: ``.running`` test may be (the summaries' guard)
         self.world_tests: Set[str] = set()
-        #: set id -> its library: the ``create_eventset`` receiver's text
-        self.libraries: Dict[str, str] = {}
-        #: ids of the sets ``set_multiplex()`` is called on in the scope
-        self.multiplexed: Set[str] = set()
         self.sink: Optional[Sink] = None
-        self._node: Optional[Node] = None
+        #: set for a scope's report pass: the rules that read the
+        #: platform tables (event names, feasibility) and PL017's call
+        #: record run only then, not in a summary's replay
+        self.checks = False
+        #: the ``try`` statements whose body calls a method of a PAPI
+        #: object (PL017)
+        self.papi_tries: Set[ast.Try] = set()
+        #: the CFG node whose transfer runs; reports are anchored at it
+        self.node: Optional[Node] = None
 
     # -- lattice hooks -------------------------------------------------
 
@@ -384,7 +526,7 @@ class TypestateAnalysis(Analysis[FlowFact]):
             env[name] = frozenset({oid})
             if self.seed_param is not None and self.seed_param[0] == i:
                 objs[oid] = ObjFact(
-                    states=frozenset({(self.seed_param[1], False)})
+                    states=frozenset({(self.seed_param[1], False, None)})
                 )
             else:
                 objs[oid] = ObjFact(states=UNKNOWN_ELEMENTS, unknown=True)
@@ -392,7 +534,9 @@ class TypestateAnalysis(Analysis[FlowFact]):
                 for state in ALL_STATES:
                     wid = world_id(i, state)
                     env[name] |= {wid}
-                    objs[wid] = ObjFact(states=frozenset({(state, False)}))
+                    objs[wid] = ObjFact(
+                        states=frozenset({(state, False, None)})
+                    )
         return FlowFact.make(env, objs)
 
     def bottom(self) -> FlowFact:
@@ -415,7 +559,7 @@ class TypestateAnalysis(Analysis[FlowFact]):
     def transfer(self, node: Node, fact: FlowFact) -> FlowFact:
         if node.stmt is None or fact.is_bottom:
             return fact
-        self._node = node
+        self.node = node
         if node.kind in ("assume_true", "assume_false"):
             return self._refine(node, fact)
         interp = _StmtInterpreter(self, fact)
@@ -448,13 +592,12 @@ class TypestateAnalysis(Analysis[FlowFact]):
             v for v in values if is_eventset(v) and v in interp.objs
         ]
         bases = {base_object(v) for v in receivers}
-        if len(bases) != 1 or UNTRACKED <= values:
+        if len(bases) != 1 or not all(is_eventset(v) for v in values):
             return fact  # aliased or untracked: refinement unsound
         for oid in receivers:
             old = interp.objs[oid]
             kept = frozenset(
-                (s, via) for s, via in old.states
-                if (s == RUNNING) == truth
+                e for e in old.states if (e[0] == RUNNING) == truth
             )
             if kept:
                 interp.objs[oid] = replace(old, states=kept, unknown=False)
@@ -474,11 +617,12 @@ class TypestateAnalysis(Analysis[FlowFact]):
         hint: str = "",
         method: str = "",
     ) -> None:
-        if self.sink is None or self._node is None:
+        if self.sink is None or self.node is None:
             return
-        if guarded(rule, self._node.guards):
+        if guarded(rule, self.node.guards):
             return  # the script statically expects this failure
-        self.sink(rule, self._node, objid, message, hint, method)
+        self.sink(rule, self.node, objid, message, hint, method)
+
 
 
 class _StmtInterpreter:
@@ -496,11 +640,11 @@ class _StmtInterpreter:
 
     def run(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
-            vals = self.eval(stmt.value)
+            vals = self.eval(stmt.value) or self._bound_names(stmt.value)
             for target in stmt.targets:
                 self._assign_target(target, vals)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            vals = self.eval(stmt.value)
+            vals = self.eval(stmt.value) or self._bound_names(stmt.value)
             self._assign_target(stmt.target, vals)
         elif isinstance(stmt, ast.AugAssign):
             self.eval(stmt.value)
@@ -551,7 +695,7 @@ class _StmtInterpreter:
                 continue
             if is_client(oid):
                 self.objs[oid] = replace(fact, states=frozenset(
-                    (CLOSED, via) for _s, via in fact.states
+                    (CLOSED, e[1], None) for e in fact.states
                 ))
             elif havoc and is_eventset(oid):
                 self.objs[oid] = replace(
@@ -609,6 +753,35 @@ class _StmtInterpreter:
             return node.value
         return None
 
+    def _lookup(self, name: str) -> Optional[object]:
+        """The string or list of strings *name* is bound to here."""
+        vals = self.env.get(name)
+        if vals is None:
+            return self.analysis.constants.get(name)
+        (val,) = vals if len(vals) == 1 else ("",)
+        if not val.startswith(LITERAL):
+            return None
+        return ast.literal_eval(val[len(LITERAL):])
+
+    def _bound_names(self, node: ast.expr) -> FrozenSet[str]:
+        """An event name (a string, or a code looked up from one) or a
+        list of strings that an assignment binds."""
+        value = event_name(node, self._lookup) or string_literal(node)
+        return frozenset() if value is None else \
+            frozenset({LITERAL + repr(value)})
+
+    def _library_of(
+        self, vals: FrozenSet[str], expr: Optional[ast.expr]
+    ) -> FrozenSet[str]:
+        """The library a receiver or argument names: the ``Papi`` objects
+        or parameters it may hold, else its source text."""
+        libs = frozenset(
+            base_object(v) for v in vals if v.startswith(("lib@", "param:"))
+        )
+        if libs or expr is None:
+            return libs
+        return frozenset({"text:" + ast.unparse(expr)})
+
     def _thread_identities(self, node: ast.expr) -> FrozenSet[str]:
         """Resolve a thread-valued argument to stable identities: the
         tracked ``spawn()`` results it may hold, else its source text."""
@@ -640,6 +813,10 @@ class _StmtInterpreter:
             message = template.format(**fields)
         self.analysis.report(code, objid, message, hint=hint, method=method)
 
+    def _report_all(self, findings: List[Finding]) -> None:
+        for code, message, hint in findings:
+            self.analysis.report(code, "", message, hint=hint)
+
     # -- method dispatch ------------------------------------------------
 
     def _method_call(
@@ -647,13 +824,17 @@ class _StmtInterpreter:
     ) -> FrozenSet[str]:
         basevals = self.eval(func.value)
         method = func.attr
+        if self.analysis.checks and any(
+            v.startswith(PAPI_OBJECTS) for v in basevals
+        ):
+            self.analysis.papi_tries.update(self.analysis.node.tries)
 
         if method in CONSTRUCTORS:
-            if method == "create_eventset":
-                self.analysis.libraries[site_id("es", node)] = (
-                    ast.unparse(func.value)
-                )
-            return self._construct(method, node)
+            return self._construct(method, node, argvals, (basevals, func.value))
+        libs = [v for v in basevals if is_library(v) and v in self.objs]
+        if libs:
+            self._library_method(libs, method, node)
+            return frozenset()
         if method == "spawn":
             tid = site_id("thread", node)
             self.objs.setdefault(tid, ObjFact())
@@ -674,8 +855,9 @@ class _StmtInterpreter:
         if es_ids:
             if method == "start":
                 self._overlapping_start(es_ids)
-            elif method == "set_multiplex":
-                self.analysis.multiplexed.update(es_ids)
+            if self.analysis.checks:
+                self._check_call(es_ids, method, node)
+            self._mixed_interfaces(es_ids, method, node)
             strong = len({base_object(v) for v in es_ids}) == 1
             for oid in es_ids:
                 transfer = (
@@ -684,34 +866,242 @@ class _StmtInterpreter:
                 )
                 old = self.objs[oid]
                 new = self._apply_eventset_method(oid, old, transfer, node)
+                if transfer in CONFIG_METHODS:
+                    new = self._configure(oid, old, new, transfer, node)
                 self.objs[oid] = new if strong else old.join(new)
             return frozenset()  # counter values, not tracked objects
         if PMU_VALUE in basevals and method in ("read", "stop"):
             self._pmu_direct_access(method, node)
         return frozenset()
 
-    def _construct(self, name: str, node: ast.Call) -> FrozenSet[str]:
+    def _construct(
+        self, name: str, node: ast.Call, argvals,
+        receiver: Optional[Tuple[FrozenSet[str], ast.expr]] = None,
+    ) -> FrozenSet[str]:
+        """A new object; a set's library is the receiver of the
+        ``create_eventset`` call, a HighLevel's its argument."""
         kind, state = CONSTRUCTORS[name]
+        library: FrozenSet[str] = frozenset()
+        if kind == "es" and receiver is not None:
+            library = self._library_of(*receiver)
+        elif kind == "hl" and node.args:
+            library = self._library_of(argvals[0], node.args[0])
         oid = site_id(kind, node)
-        self.objs[oid] = ObjFact(states=frozenset({(state, False)}))
+        config = NEW_SET if kind == "es" else None
+        self.objs[oid] = ObjFact(
+            states=frozenset({(state, False, config)}), library=library
+        )
         return frozenset({oid})
+
+    # -- libraries: component checks and the two interfaces --------------
+
+    def _library_method(
+        self, libs: List[str], method: str, node: ast.Call
+    ) -> None:
+        """Component-registry checks (PL019's guard) on a ``Papi``: a
+        component named by its name or index, or, when the argument
+        does not resolve or the registry is enumerated, every one."""
+        from repro.components import STANDARD_COMPONENTS
+
+        if method not in ("component", "component_by_id", "query_named",
+                          "num_components", "component_names"):
+            return
+        try:
+            arg = ast.literal_eval(node.args[0]) if node.args else None
+        except (ValueError, SyntaxError):
+            arg = None
+        if method == "query_named":
+            if not (isinstance(arg, str) and ":::" in arg):
+                return
+            arg = arg.partition(":::")[0]
+        elif isinstance(arg, int) and 0 <= arg < len(STANDARD_COMPONENTS):
+            arg = STANDARD_COMPONENTS[arg]
+        checked = arg if isinstance(arg, str) and method not in (
+            "num_components", "component_names") else None
+        for lib in libs:
+            old = self.objs[lib]
+            new = (
+                replace(old, all_checked=True) if checked is None
+                else replace(old, checked=old.checked | {checked})
+            )
+            self.objs[lib] = new if len(libs) == 1 else old.join(new)
+
+    def _libraries(self, oids) -> List[str]:
+        """The ``Papi`` objects the sets or HighLevels *oids* came from."""
+        return sorted({
+            lib for oid in oids for lib in self.objs[oid].library
+            if is_library(lib) and lib in self.objs
+        })
+
+    def _lib_facts(self, oid: str) -> List[LibFact]:
+        return [self.objs[lib] for lib in self._libraries([oid])]
+
+    def _mixed_interfaces(
+        self, es_ids: List[str], method: str, node: ast.Call
+    ) -> None:
+        """PL006: a high-level use on a library one of whose sets may
+        have started, or a set's start on a library used high-level."""
+        if method == "start":
+            high, prefix = False, "es@"
+        elif method in HIGHLEVEL_USES:
+            high, prefix = True, "hl@"
+        else:
+            return
+        line = node.lineno
+        for lib in self._libraries(v for v in es_ids if v.startswith(prefix)):
+            fact = self.objs[lib]
+            if fact.low if high else fact.high:
+                highs = fact.high | {line} if high else fact.high
+                lows = fact.low if high else fact.low | {line}
+                self.analysis.report(
+                    "PL006", lib,
+                    f"high-level (line {min(highs)}) and low-level (line "
+                    f"{min(lows)}) counting mixed on one library",
+                    hint="use one interface per measurement region",
+                )
+            self.objs[lib] = (
+                replace(fact, high=fact.high | {line}) if high
+                else replace(fact, low=fact.low | {line})
+            )
+
+    # -- membership and configuration ------------------------------------
+
+    def _configure(
+        self, oid: str, before: ObjFact, fact: ObjFact, method: str,
+        node: ast.Call,
+    ) -> ObjFact:
+        """The config change of one ``add_*``, ``remove_event``,
+        ``cleanup``, ``set_multiplex`` or ``overflow`` call, on the paths
+        past its lifecycle check (*fact*).  Paths where the runtime
+        rejects it (a duplicate add, overflow with multiplexing) end
+        there: PL012/PL009 when that is every path reaching the call
+        (*before*), PL306 when it is only some."""
+        call = node.func.attr  # type: ignore[union-attr]
+        if method in ADD_METHODS:
+            names = added_names(method, node, self._lookup)
+        elif method in ("remove_event", "overflow") and node.args:
+            names = [event_name(node.args[0], self._lookup)]
+        else:
+            names = [None]
+        if method == "set_multiplex":
+            self._multiplex_after_adds(before)
+        reach, elems = before.states, fact.states
+        for name in names:
+            rejected = frozenset(
+                e for e in elems
+                if e[2] is not None and e[2].rejects(method, name)
+            )
+            if rejected and not before.unknown:
+                held = PL306_HOLDS[method].format(event=name)
+                self._violation(
+                    "PL306", oid, method,
+                    rejected == reach and is_local_eventset(oid),
+                    f"{call}() on an EventSet that holds {held} along "
+                    f"some path", "the runtime raises PAPI_EINVAL there",
+                    call=call, event=name,
+                )
+            elems = frozenset(
+                (s, via, cfg if cfg is None else cfg.after(method, name))
+                for s, via, cfg in elems - rejected
+            )
+            reach = elems
+            if method in ADD_METHODS and self.analysis.checks:
+                self._feasibility(oid, elems, add_conflict)
+        return replace(fact, states=elems)
+
+    def _multiplex_after_adds(self, fact: ObjFact) -> None:
+        """PL003: ``set_multiplex()`` on a set that may hold events."""
+        held = max((
+            len(cfg.members) + cfg.opaque
+            for _s, _via, cfg in fact.states if cfg is not None
+        ), default=0)
+        if held:
+            self.analysis.report(
+                "PL003", "", f"set_multiplex after {held} event(s) were "
+                             f"already added",
+                hint="enable multiplexing first so conflicts surface as "
+                     "capacity, not ECNFLCT",
+            )
+
+    # -- the checks the platform tables answer (report pass only) --------
+
+    def _platform(self, oid: str) -> Optional[str]:
+        """The platform a set's library pins, else ``--platform``."""
+        platforms = {
+            self.objs[lib].platform
+            if is_library(lib) and lib in self.objs else None
+            for lib in self.objs[oid].library
+        }
+        (platform,) = platforms if len(platforms) == 1 else (None,)
+        return platform or self.analysis.default_platform
+
+    def _check_call(
+        self, es_ids: List[str], method: str, node: ast.Call
+    ) -> None:
+        """Event names (PL010/PL011/PL019) and feasibility at start."""
+        sets = [v for v in es_ids if v.startswith("es@")]
+        if method in ADD_METHODS:
+            names = added_names(method, node, self._lookup)
+            for oid in sets:
+                platform, libs = self._platform(oid), self._lib_facts(oid)
+                for name in names:
+                    if name is not None:
+                        self._report_all(name_findings(name, platform, libs))
+        elif method == "overflow" and sets and node.args:
+            self._report_all(component_overflow(
+                event_name(node.args[0], self._lookup)
+            ))
+        elif method == "start":
+            for oid in sets:
+                self._feasibility(oid, self.objs[oid].states, start_findings)
+        elif method == "start_counters":
+            for oid in es_ids:
+                if oid.startswith("hl@"):
+                    self._highlevel_events(oid, node)
+
+    def _feasibility(self, oid: str, elems, verdict) -> None:
+        """Hand a set that holds the same events on every path, on a
+        known platform, to *verdict* (PL101 at an add, PL102/PL103 at
+        ``start()``)."""
+        cfg, platform = uniform_config(elems), self._platform(oid)
+        if cfg is not None and platform is not None:
+            self._report_all(verdict(cfg.members, cfg.multiplexed, platform))
+
+    def _highlevel_events(self, oid: str, node: ast.Call) -> None:
+        """PL010/PL011/PL019 and PL101 for a ``start_counters`` list."""
+        names = highlevel_names(node, self._lookup)
+        if names is None:
+            return
+        platform, libs = self._platform(oid), self._lib_facts(oid)
+        for name in names:
+            if name is not None:
+                self._report_all(name_findings(name, platform, libs))
+        if platform is not None and None not in names:
+            self._report_all(highlevel_conflict(tuple(names), platform))  # type: ignore[arg-type]
 
     # -- one library, one running set; long multiplexed runs --------------
 
-    def _may_run(self, oids) -> bool:
-        """Some object of *oids* may be running here."""
+    def _may_run(self, oids, multiplexed: bool = False) -> bool:
+        """Some object of *oids* may be running here (with its
+        multiplexing bit set, on that path, when *multiplexed*)."""
         return any(
-            RUNNING in fact.state_names and not fact.unknown
+            not fact.unknown and any(
+                s == RUNNING and (not multiplexed or cfg and cfg.multiplexed)
+                for s, _via, cfg in fact.states
+            )
             for oid, fact in self.objs.items() if oid in oids
         )
 
     def _overlapping_start(self, receivers: List[str]) -> None:
         """PL013: ``start()`` while another set of its library may run."""
-        libraries = self.analysis.libraries
-        mine = {libraries[oid] for oid in receivers if oid in libraries}
+        mine: Set[str] = set()
+        for oid in receivers:
+            if oid.startswith("es@"):
+                mine |= self.objs[oid].library
         others = {
-            oid for oid, lib in libraries.items()
-            if lib in mine and oid not in receivers
+            oid for oid, fact in self.objs.items()
+            if oid.startswith("es@") and oid not in receivers
+            and not fact.library.isdisjoint(mine)
         }
         if self._may_run(others):
             self.analysis.report(
@@ -731,7 +1121,10 @@ class _StmtInterpreter:
                 kw.arg == "max_instructions"
                 and bound is not None
                 and bound < MIN_MPX_RUN_INSTRUCTIONS
-                and self._may_run(self.analysis.multiplexed)
+                and self._may_run(
+                    {v for v in self.objs if v.startswith("es@")},
+                    multiplexed=True,
+                )
             ):
                 self.analysis.report(
                     "PL004", "",
@@ -772,7 +1165,8 @@ class _StmtInterpreter:
             return replace(
                 fact,
                 states=frozenset(
-                    (post, via) for s, via in fact.states if s == RUNNING
+                    (post, via, cfg) for s, via, cfg in fact.states
+                    if s == RUNNING
                 ),
                 unknown=False,
             )
@@ -790,12 +1184,12 @@ class _StmtInterpreter:
                 "otherwise)",
                 call=call,
             )
-        kept = frozenset((s, via) for s, via in fact.states if s != RUNNING)
+        kept = frozenset(e for e in fact.states if e[0] != RUNNING)
         fact = replace(fact, states=kept, unknown=False)
         if method == "start":
             return replace(
                 fact,
-                states=frozenset((RUNNING, via) for _s, via in kept),
+                states=frozenset((RUNNING, via, cfg) for _s, via, cfg in kept),
                 started_lines=fact.started_lines | {node.lineno},
             )
         if method == "attach":
@@ -920,7 +1314,23 @@ class _StmtInterpreter:
         self, name: str, node: ast.Call, argvals
     ) -> FrozenSet[str]:
         if name in CONSTRUCTORS:
-            return self._construct(name, node)
+            return self._construct(name, node, argvals)
+        if name == "create" and node.args:
+            arg = node.args[0]
+            literal = isinstance(arg, ast.Constant) and \
+                isinstance(arg.value, str)
+            return frozenset({SUBSTRATE + (arg.value if literal else "")})
+        if name == "Papi":
+            subs = [
+                v for v in (argvals[0] if argvals else ())
+                if v.startswith(SUBSTRATE)
+            ]
+            oid = site_id("lib", node)
+            self.objs[oid] = LibFact(
+                platform=subs[0][len(SUBSTRATE):] or None
+                if len(subs) == 1 else None
+            )
+            return frozenset({oid})
         summary = self.analysis.summaries.get(name)
         if summary is None:
             # unknown callee: anything it got may end up in any state
@@ -940,7 +1350,7 @@ class _StmtInterpreter:
         if summary.returns_states is not None:
             oid = site_id("ret", node)
             self.objs[oid] = ObjFact(states=frozenset(
-                (s, False) for s in summary.returns_states
+                (s, False, None) for s in summary.returns_states
             ))
             return frozenset({oid})
         return frozenset()
@@ -949,16 +1359,18 @@ class _StmtInterpreter:
         self, fname: str, oid: str, effects: Dict[str, ParamEffect]
     ) -> None:
         """Play a call as the summary's table lookup.  Its violations
-        keep their flow codes, even when every entry state has one."""
+        keep their flow codes, even when every entry state has one.  The
+        helper's membership changes are not summarized: the set's
+        config is unknown after the call."""
         fact = self.objs[oid]
         if fact.unknown:
             # havoc through the call, stay silent
             self.objs[oid] = replace(fact, states=UNKNOWN_ELEMENTS)
             return
-        new_states: Set[Tuple[str, bool]] = set()
+        new_states: Set[Tuple[str, bool, Optional[Config]]] = set()
         reported: Set[Tuple[str, str]] = set()
         unknown = False
-        for s, via in fact.states:
+        for s, via, _cfg in fact.states:
             effect = effects[s]
             unknown = unknown or effect.exit_unknown
             for rule, method in effect.violations:
@@ -975,7 +1387,7 @@ class _StmtInterpreter:
                     method=method,
                 )
             for exit_state in effect.exit_states:
-                new_states.add((exit_state, via))
+                new_states.add((exit_state, via, None))
         self.objs[oid] = replace(
             fact, states=frozenset(new_states), unknown=unknown
         )

@@ -103,6 +103,31 @@ class TestOverflow:
         es.stop()
         assert len(infos) == n
 
+    def _overflow_removed(self, substrate):
+        papi = Papi(substrate)
+        es = papi.create_eventset()
+        es.add_named("PAPI_TOT_CYC")
+        code = papi.event_name_to_code("PAPI_TOT_CYC")
+        es.overflow(code, 1000, lambda i: None)
+        es.remove_event(code)
+        return es
+
+    def test_remove_event_drops_its_overflow(self, simx86):
+        """C PAPI_remove_event turns the event's overflow off first, so
+        the next start() arms no overflow on a counter it no longer has."""
+        es = self._overflow_removed(simx86)
+        assert not es.state() & C.PAPI_OVERFLOWING
+        es.add_named("PAPI_TOT_INS")
+        es.start()
+        es.stop()
+
+    def test_multiplex_allowed_once_the_overflow_event_is_removed(
+        self, simx86
+    ):
+        es = self._overflow_removed(simx86)
+        es.set_multiplex()
+        assert es.multiplexed
+
     def test_state_reports_overflowing(self, simia64):
         papi, es, _ = self._setup(simia64)
         code = papi.event_name_to_code("PAPI_TOT_INS")

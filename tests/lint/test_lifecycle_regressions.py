@@ -1,4 +1,4 @@
-"""One lifecycle analysis: cases where the AST walk and the typestate
+"""One abstract interpreter: cases where the AST walk and the typestate
 pass used to disagree, and the contract between the two lint modes.
 
 Each case lists every ``(code, line)`` a flow-mode lint reports.
@@ -8,13 +8,23 @@ is PL3xx/PL4xx.  Overlapping sets (PL013) and unclosed papid clients
 (PL018) are reported when they may happen on some path.  Without
 ``--flow`` a lint reports exactly the flow-mode findings minus the
 PL3xx/PL4xx ones, on every case here and on every example.
+
+The cases of ``RUNTIME_CASES`` (membership, configuration, libraries,
+``try`` blocks) also run: ``main(c)`` under ``c = False`` and
+``c = True``, each on a fresh library, and the ``(line, error)`` each
+run raises stands beside the lint verdict.
 """
 
 import pathlib
 
 import pytest
 
+from repro.core.errors import PapiError
+from repro.core.highlevel import HighLevel
+from repro.core.library import Papi
 from repro.lint import lint_source
+from repro.platforms import create
+from repro.workloads.linalg import dot
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -266,6 +276,223 @@ def main(papi, machine):
     es.stop()
 """
 
+# -- cases with the runtime's verdict --------------------------------------
+
+# neither run raises: each adds the event once
+SAME_ADD_ON_BOTH_ARMS = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    es = papi.create_eventset()
+    if c:
+        es.add_named("PAPI_TOT_CYC")
+    else:
+        es.add_named("PAPI_TOT_CYC")
+    es.start()
+    es.stop()
+"""
+
+# neither run combines overflow with multiplexing
+MULTIPLEX_OR_OVERFLOW = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    es = papi.create_eventset()
+    if c:
+        es.set_multiplex()
+        es.add_named("PAPI_TOT_CYC")
+    else:
+        es.add_named("PAPI_TOT_CYC")
+        es.overflow(papi.event_name_to_code("PAPI_TOT_CYC"), 100000, print)
+"""
+
+# cleanup() drops the overflow registration with the events
+OVERFLOW_CLEANUP_MULTIPLEX = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_CYC")
+    es.overflow(papi.event_name_to_code("PAPI_TOT_CYC"), 100000, print)
+    es.cleanup()
+    es.set_multiplex()
+    es.add_named("PAPI_TOT_CYC")
+"""
+
+# one library under two names: the second start() raises
+ALIASED_LIBRARY_OVERLAP = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    p2 = papi
+    a = papi.create_eventset()
+    b = p2.create_eventset()
+    a.add_named("PAPI_TOT_CYC")
+    b.add_named("PAPI_TOT_INS")
+    a.start()
+    b.start()
+    a.stop()
+    b.stop()
+"""
+
+# the short run counts directly; the set is multiplexed only later
+SHORT_RUN_BEFORE_MULTIPLEX = """\
+def main(c):
+    substrate = create("simPOWER")
+    substrate.machine.load(dot(200).program)
+    papi = Papi(substrate)
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    es.start()
+    substrate.machine.run(max_instructions=1000)
+    es.stop()
+    es.cleanup()
+    es.set_multiplex()
+"""
+
+# every run raises on the second iteration; a lint that does not count
+# iterations sees a set that holds the event on some paths only
+ADD_IN_LOOP = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    es = papi.create_eventset()
+    for _ in range(2):
+        es.add_named("PAPI_TOT_CYC")
+"""
+
+# only the run with c raises
+ADD_AFTER_ADD_ON_SOME_PATH = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    es = papi.create_eventset()
+    if c:
+        es.add_named("PAPI_TOT_CYC")
+    es.add_named("PAPI_TOT_CYC")
+"""
+
+# cpu::: names the platform's native table, as the bare name does
+CPU_NATIVE_ON_SET_PLATFORM = """\
+def main(c):
+    papi = Papi(create("simX86"))
+    es = papi.create_eventset()
+    if c:
+        es.add_named("cpu:::NO_SUCH_NATIVE")
+    else:
+        es.add_named("NO_SUCH_NATIVE")
+"""
+
+# the else block runs after the body succeeded: the handler never sees
+# its calls, so it neither swallows their errors nor leaks the set
+START_IN_TRY_ELSE = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    try:
+        str(c)
+    except PapiError:
+        pass
+    else:
+        es.start()
+        es.stop()
+"""
+
+# the handler's return runs the finally, which stops the set; only the
+# read after the finally raises
+RETURN_FROM_HANDLER_RUNS_FINALLY = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    es.start()
+    try:
+        if c:
+            raise ValueError(c)
+    except ValueError:
+        return None
+    finally:
+        es.stop()
+    return es.read()
+"""
+
+RUNTIME_CASES = [
+    pytest.param(
+        SAME_ADD_ON_BOTH_ARMS, [], (None, None),
+        id="same-add-on-both-arms",
+    ),
+    pytest.param(
+        MULTIPLEX_OR_OVERFLOW, [], (None, None),
+        id="multiplex-or-overflow",
+    ),
+    pytest.param(
+        OVERFLOW_CLEANUP_MULTIPLEX, [], (None, None),
+        id="overflow-cleanup-multiplex",
+    ),
+    pytest.param(
+        ALIASED_LIBRARY_OVERLAP, [("PL013", 9)],
+        ((9, "IsRunningError"), (9, "IsRunningError")),
+        id="aliased-library-overlap",
+    ),
+    pytest.param(
+        SHORT_RUN_BEFORE_MULTIPLEX, [], (None, None),
+        id="short-run-before-multiplex",
+    ),
+    pytest.param(
+        ADD_IN_LOOP, [("PL306", 5)],
+        ((5, "InvalidArgumentError"), (5, "InvalidArgumentError")),
+        id="add-in-loop",
+    ),
+    pytest.param(
+        ADD_AFTER_ADD_ON_SOME_PATH, [("PL306", 6)],
+        (None, (6, "InvalidArgumentError")),
+        id="add-after-add-on-some-path",
+    ),
+    pytest.param(
+        CPU_NATIVE_ON_SET_PLATFORM, [("PL010", 5), ("PL010", 7)],
+        ((7, "NoSuchEventError"), (5, "NoSuchEventError")),
+        id="cpu-native-on-set-platform",
+    ),
+    pytest.param(START_IN_TRY_ELSE, [], (None, None), id="start-in-try-else"),
+    pytest.param(
+        RETURN_FROM_HANDLER_RUNS_FINALLY, [("PL001", 13)],
+        ((13, "NotRunningError"), None),
+        id="return-from-handler-runs-finally",
+    ),
+]
+
+
+def runtime_outcomes(source):
+    """What ``main(False)`` and ``main(True)`` raise: ``(line, error)``
+    at the case's line that raised it, or None for a clean run."""
+    namespace = {
+        "HighLevel": HighLevel,
+        "Papi": Papi,
+        "PapiError": PapiError,
+        "dot": dot,
+        # a pinned clean injector: REPRO_FAULT_PROFILE must not change
+        # which error a run raises
+        "create": lambda name: create(name, inject="0:none"),
+    }
+    exec(compile(source, "<case>", "exec"), namespace)
+    outcomes = []
+    for c in (False, True):
+        try:
+            namespace["main"](c)
+        except PapiError as exc:
+            tb, line = exc.__traceback__, None
+            while tb is not None:
+                if tb.tb_frame.f_code.co_filename == "<case>":
+                    line = tb.tb_lineno
+                tb = tb.tb_next
+            outcomes.append((line, type(exc).__name__))
+        else:
+            outcomes.append(None)
+    return tuple(outcomes)
+
+
+@pytest.mark.parametrize("source, expected, runtime", RUNTIME_CASES)
+def test_findings_beside_the_runtime(source, expected, runtime):
+    assert runtime_outcomes(source) == runtime
+    diags = lint_source(source, "t.py", flow=True)
+    assert [(d.code, d.line) for d in diags] == expected
+
+
 CASES = [
     # a definite double start through a helper: a summary finding
     pytest.param(DOUBLE_ARM, [("PL302", 8)], id="double-arm"),
@@ -355,7 +582,7 @@ def test_flow_findings(source, expected):
 
 
 def _mode_inputs():
-    for param in CASES:
+    for param in CASES + RUNTIME_CASES:
         yield pytest.param(param.values[0], id=param.id)
     for path in sorted((REPO / "examples").glob("*.py")):
         yield pytest.param(path.read_text(), id=path.name)

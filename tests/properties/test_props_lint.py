@@ -10,12 +10,15 @@ to a slower reference:
   ``ConflictError`` at some prefix (set not allocatable).  Hypothesis
   drives random event subsets on every platform and pins the agreement
   in both directions, including the multiplexed variant;
-- **lifecycle** (the typestate pass): random branching EventSet and
-  HighLevel programs are run under every assignment of their
-  conditions.  A line where every run that reaches it raises
-  ``IsRunningError`` or ``NotRunningError`` must get PL001/PL002/PL007
-  in both modes; a line where only some do must get PL301/PL302 with
-  ``flow=True``;
+- **lifecycle and membership** (the typestate pass): random EventSet
+  and HighLevel programs with branches and bounded loops are run under
+  every assignment of their conditions and loop counts.  A line where
+  every execution raises ``IsRunningError`` or ``NotRunningError`` must
+  get PL001/PL002/PL005/PL007 in both modes, and one where only some
+  do PL301/PL302 with ``flow=True``.  A line where every execution
+  raises the error a membership rule models (a duplicate add, overflow
+  with multiplexing) must get PL009/PL010/PL012 in both modes, and one
+  where only some do PL306 with ``flow=True``;
 - **summaries** (``compute_summaries``): one solve per helper, with
   each parameter in every entry state at once, must equal a reference
   built from one solve per parameter and entry state.
@@ -23,7 +26,9 @@ to a slower reference:
 
 import ast
 import itertools
+import re
 import sys
+from collections import Counter
 from unittest import mock
 
 from hypothesis import event, example, given, settings, strategies as st
@@ -31,10 +36,14 @@ from hypothesis import event, example, given, settings, strategies as st
 from repro.core.constants import PAPI_DOM_USER
 from repro.core.errors import (
     ConflictError,
+    InvalidArgumentError,
     IsRunningError,
+    NoSuchEventError,
+    NotPresetError,
     NotRunningError,
     PapiError,
 )
+from repro.core.eventset import EventSet
 from repro.core.highlevel import HighLevel
 from repro.core.library import Papi
 from repro.core.presets import PLATFORM_PRESET_TABLES
@@ -133,7 +142,12 @@ def test_conflict_witness_is_infeasible_and_minimal(case):
             )
 
 
-# -- lifecycle verdicts versus the runtime ------------------------------
+# -- lifecycle and membership verdicts versus the runtime ----------------
+
+#: registers overflow on the event the prelude adds
+OVERFLOW_OP = (
+    'es.overflow(papi.event_name_to_code("PAPI_TOT_CYC"), 100000, print)'
+)
 
 #: the operations a drawn program is made of, one per line, after the
 #: lines that make its object
@@ -152,6 +166,8 @@ LIFECYCLE_OPS = {
             'es.remove_event(papi.event_name_to_code("PAPI_TOT_CYC"))',
             "es.set_domain(PAPI_DOM_USER)",
             "es.cleanup()",
+            "es.set_multiplex()",
+            OVERFLOW_OP,
         ),
     ),
     "highlevel": (
@@ -166,101 +182,220 @@ LIFECYCLE_OPS = {
 }
 
 MAX_ITEMS = 6
-MAX_CONDITIONS = 4
+#: conditions and loops together; each loop counts 0, 1 or 2 times
+MAX_BRANCHES = 4
+MAX_LOOPS = 2
+LOOP_COUNTS = (0, 1, 2)
 
-EVERY_PATH_CODES = {"PL001", "PL002", "PL007"}
+EVERY_PATH_CODES = {"PL001", "PL002", "PL005", "PL007"}
 SOME_PATH_CODES = {"PL301", "PL302"}
+MEMBERSHIP_EVERY_PATH_CODES = {"PL009", "PL010", "PL012"}
+MEMBERSHIP_SOME_PATH_CODES = {"PL306"}
+
+#: the errors a membership or configuration rule models, by the method
+#: that raises them; any other non-lifecycle error discards the draw
+MEMBERSHIP_ERRORS = {
+    "add_named": (InvalidArgumentError, NotPresetError, NoSuchEventError),
+    "set_multiplex": (InvalidArgumentError,),
+    "overflow": (InvalidArgumentError,),
+}
+
+_RUNTIME_OVERFLOW = EventSet.overflow
+
+
+def c_papi_overflow(es, *args):
+    """``PAPI_overflow`` as C PAPI has it: on a running EventSet it
+    returns PAPI_EISRUN.  This runtime arms the overflow anyway, which
+    is why the lint reports it (PL005); the oracle holds the runtime to
+    the C library's rule."""
+    if es.running:
+        raise IsRunningError("PAPI_overflow requires a stopped EventSet")
+    return _RUNTIME_OVERFLOW(es, *args)
 
 
 #: starting HighLevel counters on both arms of an ``if`` raises nothing
 HIGHLEVEL_START_ON_BOTH_ARMS = ("""\
-def program(papi, c, hit):
+def program(papi, c, k, hit):
     hl = HighLevel(papi)
     if c[0]:
         hit(); hl.start_counters(["PAPI_TOT_CYC"])
     else:
         hit(); hl.start_counters(["PAPI_TOT_CYC"])
     hit(); hl.stop_counters()
-""", 1)
+""", 1, 0)
+
+#: adding one event on both arms of an ``if`` raises nothing either
+ADD_ON_BOTH_ARMS = ("""\
+def program(papi, c, k, hit):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_CYC")
+    hit(); es.remove_event(papi.event_name_to_code("PAPI_TOT_CYC"))
+    if c[0]:
+        hit(); es.add_named("PAPI_TOT_CYC")
+    else:
+        hit(); es.add_named("PAPI_TOT_CYC")
+""", 1, 0)
+
+
+#: multiplexing a set with overflow registered raises on every run
+MULTIPLEX_AFTER_OVERFLOW = ("""\
+def program(papi, c, k, hit):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_CYC")
+    hit(); es.overflow(papi.event_name_to_code("PAPI_TOT_CYC"), 100000, print)
+    hit(); es.set_multiplex()
+""", 0, 0)
+
+#: removing the overflow's event drops the registration with it
+MULTIPLEX_AFTER_REMOVING_OVERFLOW = ("""\
+def program(papi, c, k, hit):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_CYC")
+    hit(); es.overflow(papi.event_name_to_code("PAPI_TOT_CYC"), 100000, print)
+    hit(); es.remove_event(papi.event_name_to_code("PAPI_TOT_CYC"))
+    hit(); es.set_multiplex()
+""", 0, 0)
+
+
+#: cleanup() drops the events and the overflow, not the multiplexing
+OVERFLOW_AFTER_CLEANUP_OF_A_MULTIPLEXED_SET = ("""\
+def program(papi, c, k, hit):
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_CYC")
+    hit(); es.set_multiplex()
+    hit(); es.cleanup()
+    hit(); es.add_named("PAPI_TOT_CYC")
+    hit(); es.overflow(papi.event_name_to_code("PAPI_TOT_CYC"), 100000, print)
+""", 0, 0)
 
 
 @st.composite
 def lifecycle_programs(draw):
-    """``(source, conditions)``: a function ``program(papi, c, hit)``
-    that makes one EventSet or one HighLevel and whose items are ``op``,
-    ``if c[i]: op`` or ``if c[i]: op else: op``, each ``if`` on a fresh
-    condition.  Every op line starts with ``hit()`` so a run records the
-    lines it reaches."""
+    """``(source, conditions, loops)``: a function ``program(papi, c, k,
+    hit)`` that makes one EventSet or one HighLevel and whose items are
+    ``op``, ``if c[i]: op``, ``if c[i]: op else: op`` or ``for _ in
+    range(k[j]):`` over one or two ops, each on a fresh condition or
+    loop count.  Every op line starts with ``hit()`` so a run records
+    the lines it reaches."""
     prelude, ops = LIFECYCLE_OPS[draw(st.sampled_from(sorted(LIFECYCLE_OPS)))]
     op = st.sampled_from(ops)
-    lines = ["def program(papi, c, hit):"] + prelude
-    conditions = 0
+    lines = ["def program(papi, c, k, hit):"] + prelude
+    conditions = loops = 0
     for _ in range(draw(st.integers(1, MAX_ITEMS))):
         kinds = ["op"]
-        if conditions < MAX_CONDITIONS:
+        if conditions + loops < MAX_BRANCHES:
             kinds += ["if", "if-else"]
+            if loops < MAX_LOOPS:
+                kinds.append("loop")
         kind = draw(st.sampled_from(kinds))
         if kind == "op":
             lines.append(f"    hit(); {draw(op)}")
-            continue
-        lines.append(f"    if c[{conditions}]:")
-        lines.append(f"        hit(); {draw(op)}")
-        if kind == "if-else":
-            lines.append("    else:")
+        elif kind == "loop":
+            lines.append(f"    for _ in range(k[{loops}]):")
+            for _ in range(draw(st.integers(1, 2))):
+                lines.append(f"        hit(); {draw(op)}")
+            loops += 1
+        else:
+            lines.append(f"    if c[{conditions}]:")
             lines.append(f"        hit(); {draw(op)}")
-        conditions += 1
-    return "\n".join(lines) + "\n", conditions
+            if kind == "if-else":
+                lines.append("    else:")
+                lines.append(f"        hit(); {draw(op)}")
+            conditions += 1
+    return "\n".join(lines) + "\n", conditions, loops
 
 
-def runtime_failures(source, conditions):
-    """``(must, may)`` lines of run-state errors over every assignment
-    of the conditions, or None when some run first raises another
-    PapiError."""
+def _op_methods(source):
+    """Line number -> the method its ``hit(); recv.method(...)`` op calls."""
+    return {
+        number: re.search(r"hit\(\); \w+\.(\w+)\(", line).group(1)
+        for number, line in enumerate(source.splitlines(), 1)
+        if "hit(); " in line
+    }
+
+
+def _failure_kind(exc, method):
+    """``lifecycle``, ``membership``, or None for an error no rule models."""
+    if isinstance(exc, (IsRunningError, NotRunningError)):
+        return "lifecycle"
+    if isinstance(exc, MEMBERSHIP_ERRORS.get(method, ())):
+        return "membership"
+    return None
+
+
+def runtime_failures(source, conditions, loops):
+    """``(lifecycle, membership)``, each the ``(must, may)`` lines of its
+    errors over every assignment of the conditions and loop counts: a
+    line is in *must* when every execution of it fails, in *may* when
+    only some do.  None when some run first raises an error no rule
+    models."""
     namespace = {"PAPI_DOM_USER": PAPI_DOM_USER, "HighLevel": HighLevel}
     exec(compile(source, "<program>", "exec"), namespace)
-    reached, failed = {}, {}
-    for c in itertools.product((False, True), repeat=conditions):
-        hits = []
+    methods = _op_methods(source)
+    reached = Counter()
+    failed = {"lifecycle": Counter(), "membership": Counter()}
+    runs = itertools.product(
+        itertools.product((False, True), repeat=conditions),
+        itertools.product(LOOP_COUNTS, repeat=loops),
+    )
+    with mock.patch.object(EventSet, "overflow", c_papi_overflow):
+        for c, k in runs:
+            hits = []
 
-        def hit():
-            hits.append(sys._getframe(1).f_lineno)
+            def hit():
+                hits.append(sys._getframe(1).f_lineno)
 
-        # a pinned clean injector: the chaos job's REPRO_FAULT_PROFILE
-        # must not change which error a run raises
-        papi = Papi(create("simPOWER", inject="0:none"))
-        try:
-            namespace["program"](papi, c, hit)
-        except (IsRunningError, NotRunningError):
-            failed[hits[-1]] = failed.get(hits[-1], 0) + 1
-        except PapiError:
-            return None
-        for line in hits:
-            reached[line] = reached.get(line, 0) + 1
-    must = {line for line, n in failed.items() if n == reached[line]}
-    return must, set(failed) - must
+            # a pinned clean injector: the chaos job's REPRO_FAULT_PROFILE
+            # must not change which error a run raises
+            papi = Papi(create("simPOWER", inject="0:none"))
+            try:
+                namespace["program"](papi, c, k, hit)
+            except PapiError as exc:
+                kind = _failure_kind(exc, methods[hits[-1]])
+                if kind is None:
+                    return None
+                failed[kind][hits[-1]] += 1
+            reached.update(hits)
+
+    def split(counts):
+        must = {line for line, n in counts.items() if n == reached[line]}
+        return must, set(counts) - must
+
+    return split(failed["lifecycle"]), split(failed["membership"])
 
 
 def _lines(diagnostics, codes):
     return {d.line for d in diagnostics if d.code in codes}
 
 
-def check_lifecycle_verdicts(source, conditions):
-    outcome = runtime_failures(source, conditions)
+def check_verdicts(source, conditions, loops):
+    outcome = runtime_failures(source, conditions, loops)
+    event("draw", "discarded" if outcome is None else "compared")
     if outcome is None:
-        return  # the draw trips a non-lifecycle error first
-    must, may_only = outcome
+        return  # the draw trips an error no rule models first
+    (must, may_only), (member_must, member_may_only) = outcome
     plain = lint_source(source, "program.py")
     flow = lint_source(source, "program.py", flow=True)
-    assert _lines(plain, EVERY_PATH_CODES) == must, (source, plain)
-    assert _lines(flow, EVERY_PATH_CODES) == must, (source, flow)
+    for found in (plain, flow):
+        assert _lines(found, EVERY_PATH_CODES) == must, (source, found)
+        assert _lines(found, MEMBERSHIP_EVERY_PATH_CODES) == member_must, (
+            source, found,
+        )
     assert _lines(flow, SOME_PATH_CODES) == may_only, (source, flow)
+    assert _lines(flow, MEMBERSHIP_SOME_PATH_CODES) == member_may_only, (
+        source, flow,
+    )
 
 
 @given(lifecycle_programs())
 @example(HIGHLEVEL_START_ON_BOTH_ARMS)
+@example(ADD_ON_BOTH_ARMS)
+@example(MULTIPLEX_AFTER_OVERFLOW)
+@example(MULTIPLEX_AFTER_REMOVING_OVERFLOW)
+@example(OVERFLOW_AFTER_CLEANUP_OF_A_MULTIPLEXED_SET)
 @settings(max_examples=examples(200), deadline=None)
 def test_lifecycle_verdicts_match_runtime(case):
-    check_lifecycle_verdicts(*case)
+    check_verdicts(*case)
 
 
 # -- summaries versus one seeded solve per entry state --------------------

@@ -154,16 +154,17 @@ class TestLintCmd:
             "from repro.platforms import create\n"
             'papi = Papi(create("simX86"))\n'
             "es = papi.create_eventset()\n"
-            "es.read()\n"
             'es.add_named("PAPI_FP_OPS", "PAPI_L1_DCM")\n'
+            "es.read()\n"
             'PLATFORM_PRESET_TABLES["simX86"]["PAPI_TOT_CYC"] = '
             '[("BOGUS", 1)]\n'
         )
         assert main(["lint", str(script)]) == 1
         out = capsys.readouterr().out
         # the three analyzers each contribute their acceptance finding
-        assert "PL001" in out      # read before start
+        # (the add comes first: no run gets past a read before start)
         assert "PL101" in out      # infeasible EventSet
+        assert "PL001" in out      # read before start
         assert "PL201" in out      # dangling preset term
         assert f"{script}:5:" in out  # file:line positions
 
