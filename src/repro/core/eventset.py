@@ -21,7 +21,7 @@ Three counting regimes, chosen automatically:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import constants as C
 from repro.core.allocation import allocate
@@ -46,13 +46,61 @@ from repro.core.resilience import (
     EventSetHealth,
     LostInterval,
     call_with_retry,
+    scrub,
 )
 from repro.platforms.base import NativeEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.library import Papi
     from repro.core.multiplex import MultiplexController
+    from repro.platforms.base import Substrate
     from repro.simos.thread import Thread
+
+#: why an EventSet is never both attached and multiplexed, in either order
+_ATTACHED_MPX = (
+    "an attached EventSet cannot be multiplexed: the rotation runs on the "
+    "CPU's cycle clock and would count whatever the CPU runs"
+)
+
+
+class ThreadCounters:
+    """The substrate's counter calls for an EventSet attached to a thread.
+
+    Attached counters belong to the OS: they run only while the thread
+    holds a CPU and live on whichever PMU the scheduler last homed them
+    to, so every call goes through the OS rather than one CPU's
+    registers.  The charges are the substrate's, except that a start or
+    a stop charges after the counter access, where the substrate charges
+    before it.
+    """
+
+    def __init__(self, substrate: "Substrate", thread: "Thread") -> None:
+        self.substrate = substrate
+        self.os = substrate.os
+        self.thread = thread
+
+    def start_counters(self, indices: Sequence[int], cpu: int = 0) -> None:
+        """Bind each counter to the thread, homed on *cpu*, and start it."""
+        for idx in indices:
+            if idx not in self.thread.bound_counters:
+                self.os.bind_counter(self.thread, idx, cpu=cpu)
+            self.os.counter_start(self.thread, idx)
+        self.substrate._charge(self.substrate.COSTS.start)
+
+    def stop_counters(self, indices: Sequence[int], cpu: int = 0) -> List[int]:
+        values = [self.os.counter_stop(self.thread, idx) for idx in indices]
+        self.substrate._charge(self.substrate.COSTS.stop)
+        return values
+
+    def read_counters(self, indices: Sequence[int], cpu: int = 0) -> List[int]:
+        costs = self.substrate.COSTS
+        self.substrate._charge(costs.read + costs.read_per_counter * len(indices))
+        return [self.os.counter_value(self.thread, idx) for idx in indices]
+
+    def reset_counters(self, indices: Sequence[int], cpu: int = 0) -> None:
+        self.substrate._charge(self.substrate.COSTS.reset)
+        for idx in indices:
+            self.os.counter_reset(self.thread, idx)
 
 
 class EventSet:
@@ -74,6 +122,9 @@ class EventSet:
         self._cmp_base: Dict[int, int] = {}
         self._multiplexed = False
         self._attached: Optional["Thread"] = None
+        #: the counter calls of the current run, chosen at start(): the
+        #: substrate, or a :class:`ThreadCounters` for an attached set.
+        self._ops = self.substrate
         self._running = False
         self._session = None            # SamplingSession on simALPHA
         self._mpx: Optional["MultiplexController"] = None
@@ -353,6 +404,12 @@ class EventSet:
             )
         if self._multiplexed:
             return
+        if self._domain != C.PAPI_DOM_USER:
+            raise InvalidArgumentError(
+                "PAPI_DOM_ALL cannot be combined with multiplexing"
+            )
+        if self._attached is not None:
+            raise InvalidArgumentError(_ATTACHED_MPX)
         for comp_name in {cn for cn, _short in self._cmp_events.values()}:
             comp = self.substrate.component(comp_name)
             if not comp.SUPPORTS_MULTIPLEX:
@@ -400,6 +457,8 @@ class EventSet:
             raise SubstrateFeatureError(
                 "per-thread attach is not supported on the sampling substrate"
             )
+        if self._multiplexed:
+            raise InvalidArgumentError(_ATTACHED_MPX)
         self._attached = thread
 
     def detach(self) -> None:
@@ -476,22 +535,19 @@ class EventSet:
         if self._running:
             self._install_overflow(self._overflows[code])
 
-    def _pmu_for(self, idx: int):
-        """The PMU physically hosting counter *idx* right now.
+    def _cpu_for(self, idx: int) -> int:
+        """The CPU physically hosting counter *idx* right now.
 
         Attached counters live wherever the scheduler last homed them
         (they migrate with the thread); otherwise on the bound CPU.
         """
         if self._attached is not None and idx in self._attached.counter_home:
-            home = self._attached.counter_home[idx]
-            return self.substrate.machine.cpus[home].pmu
-        return self.substrate.machine.cpus[self._cpu].pmu
-
-    def _cpu_for(self, idx: int) -> int:
-        """The CPU physically hosting counter *idx* right now."""
-        if self._attached is not None and idx in self._attached.counter_home:
             return self._attached.counter_home[idx]
         return self._cpu
+
+    def _pmu_for(self, idx: int):
+        """The PMU physically hosting counter *idx* right now."""
+        return self.substrate.machine.cpus[self._cpu_for(idx)].pmu
 
     def clear_overflow(self, code: int) -> None:
         reg = self._overflows.pop(code, None)
@@ -538,45 +594,63 @@ class EventSet:
     def _note_good(self, totals: Dict[str, int]) -> None:
         self._good = (dict(totals), self.substrate.real_cyc())
 
-    def _quiesce_direct(self) -> None:
-        """Raw-PMU cleanup of every assigned counter; never raises.
+    def _scrub(self) -> None:
+        """Raw-PMU cleanup of the run's counters; never raises.
 
         The emergency path (kernel-assisted teardown): injected faults
         only hit the substrate's call boundary, so direct register
         cleanup is the one operation recovery can always rely on.
         """
-        for _name, idx in self._assignment.items():
-            try:
-                pmu = self._pmu_for(idx)
-                if pmu.running(idx):
-                    pmu.stop(idx)
-                pmu.clear(idx)  # also drops any armed overflow watch
-            except Exception:
-                pass
+        scrub((self._pmu_for(idx), idx) for idx in self._assignment.values())
+        if self._mpx is not None:
+            self._mpx.abort()
 
     def _emergency_stop(self) -> None:
         """Force the EventSet into a well-defined STOPPED state.
 
-        Used when recovery is impossible and by the shutdown path; the
-        set is left stopped, its counters released, with all timers and
-        bindings torn down -- never half-started/half-stopped.
+        A failed start, a recovery that cannot go on and the shutdown
+        path end here: the counters are scrubbed, then released like a
+        normal stop's -- never half-started/half-stopped.
         """
-        self._quiesce_direct()
+        self._scrub()
+        self._release()
+
+    def _release(self) -> None:
+        """End the run: disarm its overflows, unbind an attached thread's
+        counters and free the library's counter slot; never raises.
+
+        A normal stop, a failed start and an emergency stop all end here.
+        """
+        for reg in self._overflows.values():
+            idx = self._assignment.get(reg.native.name)
+            if idx is not None:
+                self._pmu_for(idx).clear_overflow(idx)
         if self._soft_overflow is not None:
             self._soft_overflow.stop()
             self._soft_overflow = None
-        if self._mpx is not None:
-            try:
-                self._mpx.abort()
-            except Exception:
-                pass
-            self._mpx = None
         if self._attached is not None:
             self.substrate.os.force_release_thread_counters(self._attached)
+        if self._mpx is not None:
+            # kept after the run so the convergence harness can relate
+            # estimate quality to how many rotations the run completed.
+            self.mpx_rotations = self._mpx.rotations
+            self._mpx = None
         self._session = None
         self._cmp_base = {}
         self._running = False
         self.papi._release_counters(self)
+
+    def _lost_interval(self, reason: str) -> LostInterval:
+        """Ledger the window since the last good observation as lost."""
+        good_cyc = self._good[1] if self._good else self._start_real_cyc
+        interval = LostInterval(
+            start_cycle=good_cyc,
+            end_cycle=self.substrate.real_cyc(),
+            natives=tuple(self._natives),
+            reason=reason,
+        )
+        self.health.lost_intervals.append(interval)
+        return interval
 
     def _plausibility_bound(self, elapsed: int) -> int:
         """Max believable count delta over *elapsed* real cycles.
@@ -623,90 +697,94 @@ class EventSet:
         re-allocated around the stolen counter and restarted, falling
         back to multiplexing (opt-in) when re-allocation is infeasible.
         """
-        sub = self.substrate
-        now = sub.real_cyc()
-        good_vals, good_cyc = self._good or ({}, self._start_real_cyc)
-        interval = LostInterval(
-            start_cycle=good_cyc,
-            end_cycle=now,
-            natives=tuple(self._natives),
-            reason=reason,
-        )
-        self.health.lost_intervals.append(interval)
+        interval = self._lost_interval(reason)
+        good_vals = self._good[0] if self._good else {}
         self._recovery_base = {
             name: good_vals.get(name, 0) for name in self._natives
         }
-        self._quiesce_direct()
-        if stop:
-            # the run is over; the salvaged totals are the final answer.
-            interval.recovered = True
-            return dict(self._recovery_base)
+        self._scrub()
+        if not stop:  # a stopping run is over: the salvage is its answer
+            self._reacquire(reason)
+            self._note_good(self._recovery_base)
+        interval.recovered = True
+        return dict(self._recovery_base)
+
+    def _reacquire(self, reason: str) -> None:
+        """Restart the run on counters the thief left free.
+
+        Emergency-stops the set and raises when neither re-allocation nor
+        the opt-in multiplex fallback can carry the run on.
+        """
+        sub = self.substrate
         banned = sorted(sub.unavailable_counters(self._cpu))
         result = allocate(sub, list(self._natives.values()), banned=banned)
-        if not result.complete:
-            if (
-                getattr(self.papi, "degrade_to_multiplex", False)
-                and not self._overflows
+        try:
+            if result.complete:
+                self._assignment = dict(result.assignment)
+                self._start_direct()
+            elif (
+                not getattr(self.papi, "degrade_to_multiplex", False)
+                or self._overflows
             ):
+                raise CountersLostError(
+                    f"{reason}; re-allocation is infeasible "
+                    f"(banned counters: {banned})"
+                ) from None
+            else:
                 try:
                     self._degrade_to_multiplex()
                 except PapiError:
-                    self._emergency_stop()
                     raise CountersLostError(
                         f"{reason}; re-allocation infeasible and the "
                         f"multiplex fallback failed"
                     ) from None
-                interval.recovered = True
-                self._note_good(dict(self._recovery_base))
-                return dict(self._recovery_base)
-            self._emergency_stop()
-            raise CountersLostError(
-                f"{reason}; re-allocation is infeasible "
-                f"(banned counters: {banned})"
-            ) from None
-        self._assignment = dict(result.assignment)
-        try:
-            self._restart_after_loss()
         except PapiError:
             self._emergency_stop()
             raise
-        interval.recovered = True
-        totals = dict(self._recovery_base)
-        self._note_good(totals)
-        return totals
 
     def _degrade_to_multiplex(self) -> None:
         """Finish the run time-sliced when direct re-allocation failed."""
-        from repro.core.multiplex import MultiplexController
-
         self._assignment = {}
         self._multiplexed = True
-        self._mpx = MultiplexController(self)
-        self._mpx.start()
+        self._start_multiplexed()
         self.health.degraded_to_multiplex = True
 
-    def _restart_after_loss(self) -> None:
-        """Re-program and restart counters on the fresh assignment."""
+    def _start_multiplexed(self) -> None:
+        from repro.core.multiplex import MultiplexController
+
+        self._mpx = MultiplexController(self)
+        self._mpx.start()
+
+    def _start_direct(self) -> None:
+        """Program and start the assigned counters, in native order."""
         order = self._counter_order()
-        pmu = self.substrate.machine.cpus[self._cpu].pmu
-        for name, idx in order:
+        self._program_and_start(order, [idx for _name, idx in order])
+
+    def _program_and_start(
+        self, counters: List[Tuple[str, int]], start: List[int]
+    ) -> None:
+        """Bring counters up: the one way a run's counters start.
+
+        Programs each ``(native, index)`` of *counters* with the set's
+        counting domain, starts the indices *start* through the run's
+        counter calls, then arms every overflow registration: installs
+        it, or rebases its software watch onto the new counter.  A
+        direct start, the restart after a lost counter and every
+        multiplex rotation come through here.
+        """
+        for name, idx in counters:
+            pmu = self._pmu_for(idx)
             if pmu.running(idx):
                 pmu.stop(idx)
             self._sub(lambda name=name, idx=idx: self.substrate.program_counter(
                 idx, self._programmed_event(self._natives[name]),
                 cpu=self._cpu,
             ))
-        indices = [idx for _name, idx in order]
-        self._sub(lambda: self.substrate.start_counters(indices, cpu=self._cpu))
+        self._sub(lambda: self._ops.start_counters(start, cpu=self._cpu))
         for reg in self._overflows.values():
-            if (
-                self._soft_overflow is not None
-                and reg.code in self._soft_overflow._watches
-            ):
-                self._soft_overflow.rebase(
-                    reg.code, self._assignment[reg.native.name]
-                )
-            else:
+            idx = self._assignment[reg.native.name]
+            soft = self._soft_overflow
+            if soft is None or not soft.rebase(reg.code, idx):
                 self._install_overflow(reg)
 
     # ------------------------------------------------------------------
@@ -726,13 +804,17 @@ class EventSet:
 
         Crash-consistent: if anything fails mid-start (including an
         injected fault surviving every retry), all partially programmed
-        state is rolled back and the EventSet is left exactly as it was
-        -- stopped, counters released, no timers armed.
+        state is rolled back through the emergency stop and the EventSet
+        is left stopped, counters released, no timers armed.
         """
         self._require_events()
         if self._running:
             raise IsRunningError("EventSet is already running")
         self.papi._acquire_counters(self)
+        self._ops = (
+            self.substrate if self._attached is None
+            else ThreadCounters(self.substrate, self._attached)
+        )
         try:
             if self._sampling():
                 # period override: papi.sampling_period (None = platform
@@ -745,14 +827,11 @@ class EventSet:
                     )
                     self._session.start()
             elif self._multiplexed:
-                from repro.core.multiplex import MultiplexController
-
-                self._mpx = MultiplexController(self)
-                self._mpx.start()
-            else:
+                self._start_multiplexed()
+            elif self._natives:  # a component-only set programs no counter
                 self._start_direct()
         except Exception:
-            self._rollback_start()
+            self._emergency_stop()
             raise
         self._running = True
         self._start_real_cyc = self.substrate.real_cyc()
@@ -773,22 +852,6 @@ class EventSet:
             for code, (comp_name, short) in self._cmp_events.items()
         }
 
-    def _rollback_start(self) -> None:
-        """Undo a partially executed start; never raises."""
-        if not self._sampling() and not self._multiplexed:
-            self._quiesce_direct()
-        if self._soft_overflow is not None:
-            self._soft_overflow.stop()
-            self._soft_overflow = None
-        if self._mpx is not None:
-            try:
-                self._mpx.abort()
-            except Exception:
-                pass
-            self._mpx = None
-        self._session = None
-        self.papi._release_counters(self)
-
     def _programmed_event(self, native: NativeEvent) -> NativeEvent:
         """Apply the counting domain to a native event's signal set."""
         from dataclasses import replace
@@ -801,33 +864,6 @@ class EventSet:
         ):
             return replace(native, signals=native.signals + (Signal.SYS_CYC,))
         return native
-
-    def _start_direct(self) -> None:
-        if not self._natives:
-            return  # component-only set: nothing to program on the PMU
-        pmu = self.substrate.machine.cpus[self._cpu].pmu
-        order = self._counter_order()
-        for name, idx in order:
-            if pmu.running(idx):
-                pmu.stop(idx)
-            self._sub(lambda name=name, idx=idx: self.substrate.program_counter(
-                idx, self._programmed_event(self._natives[name]),
-                cpu=self._cpu,
-            ))
-        indices = [idx for _name, idx in order]
-        if self._attached is not None:
-            os_ = self.substrate.os
-            for idx in indices:
-                if idx not in self._attached.bound_counters:
-                    os_.bind_counter(self._attached, idx, cpu=self._cpu)
-                os_.counter_start(self._attached, idx)
-            self.substrate._charge(self.substrate.COSTS.start)
-        else:
-            self._sub(lambda: self.substrate.start_counters(
-                indices, cpu=self._cpu
-            ))
-        for reg in self._overflows.values():
-            self._install_overflow(reg)
 
     def _compute_values(self, native_values: Dict[str, int]) -> List[int]:
         out = []
@@ -869,37 +905,11 @@ class EventSet:
             return estimates
         order = self._counter_order()
         indices = [idx for _name, idx in order]
-        if stop:
-            if self._attached is not None:
-                os_ = self.substrate.os
-                values = [
-                    os_.counter_stop(self._attached, idx) for idx in indices
-                ]
-                self.substrate._charge(self.substrate.COSTS.stop)
-            else:
-                try:
-                    values = self._sub(lambda: self.substrate.stop_counters(
-                        indices, cpu=self._cpu
-                    ))
-                except CountersLostError as exc:
-                    return self._recover_lost(str(exc), stop=True)
-        else:
-            if self._attached is not None:
-                os_ = self.substrate.os
-                self.substrate._charge(
-                    self.substrate.COSTS.read
-                    + self.substrate.COSTS.read_per_counter * len(indices)
-                )
-                values = [
-                    os_.counter_value(self._attached, idx) for idx in indices
-                ]
-            else:
-                try:
-                    values = self._sub(lambda: self.substrate.read_counters(
-                        indices, cpu=self._cpu
-                    ))
-                except CountersLostError as exc:
-                    return self._recover_lost(str(exc), stop=False)
+        op = self._ops.stop_counters if stop else self._ops.read_counters
+        try:
+            values = self._sub(lambda: op(indices, cpu=self._cpu))
+        except CountersLostError as exc:
+            return self._recover_lost(str(exc), stop=stop)
         totals = {
             name: val + self._recovery_base.get(name, 0)
             for (name, _idx), val in zip(order, values)
@@ -931,36 +941,10 @@ class EventSet:
                 # recovery itself may have already emergency-stopped
                 # (and recorded its interval); only a fresh failure
                 # needs the teardown here.
-                _good_vals, good_cyc = self._good or ({}, self._start_real_cyc)
-                self.health.lost_intervals.append(LostInterval(
-                    start_cycle=good_cyc,
-                    end_cycle=self.substrate.real_cyc(),
-                    natives=tuple(self._natives),
-                    reason=f"stop failed: {exc}",
-                ))
+                self._lost_interval(f"stop failed: {exc}")
                 self._emergency_stop()
             raise
-        for code in self._overflows:
-            terms = self._terms[code]
-            idx = self._assignment.get(terms[0][0].name)
-            if idx is not None:
-                self._pmu_for(idx).clear_overflow(idx)
-        if self._soft_overflow is not None:
-            self._soft_overflow.stop()
-            self._soft_overflow = None
-        if self._attached is not None:
-            os_ = self.substrate.os
-            for idx in list(self._attached.bound_counters):
-                os_.unbind_counter(self._attached, idx)
-        if self._mpx is not None:
-            # preserved after stop so the convergence harness can relate
-            # estimate quality to how many rotations the run completed.
-            self.mpx_rotations = self._mpx.rotations
-        self._session = None
-        self._mpx = None
-        self._cmp_base = {}
-        self._running = False
-        self.papi._release_counters(self)
+        self._release()
         return values
 
     def reset(self) -> None:
@@ -976,7 +960,7 @@ class EventSet:
         elif self._natives:
             indices = [idx for _name, idx in self._counter_order()]
             try:
-                self._sub(lambda: self.substrate.reset_counters(
+                self._sub(lambda: self._ops.reset_counters(
                     indices, cpu=self._cpu
                 ))
             except CountersLostError as exc:

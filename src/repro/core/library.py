@@ -23,7 +23,7 @@ from repro.core.errors import (
     NoSuchEventSetError,
     PapiError,
 )
-from repro.core.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.core.resilience import DEFAULT_RETRY_POLICY, RetryPolicy, scrub
 from repro.core.presets import (
     PRESETS,
     PresetMapping,
@@ -366,12 +366,10 @@ class Papi:
         a clean stop fails), their counters released, and a second call
         finds nothing left to do instead of assuming clean behaviour.
 
-        After the per-EventSet teardown a raw per-CPU PMU sweep stops
-        and clears every physical counter.  Multiplexed sets own no
-        direct assignment, so their emergency path cannot name the
-        counters it should scrub; the sweep guarantees the PMU is
-        quiesced regardless, which :meth:`init` relies on for a clean
-        cold restart.
+        After the per-EventSet teardown the raw scrub sweeps every
+        physical counter of every CPU: a set's own teardown scrubs only
+        the counters it can name, and :meth:`init` relies on a quiesced
+        PMU for a clean cold restart.
         """
         for es in list(self._eventsets.values()):
             if es.running:
@@ -379,31 +377,14 @@ class Papi:
                     es.stop()
                 except PapiError:
                     es._emergency_stop()
-        self._quiesce_pmus()
+        scrub(
+            (cpu.pmu, idx)
+            for cpu in self.substrate.machine.cpus
+            for idx in range(self.substrate.n_counters)
+        )
         self._eventsets.clear()
         self._running_handle = None
         self.initialized = False
-
-    def _quiesce_pmus(self) -> None:
-        """Stop and clear every physical counter on every CPU; never raises.
-
-        Bypasses the substrate call boundary (and therefore the fault
-        injector) the same way :meth:`EventSet._quiesce_direct` does:
-        raw register cleanup is the one operation shutdown can always
-        rely on.
-        """
-        machine = getattr(self.substrate, "machine", None)
-        for cpu in getattr(machine, "cpus", ()) or ():
-            pmu = getattr(cpu, "pmu", None)
-            if pmu is None:
-                continue
-            for idx in range(self.substrate.n_counters):
-                try:
-                    if pmu.running(idx):
-                        pmu.stop(idx)
-                    pmu.clear(idx)
-                except Exception:
-                    pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

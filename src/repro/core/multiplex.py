@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, List
 
 from repro.core.allocation import allocate
 from repro.core.errors import ConflictError, PapiError, SubstrateFeatureError
+from repro.core.resilience import scrub
 from repro.hw.events import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,16 +136,9 @@ class MultiplexController:
 
     def _program_and_start(self, subset_index: int) -> None:
         subset = self.subsets[subset_index]
-        pmu = self._pmu
-        for name, idx in subset.items():
-            if pmu.running(idx):
-                pmu.stop(idx)
-            self._sub(lambda name=name, idx=idx: self.substrate.program_counter(
-                idx, self.natives[name], cpu=self.cpu
-            ))
-        self._sub(lambda: self.substrate.start_counters(
-            sorted(subset.values()), cpu=self.cpu
-        ))
+        self.eventset._program_and_start(
+            list(subset.items()), sorted(subset.values())
+        )
 
     def _stop_and_collect(self, subset_index: int, now: int) -> None:
         subset = self.subsets[subset_index]
@@ -154,16 +148,6 @@ class MultiplexController:
         for name, value in zip(subset, values):
             self._accum[name] += value
         self._active[subset_index] += now - self._slice_start
-
-    def _quiesce_subset(self, subset_index: int) -> None:
-        """Raw-PMU cleanup of one subset's counters; never raises."""
-        for idx in self.subsets[subset_index].values():
-            try:
-                if self._pmu.running(idx):
-                    self._pmu.stop(idx)
-                self._pmu.clear(idx)
-            except Exception:
-                pass
 
     def start(self) -> None:
         if self._running:
@@ -270,21 +254,19 @@ class MultiplexController:
 
     def stop(self) -> Dict[str, int]:
         now = self._now()
-        if not self.subsets:
-            self._pmu.clear_cycle_timer()
-            self._running = False
-            return {}
-        try:
-            if self._wedged:
-                self.eventset.health.mpx_rotation_faults += 1
-                self._quiesce_subset(self._current)
-            else:
+        if self.subsets and not self._wedged:
+            try:
                 self._stop_and_collect(self._current, now)
-        except PapiError:
+            except PapiError:
+                self._wedged = True
+        if self._wedged:
+            # the live slice is lost: count the fault, scrub its counters
             self.eventset.health.mpx_rotation_faults += 1
-            self._quiesce_subset(self._current)
+            self._scrub_current()
         self._pmu.clear_cycle_timer()
         self._running = False
+        if not self.subsets:
+            return {}
         total = now - self._total_start
         return self._estimate(dict(self._accum), list(self._active), total)
 
@@ -294,9 +276,12 @@ class MultiplexController:
             self._pmu.clear_cycle_timer()
         except Exception:
             pass
-        if self.subsets:
-            self._quiesce_subset(self._current)
+        self._scrub_current()
         self._running = False
+
+    def _scrub_current(self) -> None:
+        if self.subsets:
+            scrub((self._pmu, idx) for idx in self.subsets[self._current].values())
 
     def reset(self) -> None:
         """Zero all accumulated counts and restart the clocks."""

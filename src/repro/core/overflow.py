@@ -150,14 +150,15 @@ class SoftwareOverflowEmulator:
             self._pmu.clear_cycle_timer()
             self._running = False
 
-    def rebase(self, code: int, index: int) -> None:
-        """Re-home a watch after counter-loss recovery."""
+    def rebase(self, code: int, index: int) -> bool:
+        """Re-home *code*'s watch onto counter *index* after counter-loss
+        recovery; False when the emulator holds no watch for *code*."""
         watch = self._watches.get(code)
-        if watch is not None:
-            watch.index = index
-            watch.next_trigger = (
-                self._pmu.read(index) + watch.reg.threshold
-            )
+        if watch is None:
+            return False
+        watch.index = index
+        watch.next_trigger = self._pmu.read(index) + watch.reg.threshold
+        return True
 
     def _on_tick(self, cycle: int) -> None:
         pc_bytes = self._cpu.pc * INS_BYTES

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.core.errors import SystemError_
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.hw.pmu import PMU
 
 T = TypeVar("T")
 
@@ -169,3 +172,19 @@ def call_with_retry(
                 health.retries += 1
                 health.backoff_cycles += wait
             attempt += 1
+
+
+def scrub(counters: Iterable[Tuple["PMU", int]]) -> None:
+    """Stop each ``(pmu, index)`` counter if it runs and clear it; never raises.
+
+    Raw register cleanup bypasses the substrate call boundary, and with it
+    the fault injector, so it is the one operation a teardown can always
+    rely on.  Clearing a counter also drops any overflow watch armed on it.
+    """
+    for pmu, idx in counters:
+        try:
+            if pmu.running(idx):
+                pmu.stop(idx)
+            pmu.clear(idx)
+        except Exception:
+            pass

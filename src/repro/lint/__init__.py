@@ -61,7 +61,6 @@ from repro.lint.staticoracle import (
     SignalBounds,
     StaticOracleError,
     static_signal_bounds,
-    verify_block_affine,
 )
 
 __all__ = [
@@ -92,6 +91,5 @@ __all__ = [
     "sort_diagnostics",
     "static_signal_bounds",
     "to_sarif",
-    "verify_block_affine",
     "worst_severity",
 ]

@@ -253,25 +253,35 @@ def _handler_is_blind(handler: ast.ExceptHandler) -> bool:
 
 
 def _check_recovery_ladder(tree: ast.Module, out: _Findings) -> None:
-    for loop in ast.walk(tree):
-        if not isinstance(loop, (ast.While, ast.For)):
+    """PL305 on the handlers of every ``try`` inside a loop.
+
+    One pass over the module: the search outside loops stops at each
+    outermost loop, whose subtree is then walked once, so each handler
+    is checked once however deeply its loops nest.
+    """
+    loops, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.While, ast.For)):
+            loops.append(node)
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+    for node in (n for loop in loops for n in ast.walk(loop)):
+        if not isinstance(node, ast.Try):
             continue
-        for node in ast.walk(loop):
-            if not isinstance(node, ast.Try):
+        for handler in node.handlers:
+            names = handler_names(handler)
+            if not names or not names <= FATAL_ERROR_NAMES:
                 continue
-            for handler in node.handlers:
-                names = handler_names(handler)
-                if not names or not names <= FATAL_ERROR_NAMES:
-                    continue
-                if not _handler_is_blind(handler):
-                    continue
-                caught = "/".join(sorted(names))
-                out.add(
-                    "PL305", handler.lineno, handler.col_offset,
-                    f"loop retries after catching {caught}, a fatal "
-                    f"PAPI error class that cannot clear on its own",
-                    "fatal errors need the request changed (or "
-                    "surfaced); only transient errors "
-                    "(SystemError_, CountersLostError) belong in "
-                    "a retry loop -- see repro.core.resilience",
-                )
+            if not _handler_is_blind(handler):
+                continue
+            caught = "/".join(sorted(names))
+            out.add(
+                "PL305", handler.lineno, handler.col_offset,
+                f"loop retries after catching {caught}, a fatal "
+                f"PAPI error class that cannot clear on its own",
+                "fatal errors need the request changed (or "
+                "surfaced); only transient errors "
+                "(SystemError_, CountersLostError) belong in "
+                "a retry loop -- see repro.core.resilience",
+            )

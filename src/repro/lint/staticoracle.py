@@ -29,16 +29,8 @@ The contract -- checked property-style by the test suite against the
 exact oracle -- is the **bracket invariant**: for every signal in
 :data:`repro.validate.oracle.ORACLE_SIGNALS`,
 ``bounds.lo[s] <= exact[s] <= bounds.hi[s]``.  When every recognized
-structure resolves exactly, ``lo == hi`` and the static oracle *is* the
-oracle, no execution needed.
-
-A second, independent static check lives here too:
-:func:`verify_block_affine` re-derives the block partition the block
-engine (:mod:`repro.hw.blockcache`) compiles, and stitches its compiled
-regions from, and certifies its affine invariance -- each block's
-signal delta is one constant vector (plus a taken/not-taken bit on a
-conditional terminator), so engine-on and engine-off executions must
-agree bit-for-bit.
+structure resolves exactly, ``lo == hi`` (:meth:`SignalBounds.is_exact`)
+and the static oracle *is* the oracle, no execution needed.
 """
 
 from __future__ import annotations
@@ -48,7 +40,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.hw.events import Signal
 from repro.hw.isa import (
-    BLOCK_BREAK_OPS,
     BRANCH_OPS,
     NUM_IREGS,
     FunctionInfo,
@@ -60,11 +51,8 @@ __all__ = [
     "Interval",
     "SignalBounds",
     "StaticOracleError",
-    "static_exact_signal_counts",
     "static_signal_bounds",
     "op_signal_vector",
-    "block_signal_vectors",
-    "verify_block_affine",
 ]
 
 
@@ -110,11 +98,6 @@ def imul(a: Interval, b: Interval) -> Interval:
         return ZERO
     hi = None if a.hi is None or b.hi is None else a.hi * b.hi
     return Interval(a.lo * b.lo, hi)
-
-
-def ijoin(a: Interval, b: Interval) -> Interval:
-    hi = None if a.hi is None or b.hi is None else max(a.hi, b.hi)
-    return Interval(min(a.lo, b.lo), hi)
 
 
 def _tighten(a: Interval, b: Interval) -> Interval:
@@ -257,9 +240,6 @@ def op_signal_vector(op: int) -> Tuple[int, ...]:
 class _Block:
     start: int
     end: int  # exclusive; terminator is code[end - 1]
-
-
-_TERMINATORS = BRANCH_OPS | {Op.JMP, Op.CALL, Op.RET, Op.HALT}
 
 
 def _partition(code, region: FunctionInfo) -> List[_Block]:
@@ -1002,80 +982,3 @@ def static_signal_bounds(program: Program) -> SignalBounds:
         return analysis.run(entry_consts)
     except _Irregular:
         return SignalBounds.unknown()
-
-
-# ---------------------------------------------------------------------------
-# block-engine affine invariance
-# ---------------------------------------------------------------------------
-
-
-def static_exact_signal_counts(program: Program) -> Optional[List[int]]:
-    """Closed-form signal counts, when the static analysis pins them.
-
-    Returns a full ``Signal``-indexed count list (oracle signals only,
-    the rest zero) when every interval of
-    :func:`static_signal_bounds` collapses to a point -- i.e. the
-    program's trip counts and branch outcomes were all statically
-    resolved, so the counts follow affinely without executing anything.
-    Returns ``None`` when any interval is wide; callers (the refutation
-    predictor) then fall back to the exact reference interpreter.
-    """
-    bounds = static_signal_bounds(program)
-    if not bounds.is_exact():
-        return None
-    return list(bounds.lo)
-
-
-def block_signal_vectors(code) -> Dict[int, List[int]]:
-    """Per-block constant signal vectors over the engine's partition.
-
-    Blocks are cut exactly where the block engine cuts them
-    (:func:`repro.hw.blockcache._compute_leaders` plus its control-op
-    and block-break rules), and each block's vector is the sum of its
-    instructions' outcome-independent contributions -- the affine
-    constant term.  The only outcome-dependent signals a block can
-    produce are one ``BR_TKN``/``BR_NTK`` bit on a conditional
-    terminator.
-    """
-    from repro.hw.blockcache import _compute_leaders
-
-    # a control op at the last pc makes pc+1 == len(code) a leader; that
-    # is a valid (empty) resume point for the engine, not a block
-    leaders = sorted(pc for pc in _compute_leaders(code) if pc < len(code))
-    vectors: Dict[int, List[int]] = {}
-    for i, start in enumerate(leaders):
-        end = leaders[i + 1] if i + 1 < len(leaders) else len(code)
-        vec = [0] * Signal.N_SIGNALS
-        for pc in range(start, end):
-            op = code[pc][0]
-            for sig in op_signal_vector(op):
-                vec[sig] += 1
-            if (op in _TERMINATORS or op in BLOCK_BREAK_OPS) and \
-                    pc != end - 1:
-                raise StaticOracleError(
-                    f"control op at pc {pc} inside block "
-                    f"[{start}, {end}): engine partition is wrong"
-                )
-        vectors[start] = vec
-    return vectors
-
-
-def verify_block_affine(program: Program) -> Dict[int, List[int]]:
-    """Statically certify the engine's affine invariance per block.
-
-    For every block the engine would compile, checks that (a) control
-    transfers only happen at block ends, so a block always retires all
-    of its instructions, and (b) the block's signal delta is therefore
-    a constant vector (plus the terminator's taken bit).  Together
-    these imply counts(engine on) == counts(engine off) on every
-    program -- the property the dynamic tests then spot-check.
-
-    Returns the per-block vectors keyed by block start; raises
-    :class:`StaticOracleError` if the partition is unsound.
-    """
-    code = program.resolve()
-    vectors = block_signal_vectors(code)
-    for start, vec in vectors.items():
-        if vec[Signal.TOT_INS] == 0:
-            raise StaticOracleError(f"empty block at pc {start}")
-    return vectors

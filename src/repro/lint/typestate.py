@@ -853,17 +853,20 @@ class _StmtInterpreter:
             self._hand_off(basevals, havoc=False)
         es_ids = [v for v in basevals if is_eventset(v) and v in self.objs]
         if es_ids:
-            if method == "start":
-                self._overlapping_start(es_ids)
+            transfers = {
+                oid: HIGHLEVEL_METHODS.get(method, "")
+                if oid.startswith("hl@") else method
+                for oid in es_ids
+            }
+            starting = [oid for oid in es_ids if transfers[oid] == "start"]
+            if starting:
+                self._overlapping_start(starting)
             if self.analysis.checks:
                 self._check_call(es_ids, method, node)
             self._mixed_interfaces(es_ids, method, node)
             strong = len({base_object(v) for v in es_ids}) == 1
             for oid in es_ids:
-                transfer = (
-                    HIGHLEVEL_METHODS.get(method, "")
-                    if oid.startswith("hl@") else method
-                )
+                transfer = transfers[oid]
                 old = self.objs[oid]
                 new = self._apply_eventset_method(oid, old, transfer, node)
                 if transfer in CONFIG_METHODS:
@@ -1093,14 +1096,15 @@ class _StmtInterpreter:
         )
 
     def _overlapping_start(self, receivers: List[str]) -> None:
-        """PL013: ``start()`` while another set of its library may run."""
+        """PL013: a start while another set of its library may run; a
+        started ``HighLevel`` holds its library's running set too."""
         mine: Set[str] = set()
         for oid in receivers:
-            if oid.startswith("es@"):
+            if is_local_eventset(oid):
                 mine |= self.objs[oid].library
         others = {
             oid for oid, fact in self.objs.items()
-            if oid.startswith("es@") and oid not in receivers
+            if is_local_eventset(oid) and oid not in receivers
             and not fact.library.isdisjoint(mine)
         }
         if self._may_run(others):

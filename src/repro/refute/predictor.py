@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.lint.staticoracle import static_exact_signal_counts, static_signal_bounds
+from repro.lint.staticoracle import static_signal_bounds
 from repro.refute.generator import GeneratedProgram
 from repro.validate.oracle import (
     ORACLE_SIGNALS,
@@ -170,13 +170,10 @@ def predict(
 
     bounds = static_signal_bounds(program)
     violations = tuple(sorted(bounds.mismatches(counts)))
-    exact = static_exact_signal_counts(program)
-    static_exact: Optional[bool]
-    if exact is None:
-        static_exact = None
-    else:
+    static_exact: Optional[bool] = None
+    if bounds.is_exact():
         static_exact = all(
-            exact[sig] == counts[sig] for sig in ORACLE_SIGNALS
+            bounds.lo[sig] == counts[sig] for sig in ORACLE_SIGNALS
         )
 
     from repro.hw.events import Signal

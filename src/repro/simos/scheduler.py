@@ -205,11 +205,19 @@ class OS:
         # home PMU; its accumulated value is the thread's virtual count.
         return self._pmu(home).read(index)
 
-    def counter_value(self, thread: Thread, index: int) -> int:
-        """Peek a bound counter's current virtual count (no state change)."""
+    def _home_pmu(self, thread: Thread, index: int):
+        """The PMU holding bound counter *index* of *thread* right now."""
         if index not in thread.bound_counters:
             raise OSError_(f"counter {index} is not bound to thread {thread.tid}")
-        return self._pmu(thread.counter_home[index]).read(index)
+        return self._pmu(thread.counter_home[index])
+
+    def counter_value(self, thread: Thread, index: int) -> int:
+        """Peek a bound counter's current virtual count (no state change)."""
+        return self._home_pmu(thread, index).read(index)
+
+    def counter_reset(self, thread: Thread, index: int) -> None:
+        """Zero a bound counter's virtual count on its home PMU."""
+        self._home_pmu(thread, index).write(index, 0)
 
     def _migrate_counter(self, thread: Thread, index: int,
                          dest: int) -> None:

@@ -103,6 +103,22 @@ class TestDomains:
         with pytest.raises(InvalidArgumentError):
             es.set_domain(C.PAPI_DOM_ALL)
 
+    def test_dom_all_excludes_multiplex(self, simx86):
+        """The same rule in the other order.  Accepted, the set would
+        report DOM_ALL and count TOT_CYC over dot(2000) as 100,427, the
+        user-only count (a direct DOM_ALL set counts 103,227)."""
+        papi = Papi(simx86)
+        es = papi.create_eventset()
+        es.set_domain(C.PAPI_DOM_ALL)
+        with pytest.raises(InvalidArgumentError):
+            es.set_multiplex()
+        assert not es.multiplexed
+        es.add_named("PAPI_TOT_CYC")
+        simx86.machine.load(dot(2000).program)
+        es.start()
+        simx86.machine.run_to_completion()
+        assert es.stop() == [103_227]
+
     def test_lowlevel_facade(self, simpower):
         api = LowLevelAPI(simpower)
         api.library_init()

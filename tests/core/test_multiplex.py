@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.errors import InvalidArgumentError
 from repro.core.library import Papi
 from repro.core.multiplex import partition_natives
-from repro.workloads import dot, phased
+from repro.platforms import create
+from repro.workloads import decoy_spin, dot, phased
 
 
 def mpx_eventset(papi, names):
@@ -154,3 +156,32 @@ class TestMultiplexedCounting:
         from repro.core.errors import SubstrateFeatureError
         with pytest.raises(SubstrateFeatureError):
             es.start()
+
+
+class TestAttachedSets:
+    """The rotation runs on the CPU's cycle clock, not the thread's, so an
+    attached set cannot be multiplexed.  Accepted, the set counted the
+    whole CPU: 384,012 instructions of worker and decoy, against the
+    worker's own 24,007."""
+
+    @pytest.mark.parametrize("attach_first", [True, False])
+    def test_attach_and_multiplex_refused_in_either_order(self, attach_first):
+        sub = create("simT3E")
+        papi = Papi(sub)
+        worker = sub.os.spawn(dot(3000).program, name="work")
+        sub.os.spawn(decoy_spin(60000).program, name="decoy")
+        es = papi.create_eventset()
+        if attach_first:
+            es.attach(worker)
+            with pytest.raises(InvalidArgumentError):
+                es.set_multiplex()
+            assert not es.multiplexed
+        else:
+            es.set_multiplex()
+            with pytest.raises(InvalidArgumentError):
+                es.attach(worker)
+            assert es.attached is None
+        es.add_named("PAPI_TOT_INS")
+        es.start()  # papi-lint: disable=PL102 -- multiplexed on purpose
+        sub.os.run()
+        assert es.stop() == [24_007 if attach_first else 384_012]

@@ -11,7 +11,8 @@ multiplex degradation (opt-in) -> crash-consistent emergency stop.
 
 import pytest
 
-from repro.core.errors import CountersLostError, PapiError, SystemError_
+from repro.core.constants import PAPI_DOM_ALL, PAPI_DOM_USER
+from repro.core.errors import CountersLostError, SystemError_
 from repro.core.library import Papi
 from repro.faults import attach_from_spec
 from repro.platforms import create
@@ -102,15 +103,15 @@ class TestLossRecovery:
         pmu = sub.machine.cpus[0].pmu
         assert all(not pmu.running(i) for i in range(sub.n_counters))
 
-    def test_degrade_to_multiplex_finishes_the_run(self):
-        """Same infeasible scenario with the opt-in enabled: the run
-        continues time-sliced and says so in the health record."""
+    @staticmethod
+    def _degraded_run(domain):
         sub, injector, papi, es = setup(
             "simT3E",
             ["PAPI_TOT_CYC", "PAPI_TOT_INS", "PAPI_FP_OPS", "PAPI_LD_INS"],
             n=20000,
         )
         papi.degrade_to_multiplex = True
+        es.set_domain(domain)
         es.start()
         sub.machine.run(max_instructions=2000)
         first = es.read()
@@ -119,12 +120,26 @@ class TestLossRecovery:
         second = es.read()
         assert es.running
         assert es.multiplexed
+        assert es.get_domain() == domain
         assert es.health.degraded_to_multiplex
         assert es.health.lost_intervals[-1].recovered
         assert all(s >= f for s, f in zip(second, first))
         sub.machine.run_to_completion()
         final = es.stop()
         assert all(f >= s for f, s in zip(final, second))
+        return second, final
+
+    def test_degrade_to_multiplex_finishes_the_run(self):
+        """Same infeasible scenario with the opt-in enabled: the run
+        continues time-sliced, in the set's own counting domain, and says
+        so in the health record."""
+        user_second, user_final = self._degraded_run(PAPI_DOM_USER)
+        all_second, all_final = self._degraded_run(PAPI_DOM_ALL)
+        # the rotations' interface cycles count in a DOM_ALL set's TOT_CYC
+        # after the degradation too, so it grows faster than in the user
+        # domain; the other events are the same in both domains
+        assert all_final[0] - all_second[0] > user_final[0] - user_second[0]
+        assert all_final[1:] == user_final[1:]
 
 
 class TestSoftwareOverflowEmulation:

@@ -331,6 +331,32 @@ def main(c):
     b.stop()
 """
 
+# a started HighLevel holds its library's one running set: the set's
+# start() raises, and so does a start_counters() after the set started
+HIGHLEVEL_THEN_EVENTSET = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    hl = HighLevel(papi)
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    hl.start_counters(["PAPI_TOT_CYC"])
+    es.start()
+    es.stop()
+    hl.stop_counters()
+"""
+
+EVENTSET_THEN_HIGHLEVEL = """\
+def main(c):
+    papi = Papi(create("simPOWER"))
+    hl = HighLevel(papi)
+    es = papi.create_eventset()
+    es.add_named("PAPI_TOT_INS")
+    es.start()
+    hl.start_counters(["PAPI_TOT_CYC"])
+    hl.stop_counters()
+    es.stop()
+"""
+
 # the short run counts directly; the set is multiplexed only later
 SHORT_RUN_BEFORE_MULTIPLEX = """\
 def main(c):
@@ -428,6 +454,16 @@ RUNTIME_CASES = [
         ALIASED_LIBRARY_OVERLAP, [("PL013", 9)],
         ((9, "IsRunningError"), (9, "IsRunningError")),
         id="aliased-library-overlap",
+    ),
+    pytest.param(
+        HIGHLEVEL_THEN_EVENTSET, [("PL006", 7), ("PL013", 7)],
+        ((7, "IsRunningError"), (7, "IsRunningError")),
+        id="highlevel-then-eventset",
+    ),
+    pytest.param(
+        EVENTSET_THEN_HIGHLEVEL, [("PL006", 7), ("PL013", 7)],
+        ((7, "IsRunningError"), (7, "IsRunningError")),
+        id="eventset-then-highlevel",
     ),
     pytest.param(
         SHORT_RUN_BEFORE_MULTIPLEX, [], (None, None),

@@ -15,11 +15,9 @@ from repro.lint.staticoracle import (
     Interval,
     StaticOracleError,
     _first_k,
-    block_signal_vectors,
     static_signal_bounds,
-    verify_block_affine,
 )
-from repro.validate.oracle import ORACLE_SIGNALS, expected_signal_counts
+from repro.validate.oracle import expected_signal_counts
 from repro.workloads.branches import random_branches
 from repro.workloads.builder import Flow, loop_control_vector
 from repro.workloads.linalg import dot, matmul
@@ -177,40 +175,3 @@ class TestSoundLooseness:
         asm.endfunc()
         bounds = static_signal_bounds(asm.build())
         assert bounds.hi[Signal.TOT_INS] is None
-
-
-# ---------------------------------------------------------------------------
-# block-engine affine invariance
-# ---------------------------------------------------------------------------
-
-
-class TestBlockAffine:
-    @pytest.mark.parametrize(
-        "make", [lambda: dot(8), lambda: matmul(3),
-                 lambda: conformance_mix(12)],
-        ids=["dot", "matmul", "conformance_mix"],
-    )
-    def test_workloads_certify(self, make):
-        vectors = verify_block_affine(make().program)
-        assert vectors
-        for vec in vectors.values():
-            assert vec[Signal.TOT_INS] >= 1
-
-    def test_block_vectors_sum_to_straightline_counts(self):
-        asm = Assembler(name="straight")
-        asm.func("main")
-        asm.li("r1", 1)
-        asm.fli("f1", 2.0)
-        asm.fadd("f2", "f1", "f1")
-        asm.halt()
-        asm.endfunc()
-        program = asm.build()
-        vectors = block_signal_vectors(program.resolve())
-        total = [0] * Signal.N_SIGNALS
-        for vec in vectors.values():
-            for sig in ORACLE_SIGNALS:
-                total[sig] += vec[sig]
-        exact = expected_signal_counts(program)
-        for sig in (Signal.TOT_INS, Signal.INT_INS,
-                    Signal.FP_ADD, Signal.FP_MOV):
-            assert total[sig] == exact[sig]

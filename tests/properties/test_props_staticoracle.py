@@ -4,9 +4,9 @@ Random structured programs (the same generator family as
 ``test_props_oracle``: counted top- and bottom-test loops, ALU/FP/memory
 bodies, data-dependent branches, calls into a leaf, probes) are analyzed
 WITHOUT executing; the derived per-signal intervals must always contain
-the exact oracle's counts, and the block-affine certificate must hold.
-Together with ``test_props_oracle`` (exact == simulator) this pins the
-full chain: static bounds >= exact oracle == simulator, engine on/off.
+the exact oracle's counts.  Together with ``test_props_oracle`` (exact
+== simulator) this pins the full chain: static bounds >= exact oracle ==
+simulator, engine on/off.
 """
 
 from __future__ import annotations
@@ -14,10 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.hw import Assembler
-from repro.lint.staticoracle import (
-    static_signal_bounds,
-    verify_block_affine,
-)
+from repro.lint.staticoracle import static_signal_bounds
 from repro.validate.oracle import expected_signal_counts
 from tests.property_examples import examples
 
@@ -105,15 +102,6 @@ def test_static_bounds_bracket_exact_oracle(segs):
     bounds = static_signal_bounds(program)
     exact = expected_signal_counts(program)
     assert bounds.brackets(exact), bounds.mismatches(exact)
-
-
-@given(segs=segments)
-@settings(deadline=None, max_examples=examples(30))
-def test_block_affine_certificate_never_fails(segs):
-    # every generated program must admit the affine-block certificate
-    # (it is what licenses the block engine on arbitrary programs)
-    vectors = verify_block_affine(build_program(segs))
-    assert vectors
 
 
 @given(segs=segments)

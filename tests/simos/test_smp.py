@@ -247,3 +247,28 @@ class TestEventSetCPUBinding:
         values = es.stop()
         assert values[0] == 2 * 800      # FMA = 2 FP ops, placement-blind
         assert t.migrations > 0
+
+    @pytest.mark.parametrize("ncpus", [1, 2, 4])
+    def test_attached_reset_zeroes_the_home_counter(self, ncpus):
+        """reset() zeroes an attached counter on the PMU the scheduler
+        last homed it to.  At 4 CPUs the first seven slices re-home it;
+        zeroing the bound CPU's register instead read 16,839 after the
+        reset and 24,007 at stop."""
+        from repro.core.library import Papi
+        from repro.platforms import create
+        from repro.workloads import decoy_spin, dot
+
+        sub = create("simT3E", ncpus=ncpus)
+        papi = Papi(sub)
+        worker = sub.os.spawn(dot(3000).program, name="work")
+        sub.os.spawn(decoy_spin(60000).program, name="decoy")
+        es = papi.create_eventset()
+        es.add_named("PAPI_TOT_INS")
+        es.attach(worker)
+        es.start()
+        sub.os.run(max_slices=7)
+        assert (sub.os.stats.counter_migrations > 0) == (ncpus == 4)
+        es.reset()
+        assert es.read() == [0]
+        sub.os.run()
+        assert es.stop() == [7_168]
