@@ -121,6 +121,9 @@ class EventSet:
         #: free-running base snapshots taken at start()/reset().
         self._cmp_base: Dict[int, int] = {}
         self._multiplexed = False
+        #: this run fell back to multiplexing (:meth:`_degrade_to_multiplex`);
+        #: the fallback ends with the run.
+        self._degraded = False
         self._attached: Optional["Thread"] = None
         #: the counter calls of the current run, chosen at start(): the
         #: substrate, or a :class:`ThreadCounters` for an attached set.
@@ -617,7 +620,8 @@ class EventSet:
 
     def _release(self) -> None:
         """End the run: disarm its overflows, unbind an attached thread's
-        counters and free the library's counter slot; never raises.
+        counters, end a multiplex fallback and free the library's counter
+        slot; never raises.
 
         A normal stop, a failed start and an emergency stop all end here.
         """
@@ -635,6 +639,13 @@ class EventSet:
             # estimate quality to how many rotations the run completed.
             self.mpx_rotations = self._mpx.rotations
             self._mpx = None
+        if self._degraded:
+            # the set was never multiplexed by its caller: the next run
+            # counts directly, on counters allocated as add_event does.
+            self._degraded = self._multiplexed = False
+            self._assignment = allocate(
+                self.substrate, list(self._natives.values())
+            ).assignment
         self._session = None
         self._cmp_base = {}
         self._running = False
@@ -745,7 +756,7 @@ class EventSet:
     def _degrade_to_multiplex(self) -> None:
         """Finish the run time-sliced when direct re-allocation failed."""
         self._assignment = {}
-        self._multiplexed = True
+        self._multiplexed = self._degraded = True
         self._start_multiplexed()
         self.health.degraded_to_multiplex = True
 

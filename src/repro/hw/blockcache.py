@@ -42,8 +42,11 @@ the interpreter executes one instruction at a time, so interrupts and
 samples fire at exactly the same instruction boundary (and draw from the
 RNG at exactly the same point) as an engine-off run.  PROBE instructions
 are never compiled into plain blocks; inside regions they run only while
-the PMU is completely quiet, so deadline/flush crossings always take the
-precise path.
+the PMU is completely quiet, so deadline crossings always take the
+precise path.  The engine commits every effect before :meth:`execute`
+returns -- compiled blocks write ``counts[]`` directly and a region
+applies its deferred counts before it exits -- so a counter read between
+two steps needs no write-back.
 
 Invalidation rules (see DESIGN.md): block tables are keyed by the
 identity of the resolved code list.  ``CPU.load`` of the Program already
@@ -53,8 +56,8 @@ or ``migrate`` (dynaprof probe insertion/removal) retires the old
 program's table, and its regions die with it.  Context restores rebind
 the active table; ``Machine.reset`` and probe-registry changes drop every
 table.  Compiled code never depends on cache contents (every fetch and
-access checks the live state), so :meth:`Machine.charge` cache pollution
-only flushes.
+access checks the live state), so cache pollution by
+:meth:`Machine.charge` needs nothing from the engine.
 
 Compiling is the other half of the cost of a table, and it is done once
 per input, not once per machine.  The emitter (:func:`emit_block`,
@@ -207,8 +210,6 @@ class EngineStats:
     fast_instructions: int = 0
     #: distinct blocks compiled.
     blocks_compiled: int = 0
-    #: flush-barrier invocations (PMU reads / Machine.charge).
-    flushes: int = 0
     #: distinct compiled regions / region entries / in-region retires.
     regions_compiled: int = 0
     region_entries: int = 0
@@ -1530,19 +1531,6 @@ class BlockEngine:
         """Forget the active binding (context restore); tables survive."""
         self._table = None
         self._ctx = None
-
-    def flush(self) -> None:
-        """Flush-before-read barrier (installed as the PMU flush hook).
-
-        The engine applies all effects synchronously inside
-        :meth:`execute` -- compiled blocks write ``counts[]`` directly and
-        a region applies its deferred counts before it returns -- so there
-        is never deferred state to write back; this hook is the
-        enforcement point that keeps it that way (any future staging must
-        drain here) and the observability counter for the read-barrier
-        tests.
-        """
-        self.stats.flushes += 1
 
     # -- execution ------------------------------------------------------
 

@@ -184,7 +184,6 @@ class CPU:
 
             self.engine = BlockEngine(self)
             if self.pmu is not None:
-                self.pmu.set_flush_hook(self.engine.flush)
                 self.pmu.unquiet_hook = self.engine.unbind
 
     # ------------------------------------------------------------------
@@ -255,14 +254,6 @@ class CPU:
     # ------------------------------------------------------------------
     # block-engine control
     # ------------------------------------------------------------------
-
-    def engine_barrier(self) -> None:
-        """External machine-state change (cache pollution, reset, ...).
-
-        Flushes the engine; a no-op when the engine is disabled.
-        """
-        if self.engine is not None:
-            self.engine.flush()
 
     def engine_stats(self):
         """The engine's :class:`~repro.hw.blockcache.EngineStats`, or None."""
@@ -380,107 +371,53 @@ class CPU:
                 reason = "max_cycles"
                 break
 
-            if denied is not None and pc not in denied:
-                res = engine_execute(
+            if denied is not None and pc not in denied and (
+                res := engine_execute(
                     pc,
                     cur_iline,
                     ins_budget - executed if ins_budget >= 0 else -1,
                     cyc_budget,
                 )
-                if res is not None:
-                    pc, cur_iline, n = res
-                    executed += n
-                    if engine.probe_exit_pc >= 0:
-                        # a probe handler perturbed the machine inside a
-                        # compiled region; the probe retired in-region
-                        # without its post-retire hooks.  Resync if the
-                        # handler rewrote or reloaded the program, then
-                        # run the PMU hooks the interpreter would have
-                        # run for it.
-                        exec_pc = engine.probe_exit_pc
-                        engine.probe_exit_pc = -1
-                        if self.code is not code or self.memory is not memory:
-                            code = self.code
-                            memory = self.memory
-                            mem_len = len(memory)
-                            iregs = self.iregs
-                            fregs = self.fregs
-                            call_stack = self.call_stack
-                            touched = self.touched_pages
-                            data_base = self.data_base
-                            probe_dispatch = self.probe_dispatch
-                            cur_iline = -1
-                            if (
-                                0 <= self.pc < len(code)
-                                and code[self.pc][0] == Op.PROBE
-                            ):
-                                pc = self.pc + 1
-                            else:
-                                pc = self.pc
-                            _blocks, denied = engine.begin()
-                            engine_execute = engine.execute
-                        if pmu is not None:
-                            if pmu.sampler is not None:
-                                pmu.sample_countdown -= 1
-                                if pmu.sample_countdown <= 0:
-                                    sample = SampleRecord(
-                                        pc=exec_pc,
-                                        opcode=Op.PROBE,
-                                        cycle=counts[TOT_CYC],
-                                        is_load=False,
-                                        is_store=False,
-                                        is_fp=Op.FLI <= Op.PROBE <= Op.FCVT,
-                                        is_branch=Op.JMP <= Op.PROBE <= Op.RET,
-                                        br_mispred=False,
-                                        l1d_miss=False,
-                                        l2_miss=False,
-                                        tlb_miss=False,
-                                        latency=lat[Op.PROBE],
-                                    )
-                                    hw = pmu.deliver_sample(sample)
-                                    counts[TOT_CYC] += (
-                                        hw * pmu.config.interrupt_cost
-                                    )
-                                    counts[Signal.HW_INT] += hw
-                            if pmu.watch_active:
-                                hw = pmu.check_overflow(pc, counts[TOT_CYC])
-                                if hw:
-                                    counts[TOT_CYC] += (
-                                        hw * pmu.config.interrupt_cost
-                                    )
-                                    counts[Signal.HW_INT] += hw
-                            if pmu.timer_active:
-                                hw = pmu.check_timer(counts[TOT_CYC])
-                                if hw:
-                                    counts[Signal.HW_INT] += hw
+            ) is not None:
+                pc, cur_iline, n = res
+                executed += n
+                exec_pc = engine.probe_exit_pc
+                if exec_pc < 0:
                     continue
+                # a probe handler perturbed the machine inside a compiled
+                # region: the probe retired there, counted and dispatched,
+                # and left its rebind and post-retire hooks to the PROBE
+                # arm and the hook block below.
+                engine.probe_exit_pc = -1
+                op = Op.PROBE
+                next_pc = pc
+            else:
+                # ---- instruction fetch ---------------------------------
+                byte_pc = pc * INS_BYTES
+                iline = byte_pc >> iline_shift
+                if iline != cur_iline:
+                    cur_iline = iline
+                    flat, i1m, l2m = inst_fetch(byte_pc)
+                    counts[L1I_ACC] += 1
+                    if i1m:
+                        counts[L1I_MISS] += 1
+                        counts[L2_ACC] += 1
+                        if l2m:
+                            counts[L2_MISS] += 1
+                    if flat:
+                        counts[TOT_CYC] += flat
+                        counts[STL_CYC] += flat
 
-            # ---- instruction fetch -------------------------------------
-            byte_pc = pc * INS_BYTES
-            iline = byte_pc >> iline_shift
-            if iline != cur_iline:
-                cur_iline = iline
-                flat, i1m, l2m = inst_fetch(byte_pc)
-                counts[L1I_ACC] += 1
-                if i1m:
-                    counts[L1I_MISS] += 1
-                    counts[L2_ACC] += 1
-                    if l2m:
-                        counts[L2_MISS] += 1
-                if flat:
-                    counts[TOT_CYC] += flat
-                    counts[STL_CYC] += flat
+                try:
+                    op, a, b, c, d = code[pc]
+                except IndexError:
+                    raise MachineFault(f"pc out of range: {pc}") from None
 
-            try:
-                op, a, b, c, d = code[pc]
-            except IndexError:
-                raise MachineFault(f"pc out of range: {pc}") from None
-
-            counts[TOT_INS] += 1
-            counts[TOT_CYC] += lat[op]
-            executed += 1
-            next_pc = pc + 1
-            exec_pc = pc
+                counts[TOT_INS] += 1
+                counts[TOT_CYC] += lat[op]
+                executed += 1
+                next_pc = pc + 1
+                exec_pc = pc
             mem_l1m = mem_l2m = mem_tlbm = br_msp = False
             mem_penalty = 0
 
@@ -645,39 +582,39 @@ class CPU:
             elif op == Op.NOP:
                 pass
             elif op == Op.PROBE:
-                counts[Signal.PRB_INS] += 1
-                if probe_dispatch is not None:
-                    # expose live state so probes can read counters etc.
-                    self.pc = pc
-                    self.cur_iline = cur_iline
-                    probe_dispatch(a, self)
-                    if self.code is not code or self.memory is not memory:
-                        # the handler rewrote the program (dynaprof
-                        # instrument/remove_probes) or reloaded one (a
-                        # reload of the same Program keeps ``code``):
-                        # rebind every cached alias and resume under the
-                        # new indexing -- past the migrated probe when
-                        # it still exists there, at the new pc otherwise.
-                        code = self.code
-                        memory = self.memory
-                        mem_len = len(memory)
-                        iregs = self.iregs
-                        fregs = self.fregs
-                        call_stack = self.call_stack
-                        touched = self.touched_pages
-                        data_base = self.data_base
-                        probe_dispatch = self.probe_dispatch
-                        cur_iline = -1
-                        if (
-                            0 <= self.pc < len(code)
-                            and code[self.pc][0] == Op.PROBE
-                        ):
-                            next_pc = self.pc + 1
-                        else:
-                            next_pc = self.pc
-                        if engine is not None:
-                            _blocks, denied = engine.begin()
-                            engine_execute = engine.execute
+                if exec_pc == pc:
+                    # interpreted here; a region's probe exit arrives with
+                    # pc already past the probe it ran
+                    counts[Signal.PRB_INS] += 1
+                    if probe_dispatch is not None:
+                        # expose live state so probes can read counters etc.
+                        self.pc = pc
+                        self.cur_iline = cur_iline
+                        probe_dispatch(a, self)
+                if self.code is not code or self.memory is not memory:
+                    # the handler rewrote the program (dynaprof
+                    # instrument/remove_probes) or reloaded one (a reload
+                    # of the same Program keeps ``code``): rebind every
+                    # cached alias and resume under the new indexing --
+                    # past the migrated probe when it still exists there,
+                    # at the new pc otherwise.
+                    code = self.code
+                    memory = self.memory
+                    mem_len = len(memory)
+                    iregs = self.iregs
+                    fregs = self.fregs
+                    call_stack = self.call_stack
+                    touched = self.touched_pages
+                    data_base = self.data_base
+                    probe_dispatch = self.probe_dispatch
+                    cur_iline = -1
+                    if 0 <= self.pc < len(code) and code[self.pc][0] == Op.PROBE:
+                        next_pc = self.pc + 1
+                    else:
+                        next_pc = self.pc
+                    if engine is not None:
+                        _blocks, denied = engine.begin()
+                        engine_execute = engine.execute
             elif op == Op.SYSCALL:
                 counts[Signal.SYS_INS] += 1
                 counts[TOT_CYC] += syscall_cost
@@ -685,18 +622,12 @@ class CPU:
                 self.halted = True
                 pc = next_pc  # leave pc past the HALT
                 reason = "halt"
-                # final PMU bookkeeping below, then exit
+                # a HALT takes the overflow and timer checks, no sample
                 if pmu is not None:
                     if pmu.watch_active:
-                        n = pmu.check_overflow(pc, counts[TOT_CYC])
-                        if n:
-                            cost = n * pmu.config.interrupt_cost
-                            counts[TOT_CYC] += cost
-                            counts[Signal.HW_INT] += n
+                        pmu.check_overflow(pc, counts[TOT_CYC])
                     if pmu.timer_active:
-                        n = pmu.check_timer(counts[TOT_CYC])
-                        if n:
-                            counts[Signal.HW_INT] += n
+                        pmu.check_timer(counts[TOT_CYC])
                 break
             else:  # pragma: no cover - unreachable with a valid assembler
                 raise MachineFault(f"pc {pc}: illegal opcode {op}")
@@ -710,7 +641,7 @@ class CPU:
                     if pmu.sample_countdown <= 0:
                         # ProfileMe: precise attribution of the instruction
                         # that just retired, with its true miss behaviour.
-                        sample = SampleRecord(
+                        pmu.deliver_sample(SampleRecord(
                             pc=exec_pc,
                             opcode=op,
                             cycle=counts[TOT_CYC],
@@ -723,21 +654,11 @@ class CPU:
                             l2_miss=mem_l2m,
                             tlb_miss=mem_tlbm,
                             latency=lat[op] + mem_penalty,
-                        )
-                        n = pmu.deliver_sample(sample)
-                        cost = n * pmu.config.interrupt_cost
-                        counts[TOT_CYC] += cost
-                        counts[Signal.HW_INT] += n
+                        ))
                 if pmu.watch_active:
-                    n = pmu.check_overflow(pc, counts[TOT_CYC])
-                    if n:
-                        cost = n * pmu.config.interrupt_cost
-                        counts[TOT_CYC] += cost
-                        counts[Signal.HW_INT] += n
+                    pmu.check_overflow(pc, counts[TOT_CYC])
                 if pmu.timer_active:
-                    n = pmu.check_timer(counts[TOT_CYC])
-                    if n:
-                        counts[Signal.HW_INT] += n
+                    pmu.check_timer(counts[TOT_CYC])
 
         # --- write back architectural state ------------------------------
         self.pc = pc

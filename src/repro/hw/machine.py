@@ -160,10 +160,6 @@ class Machine:
             self.hierarchy.pollute(
                 base + i * line for i in range(pollute_lines)
             )
-        # external state changed behind the CPUs' backs (the hierarchy is
-        # shared): flush every block engine.
-        for c in self.cpus:
-            c.engine_barrier()
 
     # ------------------------------------------------------------------
     # program control
@@ -280,8 +276,4 @@ class Machine:
             cpu.code = []
             if cpu.engine is not None:
                 cpu.engine.invalidate()
-                # pmu.reset() does not clear the flush hook; keep the
-                # barrier installed for the machine's lifetime.
-                cpu.pmu.set_flush_hook(cpu.engine.flush)
-                cpu.pmu.unquiet_hook = cpu.engine.unbind
         self._probes.clear()

@@ -21,15 +21,24 @@ mechanisms the paper compares (Section 4):
   and data address of sampled cache-miss events.
 
 The CPU drives the PMU through a handful of hot-path hooks
-(:meth:`PMU.check_overflow`, countdown-based sampling); everything else is
-control-plane and can afford normal Python costs.
+(:meth:`PMU.check_overflow`, :meth:`PMU.check_timer`, countdown-based
+sampling); everything else is control-plane and can afford normal Python
+costs.
+
+Every interrupt -- a ProfileMe sample, an overflow delivered on the CPU
+or drained at a migration, a cycle-timer tick -- is delivered and billed
+in one place, :meth:`PMU._deliver`: it calls the handlers, then adds the
+interrupts to ``HW_INT`` in the counts array the PMU shares with its CPU.
+Samples and overflows also cost ``interrupt_cost`` cycles each, which
+delay the measured program (the overhead the paper's sampling numbers
+include); timer ticks cost none.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hw.events import Signal, signal_name
 
@@ -161,6 +170,10 @@ class _PendingDelivery:
     remaining_skid: int
 
 
+#: one interrupt delivery: ``(handler, argument, interrupts billed)``.
+_Delivery = Tuple[Callable, object, int]
+
+
 class ProfileMeSampler:
     """Periodic random-instruction sampler (DCPI/ProfileMe style).
 
@@ -249,14 +262,6 @@ class PMU:
         self.sample_countdown = 0  # decremented inline by the CPU
         self.ears: List[EventAddressRegister] = []
         self.ear_active = False
-        #: interrupts delivered (overflow + timer + samples); the machine
-        #: charges ``interrupt_cost`` cycles for each.
-        self.interrupts_delivered = 0
-        #: flush-before-read barrier: invoked before any externally
-        #: observable counter read so an execution engine that batches
-        #: count updates (see :mod:`repro.hw.blockcache`) can drain them
-        #: first.  ``None`` when no engine is attached.
-        self._flush_hook: Optional[Callable[[], None]] = None
         #: fault-injection hook consulted when a pending overflow
         #: delivery becomes due: returns ``None`` (deliver), ``"drop"``
         #: (discard the interrupt) or an ``int`` of extra skid
@@ -273,10 +278,6 @@ class PMU:
         #: ``engine._table is None`` instead of four PMU flags per
         #: dispatch.  ``None`` when no engine is attached.
         self.unquiet_hook: Optional[Callable[[], None]] = None
-
-    def set_flush_hook(self, hook: Optional[Callable[[], None]]) -> None:
-        """Install the barrier invoked before counter reads/stops."""
-        self._flush_hook = hook
 
     def _notify_unquiet(self) -> None:
         hook = self.unquiet_hook
@@ -336,29 +337,30 @@ class PMU:
         # a stop/start pair (e.g. a context switch descheduling the owning
         # thread) must preserve partial progress toward the next overflow.
 
-    def stop(self, index: int) -> int:
-        """Stop counting; returns the final value."""
-        if self._flush_hook is not None:
-            self._flush_hook()
-        ctr = self._counter(index)
+    def _accumulate(self, ctr: CounterControl) -> None:
+        """Stop *ctr* if it runs, folding its live delta into ``accum``."""
         if ctr.running:
             ctr.accum += self._live_delta(ctr)
             ctr.running = False
             ctr.armed = ()
+
+    def stop(self, index: int) -> int:
+        """Stop counting; returns the final value."""
+        ctr = self._counter(index)
+        self._accumulate(ctr)
         return ctr.accum
 
     def read(self, index: int) -> int:
-        """Externally observable read: flush-barrier, then the value."""
-        if self._flush_hook is not None:
-            self._flush_hook()
-        return self._read(index)
-
-    def _read(self, index: int) -> int:
-        """Barrier-free read for internal hot paths (overflow checks)."""
+        """The counter's current value."""
         ctr = self._counter(index)
         if ctr.running:
             return ctr.accum + self._live_delta(ctr)
         return ctr.accum
+
+    #: the same read for the per-instruction overflow checks, which stay
+    #: off ``read`` so that a profiler wrapping it sees control-plane
+    #: reads only.
+    _read = read
 
     def write(self, index: int, value: int) -> None:
         """Set the counter value (PAPI reset writes 0)."""
@@ -383,37 +385,24 @@ class PMU:
         overflow watch is packed with its remaining headroom, and any
         interrupt still in its skid window is delivered immediately --
         the migration IPI drains the source CPU's interrupt queue, so an
-        already-crossed threshold is never lost.
+        already-crossed threshold is never lost.  A drained delivery
+        reports its trigger pc and is billed like any other
+        (:meth:`_deliver`), to this PMU's CPU.
         """
-        if self._flush_hook is not None:
-            self._flush_hook()
         ctr = self._counter(index)
-        if ctr.running:
-            ctr.accum += self._live_delta(ctr)
-            ctr.running = False
-            ctr.armed = ()
+        self._accumulate(ctr)
         watch_state = None
         watch = self._watches.get(index)
         if watch is not None:
-            watch_state = (
-                watch.threshold,
-                watch.next_trigger - ctr.accum,
-                watch.handler,
-                watch.overflow_count,
+            headroom = watch.next_trigger - ctr.accum
+            drained = [p for p in self._pending if p.watch.counter == index]
+            self._deliver(
+                (self._fire(p, p.trigger_pc, self._counts[Signal.TOT_CYC])
+                 for p in drained),
+                self.config.interrupt_cost,
             )
-            for p in [p for p in self._pending if p.watch.counter == index]:
-                watch.overflow_count += 1
-                self.interrupts_delivered += 1
-                p.watch.handler(OverflowRecord(
-                    counter=index,
-                    trigger_pc=p.trigger_pc,
-                    reported_pc=p.trigger_pc,  # drained precisely
-                    cycle=self._counts[Signal.TOT_CYC],
-                    threshold=watch.threshold,
-                    overflow_count=watch.overflow_count,
-                ))
-                watch_state = (watch.threshold, watch_state[1],
-                               watch.handler, watch.overflow_count)
+            watch_state = (watch.threshold, headroom, watch.handler,
+                           watch.overflow_count)
             self.clear_overflow(index)
         snap = CounterSnapshot(signals=ctr.signals, value=ctr.accum,
                                watch=watch_state)
@@ -482,15 +471,13 @@ class PMU:
         if watch is not None:
             watch.next_trigger = self.read(index) + watch.threshold
 
-    def check_overflow(self, pc: int, cycle: int) -> int:
+    def check_overflow(self, pc: int, cycle: int) -> None:
         """Hot-path hook called by the CPU after each retired instruction.
 
-        Returns the number of interrupts delivered (the CPU charges their
-        cost).  Handles both threshold crossing (which *schedules* a
-        delivery after a random skid) and the draining of pending
-        deliveries.
+        Schedules a delivery, after a random skid, for each watch whose
+        threshold was crossed, and delivers the pending ones whose skid
+        ran out, reporting *pc*.
         """
-        delivered = 0
         if self._watches:
             for watch in self._watches.values():
                 value = self._read(watch.counter)
@@ -507,35 +494,67 @@ class PMU:
                     )
                     self._pending.append(_PendingDelivery(watch, pc, skid))
         if self._pending:
-            still_pending: List[_PendingDelivery] = []
-            for p in self._pending:
-                if p.remaining_skid <= 0:
-                    if self.delivery_gate is not None:
-                        verdict = self.delivery_gate(p.watch.counter)
-                        if verdict == "drop":
-                            continue
-                        if isinstance(verdict, int) and verdict > 0:
-                            p.remaining_skid = verdict
-                            still_pending.append(p)
-                            continue
-                    p.watch.overflow_count += 1
-                    record = OverflowRecord(
-                        counter=p.watch.counter,
-                        trigger_pc=p.trigger_pc,
-                        reported_pc=pc,
-                        cycle=cycle,
-                        threshold=p.watch.threshold,
-                        overflow_count=p.watch.overflow_count,
-                    )
-                    self.interrupts_delivered += 1
-                    delivered += 1
-                    p.watch.handler(record)
-                else:
-                    p.remaining_skid -= 1
+            self._deliver(self._due(pc, cycle), self.config.interrupt_cost)
+
+    def _due(self, pc: int, cycle: int) -> Iterator[_Delivery]:
+        """Yield the on-CPU deliveries whose skid ran out (a generator).
+
+        Each is offered to the fault injector's ``delivery_gate`` first,
+        after the previous delivery's handler ran: the gate may drop it
+        or give it more skid.
+        """
+        still_pending: List[_PendingDelivery] = []
+        for p in self._pending:
+            if p.remaining_skid > 0:
+                p.remaining_skid -= 1
+                still_pending.append(p)
+                continue
+            if self.delivery_gate is not None:
+                verdict = self.delivery_gate(p.watch.counter)
+                if verdict == "drop":
+                    continue
+                if isinstance(verdict, int) and verdict > 0:
+                    p.remaining_skid = verdict
                     still_pending.append(p)
-            self._pending = still_pending
-            self.watch_active = bool(self._watches or self._pending)
-        return delivered
+                    continue
+            yield self._fire(p, pc, cycle)
+        self._pending = still_pending
+        self.watch_active = bool(self._watches or self._pending)
+
+    @staticmethod
+    def _fire(p: _PendingDelivery, reported_pc: int, cycle: int) -> _Delivery:
+        """One overflow delivery of *p*, as :meth:`_deliver` takes it."""
+        watch = p.watch
+        watch.overflow_count += 1
+        return watch.handler, OverflowRecord(
+            counter=watch.counter,
+            trigger_pc=p.trigger_pc,
+            reported_pc=reported_pc,
+            cycle=cycle,
+            threshold=watch.threshold,
+            overflow_count=watch.overflow_count,
+        ), 1
+
+    def _deliver(self, deliveries: Iterable[_Delivery], cost: int) -> None:
+        """Deliver interrupts and bill them: the one path of every
+        sample, overflow and timer tick.
+
+        Each ``(handler, argument, interrupts)`` that *deliveries* yields
+        has its handler called at once.  After the last, the interrupts
+        are billed to the counts array shared with the CPU: ``HW_INT``
+        counts each one and ``TOT_CYC`` grows by *cost* cycles per
+        interrupt.  Handlers therefore see the counts from before this
+        call, and a watch on ``HW_INT`` is due from here until the next
+        retire.
+        """
+        n = 0
+        for handler, arg, interrupts in deliveries:
+            handler(arg)
+            n += interrupts
+        if n:
+            counts = self._counts
+            counts[Signal.HW_INT] += n
+            counts[Signal.TOT_CYC] += n * cost
 
     # ------------------------------------------------------------------
     # deadline queries (block-engine support)
@@ -556,8 +575,8 @@ class PMU:
         The trace engine only compiles probe instructions into a region
         while the PMU is quiet: overflow watches, the cycle timer,
         ProfileMe sampling and in-flight skid deliveries all force the
-        probe back onto the precise interpreter path (deadline/flush
-        crossings must be attributed at exact instruction boundaries).
+        probe back onto the precise interpreter path (deadline crossings
+        must be attributed at exact instruction boundaries).
         """
         return not (
             self.watch_active
@@ -605,23 +624,22 @@ class PMU:
         self._timer_handler = None
         self.timer_active = False
 
-    def check_timer(self, cycle: int) -> int:
+    def check_timer(self, cycle: int) -> None:
         """Hot-path hook: fire the timer if its period elapsed."""
         if self._timer_handler is None or cycle < self._timer_next:
-            return 0
-        delivered = 0
+            return
+        ticks = 0
         while cycle >= self._timer_next:
             period = self._timer_period
             if self.timer_jitter is not None:
                 period = max(1, period + self.timer_jitter(period))
             self._timer_next += period
-            delivered += 1
-        # deliver once per check even if several periods elapsed inside a
-        # long-latency instruction; periods are tracked so time accounting
-        # in the handler stays consistent.
-        self.interrupts_delivered += delivered
-        self._timer_handler(cycle)
-        return delivered
+            ticks += 1
+        # call the handler once per check even if several periods elapsed
+        # inside a long-latency instruction; each period is an interrupt,
+        # and periods are tracked so time accounting in the handler stays
+        # consistent.  Ticks cost no cycles.
+        self._deliver(((self._timer_handler, cycle, ticks),), 0)
 
     # ------------------------------------------------------------------
     # sampling hardware
@@ -639,13 +657,12 @@ class PMU:
         self.sampler = None
         self.sample_countdown = 0
 
-    def deliver_sample(self, sample: SampleRecord) -> int:
-        """Record a sample and re-arm the countdown; returns interrupts."""
-        assert self.sampler is not None
-        self.sampler.record(sample)
-        self.sample_countdown = self.sampler.next_countdown()
-        self.interrupts_delivered += 1
-        return 1
+    def deliver_sample(self, sample: SampleRecord) -> None:
+        """Record a sample (one interrupt) and re-arm the countdown."""
+        sampler = self.sampler
+        assert sampler is not None
+        self._deliver(((sampler.record, sample, 1),), self.config.interrupt_cost)
+        self.sample_countdown = sampler.next_countdown()
 
     def add_ear(self, period: int, event: str = "l1d_miss") -> EventAddressRegister:
         if not self.config.has_ear:

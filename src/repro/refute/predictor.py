@@ -34,7 +34,6 @@ from repro.lint.staticoracle import static_signal_bounds
 from repro.refute.generator import GeneratedProgram
 from repro.validate.oracle import (
     ORACLE_SIGNALS,
-    OracleError,
     PresetExpectation,
     expected_preset_values,
     expected_signal_counts,

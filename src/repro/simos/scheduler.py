@@ -41,9 +41,6 @@ class SchedulerStats:
     context_switches: int = 0
     slices: int = 0
     idle_dispatches: int = 0
-    #: instructions retired through the CPUs' block engines across all
-    #: slices (0 when the engine is disabled).
-    engine_instructions: int = 0
     #: dispatches that moved a thread to a different CPU than its last.
     migrations: int = 0
     #: bound counters re-homed between per-CPU PMUs.
@@ -293,14 +290,9 @@ class OS:
         )
         self._current = thread
         self._dispatch(thread, cpu_index)
-        machine_cpu = self.machine.cpus[cpu_index]
-        est = machine_cpu.engine_stats()
-        fast0 = est.fast_instructions if est is not None else 0
-        result = machine_cpu.run(
+        result = self.machine.cpus[cpu_index].run(
             max_cycles=max_cycles if max_cycles is not None else self.quantum_cycles
         )
-        if est is not None:
-            self.stats.engine_instructions += est.fast_instructions - fast0
         self._deschedule(thread, result)
         self.machine.charge(self.ctx_switch_cost, cpu=cpu_index)
         self.stats.context_switches += 1

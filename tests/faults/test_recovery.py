@@ -11,10 +11,11 @@ multiplex degradation (opt-in) -> crash-consistent emergency stop.
 
 import pytest
 
-from repro.core.constants import PAPI_DOM_ALL, PAPI_DOM_USER
+from repro.core.constants import PAPI_DOM_ALL, PAPI_DOM_USER, PAPI_MULTIPLEXING
 from repro.core.errors import CountersLostError, SystemError_
 from repro.core.library import Papi
 from repro.faults import attach_from_spec
+from repro.hw.events import Signal
 from repro.platforms import create
 from repro.workloads import dot
 
@@ -140,6 +141,44 @@ class TestLossRecovery:
         # domain; the other events are the same in both domains
         assert all_final[0] - all_second[0] > user_final[0] - user_second[0]
         assert all_final[1:] == user_final[1:]
+
+    def test_degradation_ends_with_its_run(self):
+        """The multiplex fallback belongs to the degraded run, not to the
+        set: once the thief lets go, the next start counts directly on
+        the counters add_event allocated, and the options a multiplexed
+        set refuses are open again."""
+        sub, injector, papi, es = setup(
+            "simT3E",
+            ["PAPI_TOT_CYC", "PAPI_TOT_INS", "PAPI_FP_OPS", "PAPI_LD_INS"],
+        )
+        papi.degrade_to_multiplex = True
+        allocated = es.assignment
+        es.start()
+        sub.machine.run(max_instructions=2000)
+        es.read()
+        steal(sub, injector, es.assignment["INS_CNT"])
+        sub.machine.run(max_instructions=2000)
+        es.read()
+        assert es.multiplexed and es.health.degraded_to_multiplex
+        sub.machine.run_to_completion()
+        es.stop()
+        injector._stolen.clear()                 # the thief lets go
+        assert not es.multiplexed
+        assert not es.state() & PAPI_MULTIPLEXING
+        assert es.assignment == allocated
+
+        sub.machine.load(sub.machine.program)
+        ins0 = sub.machine.counts[Signal.TOT_INS]
+        es.start()
+        assert not es.multiplexed and es.assignment == allocated
+        sub.machine.run_to_completion()
+        # counted directly, so exact (a multiplexed estimate is not)
+        assert es.stop()[1] == sub.machine.counts[Signal.TOT_INS] - ins0
+        es.set_domain(PAPI_DOM_ALL)
+        es.overflow(papi.event_name_to_code("PAPI_TOT_INS"), 1000,
+                    lambda info: None)
+        es.attach(sub.os.spawn(sub.machine.program))
+        es.detach()
 
 
 class TestSoftwareOverflowEmulation:

@@ -325,14 +325,14 @@ def test_replay_reaches_steady_state_counts():
     assert st.region_instructions > 0.9 * 3 * n
 
 
-def test_charge_barrier_flushes_engine():
+def test_charge_pollution_mid_run_keeps_engine_exact():
+    # compiled code reads the live caches, so interface pollution between
+    # two slices needs nothing from the engine
     off, on = machine_pair()
     prog = counting_loop(5000)
     on.load(prog)
     on.run(max_instructions=4000)
-    flushes0 = on.engine_stats().flushes
     on.charge(100, pollute_lines=32)
-    assert on.engine_stats().flushes > flushes0
     on.run_to_completion()
 
     off.load(prog)
@@ -508,16 +508,17 @@ def test_probe_handler_reload_of_same_program_restarts_it():
     assert machines["trace"].engine_stats().regions_compiled > 0
 
 
-def test_pmu_read_mid_run_flushes_engine():
+def test_pmu_read_after_compiled_run_matches_interpreter():
+    # the engine commits every count before it returns: a read needs no
+    # write-back
     off, on = machine_pair()
     prog = counting_loop(100)
     on.load(prog)
     on.pmu.program(0, [Signal.TOT_INS])
     on.pmu.start(0)
-    flushes0 = on.engine_stats().flushes
     on.run_to_completion()
     value = on.pmu.read(0)
-    assert on.engine_stats().flushes > flushes0
+    assert on.engine_stats().fast_instructions > 0
 
     off.load(prog)
     off.pmu.program(0, [Signal.TOT_INS])
@@ -623,17 +624,17 @@ def pinned_run(scenario, tier):
 
 
 #: every EngineStats field per run, in field order: blocks_executed,
-#: fast_instructions, blocks_compiled, flushes, regions_compiled,
-#: region_entries, region_instructions.  A change that moves any of them
-#: changes what the engine decides, and must say why.
+#: fast_instructions, blocks_compiled, regions_compiled, region_entries,
+#: region_instructions.  A change that moves any of them changes what
+#: the engine decides, and must say why.
 PINNED_STATS = {
-    ("self_loop", "trace"): (17, 60002, 2, 0, 1, 1, 59660),
-    ("call_trace", "trace"): (48, 12002, 4, 0, 1, 1, 11904),
-    ("region", "trace"): (48, 2602, 5, 0, 1, 1, 2494),
-    ("probed", "trace"): (17, 7486, 2, 0, 1, 1, 7420),
-    ("profileme", "trace"): (91, 2851, 3, 0, 1, 60, 2593),
-    ("watch_loop", "trace"): (17, 56702, 2, 1, 1, 577, 56360),
-    ("watch_region", "trace"): (109, 2571, 5, 1, 1, 97, 2331),
+    ("self_loop", "trace"): (17, 60002, 2, 1, 1, 59660),
+    ("call_trace", "trace"): (48, 12002, 4, 1, 1, 11904),
+    ("region", "trace"): (48, 2602, 5, 1, 1, 2494),
+    ("probed", "trace"): (17, 7486, 2, 1, 1, 7420),
+    ("profileme", "trace"): (91, 2851, 3, 1, 60, 2593),
+    ("watch_loop", "trace"): (17, 56702, 2, 1, 577, 56360),
+    ("watch_region", "trace"): (109, 2571, 5, 1, 97, 2331),
 }
 
 
@@ -777,9 +778,9 @@ def test_scheduler_slices_equivalent_and_counted():
             [t.user_cycles for t in os_.threads],
         )
         if label == "on":
-            assert stats.engine_instructions > 0
+            assert m.engine_stats().fast_instructions > 0
         else:
-            assert stats.engine_instructions == 0
+            assert m.engine_stats() is None
     assert results["on"] == results["off"]
 
 

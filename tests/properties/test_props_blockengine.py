@@ -7,7 +7,7 @@ instruction and cycle budgets: every observable -- the counts array,
 architectural state, cache statistics, overflow records, sample streams
 -- must be *identical* at every engine tier.  Each budget, sample tick,
 threshold and timer tick is a deadline no fast step may cross, so the
-draws include watches on HW_INT (which the interpreter advances after
+draws include watches on HW_INT (which the PMU advances after
 its overflow check, leaving the watch due) and on BR_MSP (rare in a warm
 loop, yet counted at its worst case in every fuel bound).  A share of
 the loops runs 100-300 iterations, so a self-loop block runs as a

@@ -14,18 +14,26 @@ deadline), and run in fixed-size steps that reload the program whenever
 it halts (the papid session pattern, which keeps the code table across
 reloads).  The single-CPU property also draws the branch predictor, so
 regions open-code each of the static, two-bit and gshare predictors.
+One more draws a probe handler that perturbs the machine at one firing
+-- it enables ProfileMe, arms an overflow watch or the cycle timer, sets
+``stop_flag`` or reloads the Program -- so a compiled region side-exits
+at that probe and the CPU finishes the probe's retirement.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import PapiError
 from repro.core.library import Papi
-from repro.hw import Assembler, Machine, MachineConfig
+from repro.core.sampling import sample_signature
+from repro.hw import Assembler, Machine, MachineConfig, Signal
 from repro.hw.blockcache import REGION_HOT
 from repro.hw.cpu import ENGINE_TIERS as TIERS, CPUConfig
+from repro.hw.pmu import PMUConfig
 from repro.platforms import create
 from repro.simos.scheduler import OS
 from test_props_blockengine import instrumentation, run_one
@@ -52,6 +60,29 @@ segments = st.lists(
     min_size=1,
     max_size=4,
 )
+
+
+#: the first loop is probed and hot enough to run as a region.
+probed_segments = segments.map(lambda segs: [
+    dict(segs[0], probed=True, iters=max(segs[0]["iters"], 2 * REGION_HOT)),
+    *segs[1:],
+])
+
+#: what a probe handler does, once, to perturb the machine.
+PERTURBATIONS = ("profileme", "watch", "timer", "stop", "reload")
+
+perturbations = st.fixed_dictionaries({
+    #: the firing, counted over every probe, at which the handler acts:
+    #: about half the draws act inside the first loop's region.
+    "firing": st.integers(min_value=1, max_value=2 * REGION_HOT + 8),
+    #: sample period, overflow threshold or timer period.
+    "period": st.integers(min_value=2, max_value=300),
+    "signal": st.sampled_from(
+        [Signal.TOT_INS, Signal.TOT_CYC, Signal.FP_FMA, Signal.HW_INT]
+    ),
+    "skid_max": st.integers(min_value=0, max_value=6),
+    "seed": st.integers(min_value=1, max_value=2**31),
+})
 
 
 @pytest.fixture(autouse=True)
@@ -227,6 +258,75 @@ def run_stepped(prog, engine, step, nsteps, inject=None):
     return outcome
 
 
+def run_perturbed(prog, engine, action, pert, exits=None):
+    """One run whose probe handler does *action* at a drawn firing.
+
+    A ``stop`` run is resumed until it halts.  *exits*, if given, gets
+    the pc of every probe a compiled region side-exited at.
+    """
+    m = Machine(MachineConfig(
+        engine=engine, seed=pert["seed"],
+        pmu=PMUConfig(skid_max=pert["skid_max"], has_profileme=True),
+    ))
+    m.load(prog)
+    probes, overflows, ticks, samplers = [], [], [], []
+    period = pert["period"]
+
+    def handler(pid, cpu):
+        probes.append((pid, cpu.pc))
+        if len(probes) != pert["firing"]:
+            return
+        pmu = cpu.pmu
+        if action == "profileme":
+            samplers.append(pmu.enable_profileme(period))
+        elif action == "watch":
+            pmu.program(0, [pert["signal"]])
+            pmu.start(0)
+            pmu.set_overflow(
+                0, period,
+                lambda rec: overflows.append(dataclasses.astuple(rec)),
+            )
+        elif action == "timer":
+            pmu.set_cycle_timer(period, ticks.append)
+        elif action == "stop":
+            cpu.stop_flag = True
+        else:
+            cpu.load(prog)
+
+    for pid in range(1, 6):
+        m.register_probe(pid, handler)
+    if exits is not None and m.cpu.engine is not None:
+        engine_ = m.cpu.engine
+        execute = engine_.execute
+
+        def spy(*args):
+            res = execute(*args)
+            if engine_.probe_exit_pc >= 0:
+                exits.append(engine_.probe_exit_pc)
+            return res
+
+        engine_.execute = spy
+    reasons = []
+    while True:
+        result = m.run(max_instructions=100_000)
+        reasons.append(result.reason)
+        if result.reason != "stop":
+            break
+        m.cpu.stop_flag = False
+    return {
+        "reasons": reasons,
+        "counts": list(m.counts),
+        "iregs": list(m.cpu.iregs),
+        "fregs": list(m.cpu.fregs),
+        "pc": m.cpu.pc,
+        "cache_stats": m.hierarchy.stats_snapshot(),
+        "probes": probes,
+        "overflows": overflows,
+        "samples": sample_signature(samplers[0].samples) if samplers else (),
+        "ticks": ticks,
+    }
+
+
 class TestTraceTierEquivalence:
     @given(segments, st.sampled_from(PREDICTORS))
     @settings(max_examples=examples(40), deadline=None)
@@ -289,6 +389,20 @@ class TestTraceTierEquivalence:
                 assert got == ref, (tier, inject)
 
 
+    @pytest.mark.parametrize("action", PERTURBATIONS)
+    @given(segs=probed_segments, pert=perturbations)
+    @settings(max_examples=examples(8), deadline=None)
+    def test_all_tiers_identical_after_perturbing_probe(self, action, segs,
+                                                        pert):
+        prog = build_program(segs)
+        ref = run_perturbed(prog, "off", action, pert)
+        assert ref["reasons"][-1] == "halt"
+        for tier in TIERS[1:]:
+            got = run_perturbed(prog, tier, action, pert)
+            for key in ref:
+                assert got[key] == ref[key], (tier, key)
+
+
 class TestTraceTierCoverage:
     """The property programs genuinely reach the new machinery: a hot
     diamond loop must compile into a region (not silently fall back to
@@ -334,3 +448,21 @@ class TestTraceTierCoverage:
         regions = list(m.cpu.engine._table.regions.values())
         assert regions and all(r.predictor is m.cpu.predictor for r in regions)
         assert m.cpu.engine.stats.region_instructions > 0
+
+    @pytest.mark.parametrize("action", PERTURBATIONS)
+    def test_perturbing_probe_exits_its_region(self, action):
+        """Each perturbation, made inside a running region, takes the
+        region's probe exit (the property above would otherwise only
+        compare interpreted probes)."""
+        seg = {
+            "iters": 40, "parity": True,
+            "then_ops": ["addi", "fma"], "else_ops": ["fadd"],
+            "join_ops": [], "call": False, "probed": True,
+        }
+        prog = build_program([seg])
+        pert = {"firing": 30, "period": 40, "signal": Signal.TOT_INS,
+                "skid_max": 3, "seed": 7}
+        exits = []
+        got = run_perturbed(prog, "trace", action, pert, exits)
+        assert exits, "the perturbation never exited a compiled region"
+        assert got == run_perturbed(prog, "off", action, pert)

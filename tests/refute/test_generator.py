@@ -9,7 +9,6 @@ from repro.refute.generator import (
     SEGMENT_KINDS,
     Genome,
     Segment,
-    assumptions_of,
     build_program,
     dynamic_bound,
     generate,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hw import Assembler, Machine, MachineConfig, Signal
+from repro.hw.cpu import ENGINE_TIERS
 from repro.hw.events import fresh_counts
 from repro.hw.pmu import PMU, PMUConfig
 from repro.simos.scheduler import OS, OSError_
@@ -95,10 +96,32 @@ class TestCounterMigration:
         b.import_counter(0, snap)
         b.start(0)
         counts_b[Signal.TOT_INS] += 29         # 1 below: no interrupt yet
-        assert b.check_overflow(pc=0, cycle=0) == 0
+        b.check_overflow(pc=0, cycle=0)
+        assert fired == [] and counts_b[Signal.HW_INT] == 0
         counts_b[Signal.TOT_INS] += 1          # crosses exactly at 100
-        assert b.check_overflow(pc=0, cycle=0) == 1
-        assert len(fired) == 1
+        b.check_overflow(pc=0, cycle=0)
+        assert len(fired) == 1 and counts_b[Signal.HW_INT] == 1
+
+    def test_export_bills_each_drained_delivery(self):
+        """The migration drain is an interrupt path like any other: each
+        drained delivery adds one HW_INT and interrupt_cost cycles, after
+        every handler of the drain ran."""
+        counts = fresh_counts()
+        a = PMU(PMUConfig(skid_max=10_000, interrupt_cost=90), counts)
+        fired = []
+        a.program(0, [Signal.TOT_INS])
+        a.start(0)
+        a.set_overflow(0, 10, fired.append)
+        for _ in range(3):                     # three crossings, all in skid
+            counts[Signal.TOT_INS] += 10
+            counts[Signal.TOT_CYC] += 25
+            a.check_overflow(pc=7, cycle=counts[Signal.TOT_CYC])
+        assert a.has_pending() and fired == []
+        a.export_counter(0)
+        assert [(r.reported_pc, r.cycle) for r in fired] == [(7, 75)] * 3
+        assert counts[Signal.HW_INT] == 3
+        assert counts[Signal.TOT_CYC] == 75 + 3 * 90
+        assert not a.has_pending()
 
     def test_import_into_running_counter_rejected(self):
         counts = fresh_counts()
@@ -182,6 +205,28 @@ class TestSMPScheduling:
         assert os_.counter_stop(t, 0) == 1000
         # 1000 FMAs / threshold 300 = 3 interrupts, wherever they fired
         assert len(fired) == 3
+
+    @pytest.mark.parametrize("tier", ENGINE_TIERS)
+    def test_drained_interrupts_count_as_hw_int(self, tier):
+        """A skid of up to 14 and a 131-cycle quantum leave deliveries
+        pending at slice ends, so migrations drain some of the 60; every
+        handler call is one machine-wide HW_INT wherever it happened."""
+        m = Machine(MachineConfig(ncpus=2, engine=tier,
+                                  pmu=PMUConfig(skid_max=14)))
+        os_ = OS(m, quantum_cycles=131)
+        t = os_.spawn(fma_worker(3000))
+        m.cpus[0].pmu.program(0, [Signal.FP_FMA])
+        os_.bind_counter(t, 0)
+        os_.counter_start(t, 0)
+        fired = []
+        m.cpus[0].pmu.set_overflow(0, 50, fired.append)
+        cpu = 0
+        while not t.finished:
+            os_.run_slice(t, cpu=cpu)
+            cpu = 1 - cpu
+        assert os_.counter_stop(t, 0) == 3000
+        assert len(fired) == 60
+        assert m.signal_total(Signal.HW_INT) == 60
 
     def test_bad_cpu_arguments_rejected(self):
         m = Machine(MachineConfig(ncpus=2))
